@@ -29,4 +29,5 @@ class PreconditionError(UcpLabError):
 
 
 class FlowInstabilityError(UcpLabError):
-    """Explicit flow step increased the functional beyond tolerance."""
+    """A flow cannot continue: an explicit step increased the functional beyond
+    tolerance, a semi-implicit step size is resonant, or the flow diverged."""

@@ -94,10 +94,6 @@ class AnnulusGrid:
     def radii(self) -> np.ndarray:
         return self.r0 + self.t
 
-    def slice_weights(self, i: int) -> np.ndarray:
-        # uniform arc-length weights on the circle of radius r0 + t_i
-        return np.full(self.n_theta, self.radius(i) * 2.0 * np.pi / self.n_theta)
-
     def quad_weights(self) -> np.ndarray:
         wt = trapezoid_weights(self.t)
         return wt[:, None] * (self.radii()[:, None] * (2.0 * np.pi / self.n_theta))
@@ -166,10 +162,6 @@ class SpinorField:
         self._check_same(other)
         return SpinorField(self.grid, self.values + other.values)
 
-    def __sub__(self, other: "SpinorField") -> "SpinorField":
-        self._check_same(other)
-        return SpinorField(self.grid, self.values - other.values)
-
     def __mul__(self, c) -> "SpinorField":
         return SpinorField(self.grid, self.values * c)
 
@@ -189,7 +181,3 @@ def l2_inner(u: SpinorField, v: SpinorField) -> complex:
     same_grid(u, v)
     w = u.grid.quad_weights()
     return complex(np.sum(w * np.sum(u.values * np.conj(v.values), axis=-1)))
-
-
-def l2_norm(u: SpinorField) -> float:
-    return float(np.sqrt(max(l2_inner(u, u).real, 0.0)))

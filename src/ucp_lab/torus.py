@@ -34,6 +34,10 @@ _SIGMA = np.stack([-1j * g for g in _GEN])   # recover sigma_j
 
 M_TANH = 1.6  # sup |tanh| on the unit strip around the real axis (Cauchy bound)
 
+# Smallest admissible |1 - dt^2|k|^2| and |1 - 4 dt^2|k|^2| in the
+# semi-implicit step; nearer resonance a mode is amplified by ~1/margin.
+RESONANCE_MARGIN = 1e-6
+
 
 class TorusLattice:
     """Fourier lattice with modes |k_j| <= N on the 2pi-periodic grid (n = 2N+1)."""
@@ -63,27 +67,24 @@ class TorusLattice:
     def ifft(self, f):
         return np.fft.ifftn(f, axes=(-3, -2, -1))
 
-    def derivative(self, f, j: int):
-        out = self.ifft(1j * self.k[j] * self.fft(f))
+    def spectral(self, f, symbol):
+        """ifft(symbol(fft(f))): one forward and one inverse transform of the
+        whole stacked input; real input gives real output."""
+        out = self.ifft(symbol(self.fft(f)))
         return out.real if np.isrealobj(f) else out
 
     def divergence(self, vec):
-        return sum(self.derivative(vec[j], j) for j in range(3))
+        return self.spectral(vec, lambda h: np.sum(1j * self.k * h, axis=0))
 
     def curl(self, vec):
-        return np.stack([
-            self.derivative(vec[2], 1) - self.derivative(vec[1], 2),
-            self.derivative(vec[0], 2) - self.derivative(vec[2], 0),
-            self.derivative(vec[1], 0) - self.derivative(vec[0], 1),
-        ])
+        return self.spectral(vec, lambda h: np.cross(1j * self.k, h, axis=0))
 
     def gradient(self, f):
-        return np.stack([self.derivative(f, j) for j in range(3)])
+        return self.spectral(f, lambda h: 1j * self.k * h)
 
     def green(self, f):
         """Inverse of the positive Laplacian; the mean mode is annihilated."""
-        out = self.ifft(self._green_mult * self.fft(f))
-        return out.real if np.isrealobj(f) else out
+        return self.spectral(f, lambda h: self._green_mult * h)
 
     def integral(self, f) -> complex:
         return complex(np.sum(f) * self.volume_element)
@@ -398,42 +399,29 @@ def cl_imaginary_form(alpha: np.ndarray) -> np.ndarray:
     return 1j * np.tensordot(_GEN, alpha, axes=(0, 0)).transpose(2, 3, 4, 0, 1)
 
 
-def _apply_matrix_field(M: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    return np.einsum("xyzab,bxyz->axyz", M, psi)
+def _cl(form: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Clifford multiplication cl(i form) psi = sum_j form_j i cl(e_j) psi."""
+    return 1j * np.einsum("jab,jxyz,bxyz->axyz", _GEN, form, psi)
 
 
 def dirac3(config: SWConfiguration) -> np.ndarray:
-    """Twisted Dirac operator sum_j cl(e_j)(d_j + alpha_j i/2) psi."""
+    """Twisted Dirac operator sum_j cl(e_j)(d_j + alpha_j i/2) psi, i.e.
+    ifft(cl(i k) fft(psi)) + cl(i alpha) psi / 2."""
     lat = config.lattice
-    out = np.zeros_like(config.psi)
-    for j in range(3):
-        v = lat.derivative(config.psi, j) + 0.5j * config.alpha[j] * config.psi
-        out += np.einsum("ab,bxyz->axyz", _GEN[j], v)
-    return out
-
-
-def sigma_quadratic(psi: np.ndarray) -> np.ndarray:
-    """Imaginary part storage of sigma(psi, psi)_j = (i/2) Im <cl(e_j)psi, psi>."""
-    out = np.empty((3,) + psi.shape[1:])
-    for j in range(3):
-        gp = np.einsum("ab,bxyz->axyz", _GEN[j], psi)
-        out[j] = 0.5 * np.imag(np.sum(gp * np.conj(psi), axis=0))
-    return out
+    return (lat.spectral(config.psi, lambda h: _cl(lat.k, h))
+            + 0.5 * _cl(config.alpha, config.psi))
 
 
 def sigma_polarized(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Symmetric polarization: (i/2) Im <cl(e_j)psi, phi> (real storage)."""
-    out = np.empty((3,) + psi.shape[1:])
-    for j in range(3):
-        gp = np.einsum("ab,bxyz->axyz", _GEN[j], psi)
-        out[j] = 0.5 * np.imag(np.sum(gp * np.conj(phi), axis=0))
-    return out
+    """Symmetric polarization: (i/2) Im <cl(e_j)psi, phi> (real storage);
+    sigma_polarized(psi, psi) is the quadratic term sigma(psi, psi)."""
+    return 0.5 * np.imag(np.einsum("jab,bxyz,axyz->jxyz", _GEN, psi, np.conj(phi)))
 
 
 def sw_residual(config: SWConfiguration) -> Tuple[float, float]:
     """L2 norms of the curvature row *F_A - sigma(psi, psi) and the Dirac row."""
     lat = config.lattice
-    curv = lat.curl(config.alpha) - sigma_quadratic(config.psi)
+    curv = lat.curl(config.alpha) - sigma_polarized(config.psi, config.psi)
     r1 = math.sqrt(float(np.sum(curv ** 2)) * lat.volume_element)
     dp = dirac3(config)
     r2 = math.sqrt(float(np.sum(np.abs(dp) ** 2)) * lat.volume_element)
@@ -456,13 +444,9 @@ def _taus(config: SWConfiguration, mus: np.ndarray) -> np.ndarray:
 
 def zeta_pairings(config: SWConfiguration, nus: np.ndarray) -> np.ndarray:
     """Raw complex values of int <cl(nu_j) psi, psi> (real up to rounding)."""
-    out = []
-    for m in nus:
-        cl_nu = cl_imaginary_form(m)
-        v = _apply_matrix_field(cl_nu, config.psi)
-        out.append(complex(np.sum(v * np.conj(config.psi)))
-                   * config.lattice.volume_element)
-    return np.array(out)
+    psi = config.psi
+    return np.array([complex(np.sum(_cl(m, psi) * np.conj(psi)))
+                     * config.lattice.volume_element for m in nus])
 
 
 def _zetas(config: SWConfiguration, nus: np.ndarray) -> np.ndarray:
@@ -559,62 +543,42 @@ def grad_csd(config: SWConfiguration, params: Optional[PerturbationParams] = Non
     signs; see module docstring for the relation to the printed form)."""
     _check_case(case)
     lat = config.lattice
-    ga = lat.curl(config.alpha) - sigma_quadratic(config.psi)
+    ga = lat.curl(config.alpha) - sigma_polarized(config.psi, config.psi)
     gp = 2.0 * dirac3(config)
 
     if case in ("case1", "case2"):
         if params is None:
             raise ValueError("perturbed cases need params")
         dp1 = params.p1.grad(_taus(config, params.mus))
-        for j in range(params.n_tau):
-            if dp1[j] != 0.0:
-                ga -= dp1[j] * params.mus[j]
+        ga -= np.tensordot(dp1, params.mus, axes=1)
         dp2 = params.p2.grad(_zetas(config, params.nus))
-        for j in range(params.n_zeta):
-            if dp2[j] != 0.0:
-                cl_nu = cl_imaginary_form(params.nus[j])
-                gp += 2.0 * dp2[j] * _apply_matrix_field(cl_nu, config.psi)
+        gp += 2.0 * _cl(np.tensordot(dp2, params.nus, axes=1), config.psi)
 
     if case == "case2":
         X = eta_dressing(config)
-        etas = _etas(config, params, dressing=X)
-        wirt = params.p3.wirtinger(etas)
-        W = np.zeros(config.psi.shape[1:], dtype=complex)
-        for coeff, chi in zip(wirt, params.spinor_basis):
-            if coeff != 0.0:
-                gp += 2.0 * coeff * (X[None] * chi)
-                W += coeff * np.sum((X[None] * chi) * np.conj(config.psi), axis=0)
+        wirt = params.p3.wirtinger(_etas(config, params, dressing=X))
+        dressed = X[None] * np.tensordot(wirt, params.spinor_basis, axes=1)
+        gp += 2.0 * dressed
+        W = np.sum(dressed * np.conj(config.psi), axis=0)
         ga += lat.gradient(lat.green(np.imag(W)))
 
     return Tangent(ga, gp)
 
 
-def _linear_symbols(lattice: TorusLattice, dt: float):
-    """Per-mode inverses of (I + dt * curl) and (I + 2 dt * D_0)."""
-    n = lattice.n
-    K = lattice.k
-    eps = np.zeros((3, 3, 3))
-    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
-    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
-    curl_sym = np.einsum("abc,bxyz->acxyz", eps.astype(complex), 1j * K)
-    Ma = np.eye(3)[:, :, None, None, None] + dt * curl_sym
-    dir_sym = np.einsum("jab,jxyz->abxyz", _GEN.astype(complex), 1j * K)
-    Mp = np.eye(2)[:, :, None, None, None] + 2.0 * dt * dir_sym
-    Ma_inv = np.linalg.inv(np.moveaxis(Ma, (0, 1), (-2, -1)))
-    Mp_inv = np.linalg.inv(np.moveaxis(Mp, (0, 1), (-2, -1)))
-    return Ma_inv, Mp_inv, curl_sym, dir_sym
-
-
 def flow_step(config: SWConfiguration, params: Optional[PerturbationParams] = None,
               case: str = "unperturbed", dt: float = 1e-2,
-              scheme: str = "explicit", energy_tol: float = 1e-10,
-              _symbols=None) -> SWConfiguration:
+              scheme: str = "explicit", energy_tol: float = 1e-10) -> SWConfiguration:
     """One step of the downward flow d/dt (A, psi) = -grad csd.
 
     'explicit' checks that the functional did not increase beyond tolerance
-    and raises FlowInstabilityError otherwise; 'semi-implicit' treats the
-    linear curl/Dirac parts implicitly per Fourier mode (stable for large dt,
-    fixed points are exactly the critical points).
+    and raises FlowInstabilityError otherwise.  'semi-implicit' treats the
+    linear part L = (curl, 2 D_0) implicitly, x_new = x - dt (I + dt L)^-1
+    grad csd(x), with the closed-form per-mode resolvents (S = cl(i k),
+    C = i k x, C^2 = |k|^2 P_perp):
+        (I + 2 dt S)^-1 = (I - 2 dt S) / (1 - 4 dt^2 |k|^2),
+        (I + dt C)^-1 = P_par + (I - dt C) P_perp / (1 - dt^2 |k|^2).
+    Its fixed points are exactly the critical points; a dt within
+    RESONANCE_MARGIN of a pole raises FlowInstabilityError.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -631,15 +595,25 @@ def flow_step(config: SWConfiguration, params: Optional[PerturbationParams] = No
     if scheme != "semi-implicit":
         raise ValueError("scheme must be 'explicit' or 'semi-implicit'")
 
-    Ma_inv, Mp_inv, curl_sym, dir_sym = (_symbols if _symbols is not None
-                                         else _linear_symbols(lat, dt))
-    lin_a = lat.curl(config.alpha)
-    lin_p = lat.ifft(np.einsum("abxyz,bxyz->axyz", 2.0 * dir_sym, lat.fft(config.psi)))
-    rhs_a = lat.fft(config.alpha - dt * (g.alpha - lin_a))
-    rhs_p = lat.fft(config.psi - dt * (g.phi - lin_p))
-    new_a = np.einsum("xyzab,bxyz->axyz", Ma_inv, rhs_a)
-    new_p = np.einsum("xyzab,bxyz->axyz", Mp_inv, rhs_p)
-    return SWConfiguration(lat, lat.ifft(new_a).real, lat.ifft(new_p))
+    k, k2 = lat.k, lat.k2
+    den_a, den_p = 1.0 - dt ** 2 * k2, 1.0 - 4.0 * dt ** 2 * k2
+    for den in (den_a, den_p):
+        i = int(np.argmin(np.abs(den)))
+        if abs(den.flat[i]) < RESONANCE_MARGIN:
+            raise FlowInstabilityError(
+                f"semi-implicit step dt={dt!r} is resonant at |k| = "
+                f"{math.sqrt(k2.flat[i]):.6g}: denominator {den.flat[i]:.3e} "
+                f"is below the margin {RESONANCE_MARGIN:g}")
+
+    def curl_resolvent(h):
+        par = k * (lat._green_mult * np.sum(k * h, axis=0))
+        return par + (h - par - dt * np.cross(1j * k, h, axis=0)) / den_a
+
+    def dirac_resolvent(h):
+        return (h - 2.0 * dt * _cl(k, h)) / den_p
+
+    return SWConfiguration(lat, config.alpha - dt * lat.spectral(g.alpha, curl_resolvent),
+                           config.psi - dt * lat.spectral(g.phi, dirac_resolvent))
 
 
 @dataclass
@@ -663,15 +637,18 @@ def run_flow(config: SWConfiguration, params: Optional[PerturbationParams] = Non
              case: str = "unperturbed", dt: float = 3.0, steps: int = 200,
              scheme: str = "semi-implicit", residual_target: Optional[float] = None,
              record_every: int = 1) -> FlowResult:
-    """Finite-horizon flow integration with trajectory records."""
-    lat = config.lattice
-    symbols = _linear_symbols(lat, dt) if scheme == "semi-implicit" else None
+    """Finite-horizon flow integration with trajectory records; a non-finite
+    recorded value raises FlowInstabilityError."""
     current = config
     records = []
 
     def record(i):
         r1, r2 = sw_residual(current)
-        records.append(FlowRecord(i, i * dt, csd(current, params, case), r1, r2,
+        value = csd(current, params, case)
+        if not all(map(math.isfinite, (value, r1, r2))):
+            raise FlowInstabilityError(
+                f"flow diverged by step {i}: csd {value}, residuals {r1}, {r2}")
+        records.append(FlowRecord(i, i * dt, value, r1, r2,
                                   math.sqrt(current.sup_psi_sq())))
         return max(r1, r2)
 
@@ -679,7 +656,7 @@ def run_flow(config: SWConfiguration, params: Optional[PerturbationParams] = Non
     converged = residual_target is not None and res < residual_target
     i = 0
     while i < steps and not converged:
-        current = flow_step(current, params, case, dt, scheme, _symbols=symbols)
+        current = flow_step(current, params, case, dt, scheme)
         i += 1
         if i % record_every == 0 or i == steps:
             res = record(i)
@@ -717,8 +694,7 @@ class SWLinearization:
         one_form = lat.curl(t.alpha) - 2.0 * sigma_polarized(psi, t.phi)
         cfg = self.config
         dphi = dirac3(SWConfiguration(lat, cfg.alpha, t.phi))
-        spinor = dphi + 0.5j * np.einsum(
-            "jab,jxyz,bxyz->axyz", _GEN, t.alpha.astype(complex), psi)
+        spinor = dphi + 0.5 * _cl(t.alpha, psi)
         return SystemTriple(scalar, one_form, spinor)
 
     def adjoint(self, y: SystemTriple) -> Tangent:
@@ -728,8 +704,7 @@ class SWLinearization:
         cfg = self.config
         phi = dirac3(SWConfiguration(lat, cfg.alpha, y.spinor))
         phi = phi - 1j * y.scalar[None] * psi
-        phi = phi + 1j * np.einsum("jab,jxyz,bxyz->axyz", _GEN,
-                                   y.one_form.astype(complex), psi)
+        phi = phi + _cl(y.one_form, psi)
         return Tangent(alpha, phi)
 
     def pairing_out(self, a: SystemTriple, b: SystemTriple) -> float:

@@ -112,6 +112,19 @@ def test_sw_flow_suite_small(tmp_path):
     assert (out / "flow_final.ckpt").exists()
 
 
+def test_sw_flow_resonant_dt_is_suite_error(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("N = 2\ntrials = 1\ndt = 0.5\n")
+    code = run_cli("run", "--suite", "sw-flow", "--config", str(cfg),
+                   "--out", str(out), "--seed", "5")
+    assert code == 1
+    report = json.loads((out / "report.json").read_text())
+    [assertion] = report["assertions"]
+    assert assertion["name"] == "suite-error"
+    assert "resonant at |k| = 2" in assertion["note"]
+
+
 def test_report_bytes_deterministic(tmp_path):
     outs = []
     for sub in ("one", "two"):

@@ -99,7 +99,7 @@ def test_sw_residual_zero_and_dense_oracle(lat2):
         (D[2] @ flat_a[0] - D[0] @ flat_a[2]).real,
         (D[0] @ flat_a[1] - D[1] @ flat_a[0]).real,
     ])
-    sig = tw.sigma_quadratic(cfg.psi).reshape(3, -1)
+    sig = tw.sigma_polarized(cfg.psi, cfg.psi).reshape(3, -1)
     r1_oracle = math.sqrt(np.sum((curl_flat - sig) ** 2) * lat2.volume_element)
 
     flat_psi = cfg.psi.reshape(2, -1)
@@ -382,7 +382,7 @@ def test_linearize_matches_finite_difference_of_equation_map(lat2):
     lin = tw.linearize(cfg).apply(t)
 
     def sw_map(c):
-        return (lat2.curl(c.alpha) - tw.sigma_quadratic(c.psi),
+        return (lat2.curl(c.alpha) - tw.sigma_polarized(c.psi, c.psi),
                 tw.dirac3(c))
 
     # the equation map is quadratic, so central differences are exact up to
@@ -511,3 +511,60 @@ def test_linearization_setup_case1_admissibility(lat2, params2):
     adm = admissibility_bound(record.case1, record.case1_field(phi))
     assert adm.admissible
     assert adm.c0 <= record.case1_witness_c0 * (1 + 1e-10)
+
+
+@pytest.mark.parametrize("dt, k_norm", [(1.0, 1.0), (0.5, 2.0), (0.25, 4.0),
+                                        (1.0 / math.sqrt(2.0), math.sqrt(2.0))])
+def test_semi_implicit_resonant_dt_raises(dt, k_norm):
+    """dt |k| = 1 or 2 dt |k| = 1 on some lattice mode makes the per-mode
+    resolvent singular; the step refuses it and names the mode."""
+    cfg = tw.random_config(tw.TorusLattice(4), rng_for(24), amplitude=1e-4)
+    with pytest.raises(FlowInstabilityError) as err:
+        tw.flow_step(cfg, None, "unperturbed", dt=dt, scheme="semi-implicit")
+    assert f"|k| = {k_norm:.6g}" in str(err.value)
+
+
+def test_run_flow_divergence_raises():
+    cfg = tw.random_config(tw.TorusLattice(3), rng_for(25), amplitude=50.0)
+    with np.errstate(all="ignore"), pytest.raises(FlowInstabilityError):
+        tw.run_flow(cfg, None, "unperturbed", dt=3.0, steps=200,
+                    scheme="semi-implicit")
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("dt", [3.0, 0.01])
+def test_semi_implicit_step_solves_its_linear_system(N, dt):
+    """(x - x_new)/dt + L(x - x_new) = grad csd(x) with L = (curl, 2 D_0)."""
+    lat = tw.TorusLattice(N)
+    params = tw.default_params(lat)
+    cfg = tw.random_config(lat, rng_for(26, N), amplitude=0.5)
+    new = tw.flow_step(cfg, params, "case2", dt=dt, scheme="semi-implicit")
+    g = tw.grad_csd(cfg, params, "case2")
+    da, dp = cfg.alpha - new.alpha, cfg.psi - new.psi
+    free_dirac = tw.dirac3(tw.SWConfiguration(lat, np.zeros_like(da), dp))
+    res_a = da / dt + lat.curl(da) - g.alpha
+    res_p = dp / dt + 2.0 * free_dirac - g.phi
+    scale = max(np.max(np.abs(g.alpha)), np.max(np.abs(g.phi)))
+    assert max(np.max(np.abs(res_a)), np.max(np.abs(res_p))) <= 1e-12 * scale
+
+
+def test_spectral_transform_counts(lat2, params2, monkeypatch):
+    """One forward and one inverse transform per spectral operator."""
+    calls = []
+
+    def counted(transform):
+        def wrapper(*args, **kwargs):
+            calls.append(transform)
+            return transform(*args, **kwargs)
+        return wrapper
+
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    cfg = tw.random_config(lat2, rng_for(27), amplitude=0.3)
+    for fn, limit in ((tw.grad_csd, 12), (tw.csd, 8)):
+        calls.clear()
+        fn(cfg, params2, "case2")
+        assert len(calls) <= limit
+    calls.clear()
+    tw.flow_step(cfg, None, "unperturbed", dt=3.0, scheme="semi-implicit")
+    assert len(calls) <= 8

@@ -8,7 +8,6 @@ Quadrature is trapezoid in the normal coordinate times the slice measure.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -229,12 +228,9 @@ class SweepResult:
 def constant_sweep(op: DiracOperator, sampler: Callable, R_grid: Sequence[float],
                    geom: CarlemanGeometry, n_samples: int = 20,
                    perturbation: Optional[Perturbation] = None, seed: int = 0,
-                   jobs: Optional[int] = None, require_span: bool = True) -> SweepResult:
-    """Per-R constant estimate: max ratio over sampled fields.
-
-    Aggregation is deterministic (ordered by R then sample index) regardless
-    of the worker count.
-    """
+                   require_span: bool = True) -> SweepResult:
+    """Per-R constant estimate: max ratio over sampled fields.  Sample
+    (i_r, i_s) draws from the Philox stream keyed (seed, i_r, i_s)."""
     R_grid = np.asarray(list(R_grid), dtype=float)
     if require_span:
         if R_grid.size < 3 or np.any(np.diff(R_grid) <= 0):
@@ -251,12 +247,7 @@ def constant_sweep(op: DiracOperator, sampler: Callable, R_grid: Sequence[float]
             return carleman_ratio(op, v, float(R_grid[i_r]), geom)
         return perturbed_carleman_ratio(op, perturbation, v, float(R_grid[i_r]), geom)
 
-    tasks = [(i_r, i_s) for i_r in range(R_grid.size) for i_s in range(n_samples)]
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            flat = list(pool.map(lambda p: one(*p), tasks))
-    else:
-        flat = [one(*p) for p in tasks]
+    flat = [one(i_r, i_s) for i_r in range(R_grid.size) for i_s in range(n_samples)]
 
     reports, estimates = [], []
     degenerate = True

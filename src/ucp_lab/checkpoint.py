@@ -15,6 +15,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
+from .errors import CheckpointError
 from .torus import FlowRecord, PerturbationParams, SWConfiguration, TorusLattice
 
 _MAGIC = "ucp-lab-checkpoint"
@@ -70,13 +71,19 @@ def save_checkpoint(config: SWConfiguration, path, case: str = "unperturbed",
 def load_checkpoint(path) -> Tuple[SWConfiguration, dict]:
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != _MAGIC:
-            raise ValueError("not a checkpoint file")
-        n = int(header["lattice_n"])
-        count_a = n ** 3 * 3 * 2 * 8
-        a_hat = _unpack(fh.read(count_a), n, 3)
-        psi_hat = _unpack(fh.read(n ** 3 * 2 * 2 * 8), n, 2)
-    lat = TorusLattice(int(header["lattice_N"]))
+        payload = fh.read()
+    if header.get("format") != _MAGIC:
+        raise CheckpointError("not a checkpoint file")
+    n, N = int(header["lattice_n"]), int(header["lattice_N"])
+    if n != 2 * N + 1:
+        raise CheckpointError(f"lattice_n = {n} is not 2 * lattice_N + 1 = {2 * N + 1}")
+    size_a = n ** 3 * 3 * 2 * 8
+    expected = size_a + n ** 3 * 2 * 2 * 8
+    if len(payload) != expected:
+        raise CheckpointError(f"payload has {len(payload)} bytes, expected {expected}")
+    a_hat = _unpack(payload[:size_a], n, 3)
+    psi_hat = _unpack(payload[size_a:], n, 2)
+    lat = TorusLattice(N)
     alpha = np.imag(lat.ifft(a_hat))
     psi = lat.ifft(psi_hat)
     return SWConfiguration(lat, alpha, psi), header

@@ -106,7 +106,7 @@ def _build_perturbation(name: str, geom: cl.CarlemanGeometry) -> Optional[Pertur
 # suite runners
 
 
-def run_carleman(opts: dict, seed: int, out: Path, jobs: Optional[int]) -> SuiteOutput:
+def run_carleman(opts: dict, seed: int, out: Path) -> SuiteOutput:
     res = SuiteOutput()
     geom = cl.CarlemanGeometry.interval(opts["T"], opts["n_t"])
     op = model_operator_1d(geom.grid)
@@ -116,8 +116,7 @@ def run_carleman(opts: dict, seed: int, out: Path, jobs: Optional[int]) -> Suite
     sampler = cl.cutoff_bump_sampler(geom)
 
     sweep = cl.constant_sweep(op, sampler, R_grid, geom, n_samples=int(opts["samples"]),
-                              perturbation=pert, seed=seed, jobs=jobs,
-                              require_span=False)
+                              perturbation=pert, seed=seed, require_span=False)
     rows = []
     for rep in sweep.reports:
         conclusive = rep.R >= R_SUFFICIENT
@@ -194,7 +193,7 @@ def _carleman_appendix(res: SuiteOutput, out: Path, seed: int, n_samples: int):
               note="convergence order of |Jmix - R J0 - Jskew.pert| (C = 0, constant B)")
 
 
-def run_decay(opts: dict, seed: int, out: Path, jobs) -> SuiteOutput:
+def run_decay(opts: dict, seed: int, out: Path) -> SuiteOutput:
     res = SuiteOutput()
     geom = cl.CarlemanGeometry.interval(opts["T"], opts["n_t"])
     op = model_operator_1d(geom.grid)
@@ -223,7 +222,7 @@ def run_decay(opts: dict, seed: int, out: Path, jobs) -> SuiteOutput:
     return res
 
 
-def run_counterexample(opts: dict, seed: int, out: Path, jobs) -> SuiteOutput:
+def run_counterexample(opts: dict, seed: int, out: Path) -> SuiteOutput:
     res = SuiteOutput()
     plot = out / "plotdata"
     plot.mkdir(exist_ok=True)
@@ -261,7 +260,7 @@ def run_counterexample(opts: dict, seed: int, out: Path, jobs) -> SuiteOutput:
     return res
 
 
-def run_sw_gradcheck(opts: dict, seed: int, out: Path, jobs) -> SuiteOutput:
+def run_sw_gradcheck(opts: dict, seed: int, out: Path) -> SuiteOutput:
     res = SuiteOutput()
     lat = tw.TorusLattice(int(opts["N"]))
     params = tw.default_params(lat)
@@ -317,7 +316,7 @@ def run_sw_gradcheck(opts: dict, seed: int, out: Path, jobs) -> SuiteOutput:
     return res
 
 
-def run_sw_flow(opts: dict, seed: int, out: Path, jobs) -> SuiteOutput:
+def run_sw_flow(opts: dict, seed: int, out: Path) -> SuiteOutput:
     res = SuiteOutput()
     lat = tw.TorusLattice(int(opts["N"]))
     plot = out / "plotdata"
@@ -362,7 +361,7 @@ def run_sw_flow(opts: dict, seed: int, out: Path, jobs) -> SuiteOutput:
     return res
 
 
-def run_observables(opts: dict, seed: int, out: Path, jobs) -> SuiteOutput:
+def run_observables(opts: dict, seed: int, out: Path) -> SuiteOutput:
     res = SuiteOutput()
     lat = tw.TorusLattice(int(opts["N"]))
     params = tw.default_params(lat)
@@ -476,7 +475,7 @@ def _coerce(value: str, lineno: int):
 
 
 def run(suite: str, config_file: Optional[str] = None, seed: int = 42,
-        out_dir: str = "ucp_lab_out", jobs: Optional[int] = None) -> int:
+        out_dir: str = "ucp_lab_out") -> int:
     if suite not in SUITES:
         print(f"error: unknown suite {suite!r}; see 'ucp-lab list'", file=sys.stderr)
         return 2
@@ -501,8 +500,6 @@ def run(suite: str, config_file: Optional[str] = None, seed: int = 42,
                     return 2
             elif key == "seed":
                 seed = int(value)
-            elif key == "jobs":
-                jobs = int(value)
             elif key in opts:
                 opts[key] = value
             else:
@@ -518,7 +515,7 @@ def run(suite: str, config_file: Optional[str] = None, seed: int = 42,
         return 3
 
     try:
-        result = runner(opts, int(seed), out, jobs)
+        result = runner(opts, int(seed), out)
     except (NonAdmissibleError, UcpLabError, ValueError) as exc:
         result = SuiteOutput()
         result.assertions.append(Assertion("suite-error", False, 1.0, 0.5, str(exc)))
@@ -556,7 +553,7 @@ def list_suites() -> int:
         print(f"{name}: {description}")
         for key in sorted(defaults):
             print(f"    {key} = {defaults[key]!r}")
-    print("common keys: seed (int), jobs (int), suite (must match --suite)")
+    print("common keys: seed (int), suite (must match --suite)")
     return 0
 
 
@@ -569,13 +566,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     runp.add_argument("--config", default=None)
     runp.add_argument("--seed", type=int, default=42)
     runp.add_argument("--out", default="ucp_lab_out")
-    runp.add_argument("--jobs", type=int, default=None)
     sub.add_parser("list", help="list suites and their configuration keys")
 
     args = parser.parse_args(argv)
     if args.command == "list":
         return list_suites()
-    return run(args.suite, args.config, args.seed, args.out, args.jobs)
+    return run(args.suite, args.config, args.seed, args.out)
 
 
 if __name__ == "__main__":

@@ -31,3 +31,7 @@ class PreconditionError(UcpLabError):
 class FlowInstabilityError(UcpLabError):
     """A flow cannot continue: an explicit step increased the functional beyond
     tolerance, a semi-implicit step size is resonant, or the flow diverged."""
+
+
+class CheckpointError(UcpLabError, ValueError):
+    """A file is not a checkpoint, or its header and payload disagree."""

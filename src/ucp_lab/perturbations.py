@@ -1,17 +1,20 @@
 """Zeroth-order perturbations P(u) and the pointwise admissibility criterion.
 
-Shipped kinds all satisfy P(0) = 0 exactly:
+Shipped kinds all satisfy P(0) = 0 exactly.  Local kinds are a fiber map of
+a per-point coefficient c, P(u)(x) = fiber(c(x), u(x)):
+  zero        P(u) = 0
   pointwise   P(u)(x) = <u(x), a(x)> u(x)
+  matrix      P(u)(x) = M(x) u(x)      (bundle map of the torus linearization)
+Nonlocal kinds are a whole-field map P(u) = field(u):
   kernel      P(u)(x) = |int k(x, z) u(z) dz| u(x)
   rank-one    P(u)(x) = <u, a>_{L2} a(x)
-  matrix      P(u)(x) = M(x) u(x)        (linear bundle map, used by the
-                                          torus linearization bookkeeping)
-  zero        P(u) = 0
+integrate_zero_data evaluates local kinds at RK4 stage values (order 4) and
+freezes nonlocal kinds once per step, zero ahead of the front.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -22,52 +25,47 @@ from .fields import Grid1D, SpinorField, l2_inner, same_grid
 
 @dataclass(eq=False)
 class Perturbation:
-    kind: str
-    a: Optional[SpinorField] = None
-    kernel: Optional[np.ndarray] = None
-    matrix: Optional[np.ndarray] = None
+    a: Optional[SpinorField] = None    # carrier field: the grid P lives on
+    coeff: Any = 0.0                   # local kinds: per-point coefficient (or scalar)
+    fiber: Optional[Callable] = None   # local kinds: (coeff, values) -> values
+    field: Optional[Callable] = None   # nonlocal kinds: SpinorField -> values
 
     @classmethod
     def zero(cls) -> "Perturbation":
-        return cls("zero")
+        return cls(fiber=lambda c, v: np.zeros_like(v))
 
     @classmethod
     def pointwise(cls, a: SpinorField) -> "Perturbation":
-        return cls("pointwise", a=a)
+        return cls(a, a.values, fiber=lambda c, v: fiber_inner(v, c)[..., None] * v)
 
     @classmethod
     def kernel_nonlocal(cls, a_grid_field: SpinorField, kernel: np.ndarray) -> "Perturbation":
         # kernel sampled as k[x, z] on the (flattened) grid of the carrier field
-        return cls("kernel", a=a_grid_field, kernel=np.asarray(kernel, dtype=complex))
+        kernel = np.asarray(kernel, dtype=complex)
+
+        def field(u: SpinorField) -> np.ndarray:
+            w = u.grid.quad_weights().reshape(-1)
+            integral = kernel @ (w[:, None] * u.values.reshape(-1, u.rank))
+            omega = np.sqrt(np.sum(np.abs(integral) ** 2, axis=-1))
+            return omega.reshape(u.values.shape[:-1])[..., None] * u.values
+        return cls(a_grid_field, field=field)
 
     @classmethod
     def rank_one(cls, a: SpinorField) -> "Perturbation":
-        return cls("rank-one", a=a)
+        return cls(a, field=lambda u: l2_inner(u, a) * a.values)
 
     @classmethod
     def matrix_field(cls, carrier: SpinorField, matrix: np.ndarray) -> "Perturbation":
-        return cls("matrix", a=carrier, matrix=np.asarray(matrix, dtype=complex))
+        return cls(carrier, np.asarray(matrix, dtype=complex),
+                   fiber=lambda c, v: np.einsum("...ij,...j->...i", c, v))
 
 
 def eval_perturbation(P: Perturbation, u: SpinorField) -> SpinorField:
-    if P.kind == "zero":
-        return SpinorField(u.grid, np.zeros_like(u.values))
     if P.a is not None:
         same_grid(P.a, u)
-    if P.kind == "pointwise":
-        omega = fiber_inner(u.values, P.a.values)
-        return SpinorField(u.grid, omega[..., None] * u.values)
-    if P.kind == "kernel":
-        w = u.grid.quad_weights().reshape(-1)
-        flat = u.values.reshape(-1, u.rank)
-        integral = P.kernel @ (w[:, None] * flat)
-        omega = np.sqrt(np.sum(np.abs(integral) ** 2, axis=-1)).reshape(u.values.shape[:-1])
-        return SpinorField(u.grid, omega[..., None] * u.values)
-    if P.kind == "rank-one":
-        return SpinorField(u.grid, l2_inner(u, P.a) * P.a.values)
-    if P.kind == "matrix":
-        return SpinorField(u.grid, np.einsum("...ij,...j->...i", P.matrix, u.values))
-    raise ValueError(f"unknown perturbation kind {P.kind!r}")
+    if P.field is not None:
+        return SpinorField(u.grid, P.field(u))
+    return SpinorField(u.grid, P.fiber(P.coeff, u.values))
 
 
 @dataclass
@@ -146,44 +144,57 @@ def ucp_condition_check(a: SpinorField, u: SpinorField, zero_tol: float = 1e-12,
     return UcpConditionResult("neither", False, False, None)
 
 
-def integrate_zero_data(op, P: Perturbation, u0: Optional[np.ndarray] = None,
-                        steps_per_node: int = 1) -> SpinorField:
+def integrate_zero_data(op, P: Perturbation, u0: Optional[np.ndarray] = None) -> SpinorField:
     """March D u + P(u) = 0 on the operator grid by RK4 from slice data u0.
 
     The tangential slice coefficients come from the operator's smooth
-    slice_maker.  Nonlocal perturbation kinds see the current full-grid
-    state (zero ahead of the front), which is exact for zero data.
+    slice_maker.  A local kind acts on each stage value, its coefficient at
+    t + h/2 from the 4-point midpoint rule, so the march keeps order 4.  A
+    nonlocal kind is evaluated once per step on the marched state (zero
+    ahead of the front, exact for zero data), interpolated to stage times.
     """
     grid: Grid1D = op.grid
     if not isinstance(grid, Grid1D):
         raise DomainMismatchError("initial-value integration is 1D only")
     if op.slice_maker is None:
         raise ValueError("operator carries no smooth slice coefficients")
-    rank = op.fiber_rank
-    values = np.zeros((grid.n, rank), dtype=complex)
+    values = np.zeros((grid.n, op.fiber_rank), dtype=complex)
+    if P.a is not None:
+        same_grid(P.a, SpinorField(grid, values))
     if u0 is not None:
         values[0] = np.asarray(u0, dtype=complex)
     cl_inv = -op.cl_dt  # cl(dt)^{-1}
-
-    def rhs(t, y, current):
-        b, c = op.slice_maker(t)
-        field = SpinorField(grid, current)
-        p_here = _interp_row(eval_perturbation(P, field).values, grid, t)
-        return -(b + c) @ y - cl_inv @ p_here
-
-    h = grid.spacing / steps_per_node
+    h = grid.spacing
+    if P.field is None:
+        coeff = np.broadcast_to(P.coeff, (grid.n,) + np.shape(P.coeff)[1:])
+        coeff_at = {0.0: coeff[:-1], 0.5: _midpoints(coeff), 1.0: coeff[1:]}
     for i in range(grid.n - 1):
-        y = values[i]
-        t = grid.t[i]
-        for _ in range(steps_per_node):
-            k1 = rhs(t, y, values)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1, values)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2, values)
-            k4 = rhs(t + h, y + h * k3, values)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-        values[i + 1] = y
+        t, y = grid.t[i], values[i]
+        frozen = None if P.field is None else P.field(SpinorField(grid, values))
+
+        def rhs(s, y):
+            b, c = op.slice_maker(t + s * h)
+            p = (P.fiber(coeff_at[s][i], y) if frozen is None
+                 else _interp_row(frozen, grid, t + s * h))
+            return -(b + c) @ y - cl_inv @ p
+
+        k1 = rhs(0.0, y)
+        k2 = rhs(0.5, y + 0.5 * h * k1)
+        k3 = rhs(0.5, y + 0.5 * h * k2)
+        k4 = rhs(1.0, y + h * k3)
+        values[i + 1] = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return SpinorField(grid, values)
+
+
+def _midpoints(c: np.ndarray) -> np.ndarray:
+    """c at the step midpoints: cubic interpolation, centred inside and
+    one-sided at the two ends; linear below 4 points."""
+    if len(c) < 4:
+        return 0.5 * (c[:-1] + c[1:])
+    first = (5.0 * c[0] + 15.0 * c[1] - 5.0 * c[2] + c[3]) / 16.0
+    inner = (-c[:-3] + 9.0 * c[1:-2] + 9.0 * c[2:-1] - c[3:]) / 16.0
+    last = (c[-4] - 5.0 * c[-3] + 15.0 * c[-2] + 5.0 * c[-1]) / 16.0
+    return np.concatenate([first[None], inner, last[None]])
 
 
 def _interp_row(values: np.ndarray, grid: Grid1D, t: float) -> np.ndarray:

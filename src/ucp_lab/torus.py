@@ -179,7 +179,7 @@ class SeparableFunction:
             if kind == "sin":
                 g[slot] += c * w * math.cos(z)
             elif kind == "tanh":
-                g[slot] += c * w / math.cosh(z) ** 2
+                g[slot] += c * w * (1.0 - math.tanh(z) ** 2)
             elif kind == "linear":
                 g[slot] += c * w
             else:
@@ -247,7 +247,7 @@ class EtaFunction:
         return float(np.sum(self.coeffs * np.tanh(np.abs(eta) ** 2)))
 
     def wirtinger(self, eta: np.ndarray) -> np.ndarray:
-        sech2 = 1.0 / np.cosh(np.abs(eta) ** 2) ** 2
+        sech2 = 1.0 - np.tanh(np.abs(eta) ** 2) ** 2
         return self.coeffs * sech2 * np.conj(eta)
 
 

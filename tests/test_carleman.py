@@ -157,13 +157,13 @@ def test_perturbed_ratio_rank_one_without_conditions_raises():
         perturbed_carleman_ratio(op, P, v, 100.0, geom)
 
 
-def test_constant_sweep_determinism_and_jobs():
+def test_constant_sweep_determinism():
     geom = interval_geom(n=513)
     op = model_operator_1d(geom.grid)
     sampler = cutoff_bump_sampler(geom)
     grid_R = np.logspace(1, 3, 4)
     one = constant_sweep(op, sampler, grid_R, geom, n_samples=4, seed=9)
-    two = constant_sweep(op, sampler, grid_R, geom, n_samples=4, seed=9, jobs=3)
+    two = constant_sweep(op, sampler, grid_R, geom, n_samples=4, seed=9)
     assert np.array_equal(one.estimates, two.estimates)
 
 

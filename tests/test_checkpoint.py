@@ -6,6 +6,7 @@ import pytest
 from ucp_lab import torus as tw
 from ucp_lab.checkpoint import (load_checkpoint, params_hash, save_checkpoint,
                                 write_trajectory)
+from ucp_lab.errors import CheckpointError
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,34 @@ def test_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b'{"format": "something-else"}\n')
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+def test_foreign_file_error_is_typed(tmp_path):
+    path = tmp_path / "junk.ckpt"
+    path.write_bytes(b'{"format": "something-else"}\n')
+    with pytest.raises(CheckpointError, match="not a checkpoint"):
+        load_checkpoint(path)
+
+
+def test_rejects_truncated_and_padded_payload(tmp_path, lat):
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(tw.SWConfiguration.zero(lat), path)
+    good = path.read_bytes()
+    for broken in (good[:-1], good + b"\0"):
+        path.write_bytes(broken)
+        with pytest.raises(CheckpointError, match="payload"):
+            load_checkpoint(path)
+
+
+def test_rejects_mismatched_lattice_size(tmp_path, lat):
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(tw.SWConfiguration.zero(lat), path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    fields = json.loads(header)
+    fields["lattice_n"] = lat.n + 2
+    path.write_bytes(json.dumps(fields, sort_keys=True).encode() + b"\n" + payload)
+    with pytest.raises(CheckpointError, match="lattice_n"):
         load_checkpoint(path)
 
 

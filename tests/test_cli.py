@@ -16,7 +16,8 @@ def test_list_prints_all_suites_and_keys(capsys):
         assert name in out
         for key in defaults:
             assert key in out
-    assert "seed" in out and "jobs" in out
+    assert "seed" in out
+    assert "jobs" not in out
 
 
 def test_unknown_suite_exits_2(tmp_path):
@@ -43,6 +44,29 @@ def test_bad_config_key_exits_2(tmp_path):
     code = run_cli("run", "--suite", "counterexample", "--config", str(cfg),
                    "--out", str(tmp_path / "out"))
     assert code == 2
+
+
+def test_jobs_option_is_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--suite", "counterexample", "--jobs", "2",
+                "--out", str(tmp_path / "flag"))
+    assert exc.value.code == 2
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("jobs = 2\n")
+    assert run_cli("run", "--suite", "counterexample", "--config", str(cfg),
+                   "--out", str(tmp_path / "key")) == 2
+
+
+@pytest.mark.parametrize("perturbation", ["none", "pointwise", "rank-one"])
+def test_decay_suite_passes_for_each_perturbation(tmp_path, perturbation):
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"n_t = 1025\nperturbation = {perturbation}\n")
+    code = run_cli("run", "--suite", "decay", "--config", str(cfg), "--out", str(out))
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"]
+    assert report["config"]["perturbation"] == perturbation
 
 
 def test_counterexample_suite_passes(tmp_path):

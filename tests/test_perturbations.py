@@ -171,3 +171,40 @@ def test_zero_data_integration_stays_zero():
     for P in (Perturbation.zero(), Perturbation.pointwise(a), Perturbation.rank_one(a)):
         u = integrate_zero_data(op, P)
         assert u.sup_norm() < 1e-12
+
+
+def test_pointwise_integration_is_fourth_order():
+    ends = []
+    for n in (129, 257, 513, 1025):
+        grid = Grid1D.uniform(1.0, n)
+        a = np.stack([np.cos(np.pi * grid.t), 1j * np.sin(np.pi * grid.t)], axis=1)
+        u = integrate_zero_data(model_operator_1d(grid),
+                                Perturbation.pointwise(SpinorField(grid, a)),
+                                u0=np.array([0.6, 0.3 + 0.2j]))
+        ends.append(u.values[-1])
+    diffs = [np.linalg.norm(ends[i] - ends[i + 1]) for i in range(3)]
+    orders = [np.log2(diffs[i] / diffs[i + 1]) for i in range(2)]
+    assert min(orders) >= 3.9, orders
+
+
+def test_nonlocal_kind_is_evaluated_once_per_step():
+    grid = Grid1D.uniform(1.0, 65)
+    a = bump_field(grid, 0.5, 0.2)
+    for P in (Perturbation.rank_one(a),
+              Perturbation.kernel_nonlocal(a, np.ones((grid.n, grid.n)))):
+        calls = []
+        field = P.field
+        P.field = lambda u: calls.append(1) or field(u)
+        integrate_zero_data(model_operator_1d(grid), P, u0=np.array([1.0, 0.5j]))
+        assert len(calls) == grid.n - 1
+
+
+def test_three_point_grid_integrates_every_kind():
+    grid = Grid1D.uniform(0.1, 3)
+    op = model_operator_1d(grid)
+    a = bump_field(grid, 0.05, 0.03)
+    kinds = all_kinds(grid) + [Perturbation.matrix_field(a, np.ones((grid.n, 2, 2)))]
+    for P in kinds:
+        u = integrate_zero_data(op, P, u0=np.array([1.0, 0.5j]))
+        assert u.values.shape == (3, 2)
+        assert np.all(np.isfinite(u.values)) and u.sup_norm() > 0.0

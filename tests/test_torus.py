@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -568,3 +569,15 @@ def test_spectral_transform_counts(lat2, params2, monkeypatch):
     calls.clear()
     tw.flow_step(cfg, None, "unperturbed", dt=3.0, scheme="semi-implicit")
     assert len(calls) <= 8
+
+
+@pytest.mark.parametrize("amplitude", [5.0, 20.0])
+def test_case2_large_configs_stay_finite(lat2, params2, amplitude):
+    for s in range(5):
+        config = tw.random_config(lat2, np.random.default_rng(s), amplitude=amplitude)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grad = tw.grad_csd(config, params2, "case2")
+            value = tw.csd(config, params2, "case2")
+        assert math.isfinite(value)
+        assert np.all(np.isfinite(grad.alpha)) and np.all(np.isfinite(grad.phi))

@@ -430,8 +430,10 @@ def appendix_decomposition(op: DiracOperator, P: Perturbation, v: SpinorField,
     q = op.apply_cl_dt_inverse(pv)          # reduced perturbation for d/dt + Bcal
     pert = E * q
 
-    skew = time_derivative(v0, h) + op.apply_slices(op.C, v0)
-    symB = op.apply_slices(op.B, v0) + R * prof * v0
+    Cv0 = op.apply_C(v0)
+    Bv0 = op.apply_B(v0)
+    skew = time_derivative(v0, h) + Cv0
+    symB = Bv0 + R * prof * v0
     sym = symB + pert
 
     j_skew = wip(skew, skew)
@@ -441,9 +443,7 @@ def appendix_decomposition(op: DiracOperator, P: Perturbation, v: SpinorField,
     j1 = wip(total, total)
     j0 = wip(v0, v0)
 
-    Bprime = time_derivative(op.B, h)
-    comm = op.B @ op.C - op.C @ op.B
-    j3 = wip(v0, op.apply_slices(-Bprime + comm, v0))
+    j3 = wip(v0, -op.apply_B_prime(v0) + op.apply_B(Cv0) - op.apply_C(Bv0))
 
     j_skew_pert = 2.0 * wip(skew, pert)
     j_sym_pert = 2.0 * wip(symB, pert)

@@ -474,6 +474,18 @@ def _coerce(value: str, lineno: int):
     return value
 
 
+def _matches_default_type(value, default) -> bool:
+    """An int default takes a non-bool int >= 0, a float default an int or a
+    float, a bool default a bool and a str default a str."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is type(default)
+    if isinstance(default, int):
+        return isinstance(value, int) and value >= 0
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def run(suite: str, config_file: Optional[str] = None, seed: int = 42,
         out_dir: str = "ucp_lab_out") -> int:
     if suite not in SUITES:
@@ -498,14 +510,20 @@ def run(suite: str, config_file: Optional[str] = None, seed: int = 42,
                     print(f"error: config file names suite {value!r}, got {suite!r}",
                           file=sys.stderr)
                     return 2
-            elif key == "seed":
-                seed = int(value)
-            elif key in opts:
-                opts[key] = value
-            else:
+                continue
+            if key != "seed" and key not in opts:
                 print(f"error: unknown config key {key!r} for suite {suite}",
                       file=sys.stderr)
                 return 2
+            default = seed if key == "seed" else opts[key]
+            if not _matches_default_type(value, default):
+                print(f"error: config key {key!r} takes a value like {default!r}, "
+                      f"got {value!r}", file=sys.stderr)
+                return 2
+            if key == "seed":
+                seed = value
+            else:
+                opts[key] = value
 
     out = Path(out_dir)
     try:
@@ -553,7 +571,7 @@ def list_suites() -> int:
         print(f"{name}: {description}")
         for key in sorted(defaults):
             print(f"    {key} = {defaults[key]!r}")
-    print("common keys: seed (int), suite (must match --suite)")
+    print("common keys: seed (int >= 0), suite (must match --suite)")
     return 0
 
 

@@ -1,10 +1,12 @@
 """Dirac-type operators in product form cl(dt)(d/dt + B_t + C_t).
 
-B_t is the self-adjoint tangential part, C_t the skew part, both sampled
-per normal slice.  1D slices are fiber points; annulus slices are circles,
-with dense slice matrices acting on theta-major flattened slice vectors.
+B_t is the self-adjoint tangential part, C_t the skew part.  Both are stored
+as pointwise fiber fields, (n, r, r) on Grid1D and (n_t, n_theta, r, r) on
+AnnulusGrid.  An annulus operator may also carry an angular coefficient
+a(t): B_t then gains the circle term a(t) D_theta (x) i sigma_3, with
+D_theta the periodic centered difference applied as a stencil along theta.
 Slice inner products use the (uniform) arc-length weights, so the slice
-adjoint is the plain conjugate transpose.
+adjoint is the plain conjugate transpose and the circle term is Hermitian.
 """
 from __future__ import annotations
 
@@ -17,6 +19,8 @@ from .clifford import CliffordFrame, frame
 from .errors import DomainMismatchError
 from .fields import AnnulusGrid, Grid1D, SpinorField
 
+I_SIGMA3 = np.array([1j, -1j])  # diagonal of i sigma_3
+
 
 def time_derivative(values: np.ndarray, h: float) -> np.ndarray:
     """2nd-order d/dt along axis 0: centered interior, one-sided at the ends."""
@@ -27,40 +31,55 @@ def time_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _fiber_apply(M: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Pointwise fiber matrices M (..., r, r) applied to values w (..., r)."""
+    return np.einsum("...ij,...j->...i", M, w)
+
+
 @dataclass(eq=False)
 class DiracOperator:
     frame: CliffordFrame
     grid: object
     cl_dt: np.ndarray          # (r, r) on Grid1D, (n_theta, r, r) on AnnulusGrid
-    B: np.ndarray              # (n, r, r) or (n_t, m, m), self-adjoint slices
-    C: np.ndarray              # same shape as B, skew slices
+    B: np.ndarray              # (n, r, r) or (n_t, n_theta, r, r), self-adjoint points
+    C: np.ndarray              # same shape as B, skew points
     slice_maker: Optional[Callable[[float], tuple]] = None  # smooth (B, C) source, if any
+    angular: Optional[np.ndarray] = None  # (n_t,) a(t) of the circle term, annulus only
 
     @property
     def fiber_rank(self) -> int:
         return self.frame.fiber_rank
 
-    def tangential(self) -> np.ndarray:
-        return self.B + self.C
+    def _circle(self, a: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """a(t) D_theta (x) i sigma_3 applied to annulus values w (..., n_t, n_theta, 2)."""
+        h = 2.0 * np.pi / self.grid.n_theta
+        d_theta = (np.roll(w, -1, axis=-2) - np.roll(w, 1, axis=-2)) / (2.0 * h)
+        return a[:, None, None] * I_SIGMA3 * d_theta
+
+    def apply_B(self, w: np.ndarray) -> np.ndarray:
+        out = _fiber_apply(self.B, w)
+        if self.angular is not None:
+            out += self._circle(self.angular, w)
+        return out
+
+    def apply_C(self, w: np.ndarray) -> np.ndarray:
+        return _fiber_apply(self.C, w)
+
+    def apply_B_prime(self, w: np.ndarray) -> np.ndarray:
+        """dB/dt by the time_derivative stencil, on both parts of B."""
+        h = self.grid.spacing
+        out = _fiber_apply(time_derivative(self.B, h), w)
+        if self.angular is not None:
+            out += self._circle(time_derivative(self.angular, h), w)
+        return out
 
     def apply_cl_dt(self, w: np.ndarray) -> np.ndarray:
         """Pointwise Clifford multiplication by the normal covector."""
-        if isinstance(self.grid, AnnulusGrid):
-            return np.einsum("oij,...oj->...oi", self.cl_dt, w)
-        return np.einsum("ij,...j->...i", self.cl_dt, w)
+        return _fiber_apply(self.cl_dt, w)
 
     def apply_cl_dt_inverse(self, w: np.ndarray) -> np.ndarray:
         # cl(dt)^2 = -I, so the inverse is -cl(dt)
         return -self.apply_cl_dt(w)
-
-    def apply_slices(self, M: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Apply per-slice operators M to field values."""
-        if isinstance(self.grid, AnnulusGrid):
-            n_t, n_theta = self.grid.n, self.grid.n_theta
-            flat = values.reshape(n_t, n_theta * self.fiber_rank)
-            out = np.einsum("tmk,tk->tm", M, flat)
-            return out.reshape(values.shape)
-        return np.einsum("tij,tj->ti", M, values)
 
 
 def slice_adjoint(M: np.ndarray) -> np.ndarray:
@@ -73,13 +92,13 @@ def dirac_apply(op: DiracOperator, u: SpinorField) -> SpinorField:
     if u.grid != op.grid:
         raise DomainMismatchError("field grid does not match operator grid")
     du = time_derivative(u.values, op.grid.spacing)
-    w = du + op.apply_slices(op.tangential(), u.values)
+    w = du + op.apply_B(u.values) + op.apply_C(u.values)
     return SpinorField(u.grid, op.apply_cl_dt(w))
 
 
 def product_decompose(raw_slices: np.ndarray, fr: CliffordFrame, grid, cl_dt: np.ndarray,
                       slice_maker=None) -> DiracOperator:
-    """Split raw tangential slice operators into self-adjoint and skew parts."""
+    """Split raw pointwise tangential operators into self-adjoint and skew parts."""
     raw_slices = np.asarray(raw_slices, dtype=complex)
     if raw_slices.shape[-1] != raw_slices.shape[-2]:
         raise ValueError("slice operators must be square")
@@ -95,23 +114,12 @@ def absorb_homomorphism(op: DiracOperator, R: np.ndarray) -> DiracOperator:
     R has shape (n, r, r) on Grid1D or (n_t, n_theta, r, r) on AnnulusGrid.
     """
     R = np.asarray(R, dtype=complex)
-    r = op.fiber_rank
-    if isinstance(op.grid, AnnulusGrid):
-        n_t, n_theta = op.grid.n, op.grid.n_theta
-        if R.shape != (n_t, n_theta, r, r):
-            raise DomainMismatchError(f"homomorphism shape {R.shape} mismatch")
-        S_pt = np.einsum("oji,tojk->toik", np.conj(op.cl_dt), R)
-        # embed pointwise fiber matrices as block-diagonal slice operators
-        S = np.zeros((n_t, n_theta * r, n_theta * r), dtype=complex)
-        for o in range(n_theta):
-            S[:, o * r:(o + 1) * r, o * r:(o + 1) * r] = S_pt[:, o]
-    else:
-        if R.shape != (op.grid.n, r, r):
-            raise DomainMismatchError(f"homomorphism shape {R.shape} mismatch")
-        S = np.einsum("ji,tjk->tik", np.conj(op.cl_dt), R)
+    if R.shape != op.B.shape:
+        raise DomainMismatchError(f"homomorphism shape {R.shape} mismatch")
+    S = np.einsum("...ji,...jk->...ik", np.conj(op.cl_dt), R)
     adj = slice_adjoint(S)
-    return DiracOperator(op.frame, op.grid, op.cl_dt,
-                         op.B + 0.5 * (S + adj), op.C + 0.5 * (S - adj), None)
+    return DiracOperator(op.frame, op.grid, op.cl_dt, op.B + 0.5 * (S + adj),
+                         op.C + 0.5 * (S - adj), None, op.angular)
 
 
 # ---------------------------------------------------------------------------
@@ -156,28 +164,17 @@ def constant_operator_1d(grid: Grid1D, B0: Optional[np.ndarray] = None) -> Dirac
                          slice_maker=lambda t: (B0, np.zeros((2, 2), dtype=complex)))
 
 
-def periodic_derivative_matrix(n: int, h: float) -> np.ndarray:
-    """Centered-difference d/dtheta on a uniform periodic grid (exactly skew)."""
-    D = np.zeros((n, n))
-    idx = np.arange(n)
-    D[idx, (idx + 1) % n] = 1.0 / (2.0 * h)
-    D[idx, (idx - 1) % n] = -1.0 / (2.0 * h)
-    return D
-
-
 def annulus_operator(grid: AnnulusGrid) -> DiracOperator:
     """Euclidean Dirac operator on the annulus in product form.
 
     In polar coordinates D = cl(dr)(d/dr + B_r) with the tangential part
     obtained by splitting cl(dr)^{-1} D restricted to circles; for the flat
-    metric this raw slice operator is (i sigma_3 / r) d/dtheta.
+    metric this is the Hermitian circle term (1/r) D_theta (x) i sigma_3,
+    with no pointwise part.
     """
     fr = frame(2)
     g1, g2 = fr.generators
     theta = grid.theta
     cl_dr = (np.cos(theta)[:, None, None] * g1 + np.sin(theta)[:, None, None] * g2)
-    D_theta = periodic_derivative_matrix(grid.n_theta, 2.0 * np.pi / grid.n_theta)
-    isigma3 = 1j * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    block = np.kron(D_theta, isigma3)
-    raw = np.stack([block / grid.radius(i) for i in range(grid.n)])
-    return product_decompose(raw, fr, grid, cl_dr)
+    zeros = np.zeros((grid.n, grid.n_theta, 2, 2), dtype=complex)
+    return DiracOperator(fr, grid, cl_dr, zeros, zeros.copy(), angular=1.0 / grid.radii())

@@ -682,10 +682,8 @@ class SWLinearization:
     """Gauge-fixing row, linearized curvature row and linearized Dirac row,
     with the exact discrete adjoint."""
 
-    def __init__(self, config: SWConfiguration,
-                 params: Optional[PerturbationParams] = None):
+    def __init__(self, config: SWConfiguration):
         self.config = config
-        self.params = params   # reserved for perturbed-system extensions
         self.lattice = config.lattice
 
     def apply(self, t: Tangent) -> SystemTriple:
@@ -715,7 +713,9 @@ class SWLinearization:
 
 def linearize(config: SWConfiguration,
               params: Optional[PerturbationParams] = None) -> SWLinearization:
-    return SWLinearization(config, params)
+    """Linearization at config; params is accepted but unused, since the
+    rows are those of the unperturbed equations."""
+    return SWLinearization(config)
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,20 @@ def test_annulus_ratio_and_sweep():
     assert np.all(np.isfinite(sweep.estimates))
 
 
+def test_annulus_operator_memory_and_large_sweep():
+    """Structured storage is O(n_t n_theta); a 513 x 256 sweep completes."""
+    from ucp_lab.operators import annulus_operator
+    n_t, n_theta = 257, 128
+    op = annulus_operator(CarlemanGeometry.annulus(0.5, n_t, n_theta).grid)
+    assert op.B.nbytes + op.C.nbytes <= 2 * n_t * n_theta * 4 * 16
+
+    geom = CarlemanGeometry.annulus(0.5, 513, 256)
+    op = annulus_operator(geom.grid)
+    sweep = constant_sweep(op, cutoff_bump_sampler(geom), np.logspace(1, 3, 3), geom,
+                           n_samples=1)
+    assert np.all(np.isfinite(sweep.estimates)) and np.all(sweep.estimates > 0.0)
+
+
 def test_constant_sweep_double_horizon_still_finite():
     geom = CarlemanGeometry.interval(0.2, 1025)
     op = model_operator_1d(geom.grid)

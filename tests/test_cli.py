@@ -46,6 +46,30 @@ def test_bad_config_key_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("line, key", [("N = 4.7", "N"), ('N = "abc"', "N"),
+                                       ("trials = -3", "trials"), ('seed = "x"', "seed")])
+def test_ill_typed_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    code = run_cli("run", "--suite", "observables", "--config", str(cfg),
+                   "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_value_types_follow_defaults(tmp_path):
+    """A float key takes an int, a bool key only a bool, a str key only a str."""
+    cfg = tmp_path / "c.cfg"
+    for text, code in (("amplitude = 1\ntrials = 2\nseed = 0\n", 0),
+                       ("appendix_checks = 1\n", 2), ("perturbation = 3\n", 2),
+                       ("samples = true\n", 2), ("r_min = true\n", 2)):
+        cfg.write_text(text)
+        suite = "observables" if "trials" in text else "carleman"
+        assert run_cli("run", "--suite", suite, "--config", str(cfg),
+                       "--out", str(tmp_path / "out")) == code, text
+
+
 def test_jobs_option_is_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--suite", "counterexample", "--jobs", "2",

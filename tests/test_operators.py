@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from ucp_lab.carleman import (CarlemanGeometry, appendix_decomposition, bump_cutoff,
+                              smoothstep)
 from ucp_lab.clifford import frame
 from ucp_lab.errors import DomainMismatchError
 from ucp_lab.fields import AnnulusGrid, Grid1D, SpinorField
 from ucp_lab.operators import (DiracOperator, absorb_homomorphism, annulus_operator,
-                               dirac_apply, model_operator_1d,
-                               periodic_derivative_matrix, product_decompose,
-                               slice_adjoint)
+                               dirac_apply, model_operator_1d, product_decompose,
+                               slice_adjoint, time_derivative)
+from ucp_lab.perturbations import Perturbation
 
 
 def free_operator_1d(grid):
@@ -122,6 +124,15 @@ def test_absorb_homomorphism_pointwise_sum_oracle(make):
     assert np.max(np.abs(combined.values - direct)) < 1e-12 * scale
 
 
+def _periodic_derivative_matrix(n, h):
+    """Centered-difference d/dtheta on a uniform periodic grid (exactly skew)."""
+    D = np.zeros((n, n))
+    idx = np.arange(n)
+    D[idx, (idx + 1) % n] = 1.0 / (2.0 * h)
+    D[idx, (idx - 1) % n] = -1.0 / (2.0 * h)
+    return D
+
+
 def _dense_annulus_matrix(grid):
     """Independent dense assembly of the annulus operator via kron products."""
     n_t, n_o = grid.n, grid.n_theta
@@ -132,7 +143,7 @@ def _dense_annulus_matrix(grid):
     Dt[0, 0:3] = np.array([-3.0, 4.0, -1.0]) / (2 * h)
     Dt[-1, -3:] = np.array([1.0, -4.0, 3.0]) / (2 * h)
 
-    Dtheta = periodic_derivative_matrix(n_o, 2 * np.pi / n_o)
+    Dtheta = _periodic_derivative_matrix(n_o, 2 * np.pi / n_o)
     isigma3 = np.array([[1j, 0], [0, -1j]])
     fr = frame(2)
     g1, g2 = fr.generators
@@ -164,12 +175,94 @@ def test_annulus_single_mode_against_dense_matrix():
         assert np.max(np.abs(out - oracle)) < 1e-10 * max(np.max(np.abs(oracle)), 1.0)
 
 
+def _random_annulus_fields(rng, grid):
+    shape = (grid.n, grid.n_theta, 2)
+    R = rng.standard_normal(shape + (2,)) + 1j * rng.standard_normal(shape + (2,))
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return R, vals
+
+
+@pytest.mark.parametrize("absorb", [False, True])
+def test_annulus_random_fields_against_dense_matrix(absorb):
+    rng = np.random.default_rng(21)
+    grid = AnnulusGrid.uniform(0.5, 17, 12)
+    op = annulus_operator(grid)
+    dense = _dense_annulus_matrix(grid)
+    R, vals = _random_annulus_fields(rng, grid)
+    oracle = dense @ vals.reshape(-1)
+    if absorb:
+        op = absorb_homomorphism(op, R)
+        oracle += np.einsum("...ij,...j->...i", R, vals).reshape(-1)
+    out = dirac_apply(op, SpinorField(grid, vals)).values.reshape(-1)
+    assert np.max(np.abs(out - oracle)) < 1e-12 * np.max(np.abs(oracle))
+
+
+def _slice_matrices(apply, grid):
+    """(n_t, m, m) slice matrices of a tangential apply, m = n_theta * 2."""
+    m = grid.n_theta * 2
+    basis = np.broadcast_to(np.eye(m)[:, None, :], (m, grid.n, m))
+    out = apply(basis.reshape(m, grid.n, grid.n_theta, 2).astype(complex))
+    return np.transpose(out.reshape(m, grid.n, m), (1, 2, 0))
+
+
 def test_annulus_tangential_parts():
     grid = AnnulusGrid.uniform(0.5, 9, 16)
     op = annulus_operator(grid)
-    scale = np.max(np.abs(op.B))
-    assert np.max(np.abs(op.B - slice_adjoint(op.B))) < 1e-12 * scale
-    assert np.max(np.abs(op.C)) < 1e-13 * scale  # flat-metric split has no skew part
+    B = _slice_matrices(op.apply_B, grid)
+    C = _slice_matrices(op.apply_C, grid)
+    scale = np.max(np.abs(B))
+    assert scale > 0.0
+    assert np.max(np.abs(B - slice_adjoint(B))) < 1e-12 * scale
+    assert np.max(np.abs(C)) < 1e-13 * scale  # flat-metric split has no skew part
+
+
+def test_annulus_jterms_against_dense_slices():
+    """J-terms of the structured operator against dense B, B' and [B, C]."""
+    rng = np.random.default_rng(5)
+    geom = CarlemanGeometry.annulus(0.1, 33, 12, r0=1.0)
+    grid = geom.grid
+    R_hom, noise = _random_annulus_fields(rng, grid)
+    op = absorb_homomorphism(annulus_operator(grid), 0.5 * R_hom)
+    t = grid.t
+    profile = bump_cutoff(geom, t) * smoothstep(t / (0.15 * geom.T))
+    v = SpinorField(grid, profile[:, None, None] * noise)
+    R = 50.0
+    rec = appendix_decomposition(op, Perturbation.zero(), v, R, geom)
+
+    n_t, m = grid.n, grid.n_theta * 2
+    circle = np.kron(_periodic_derivative_matrix(grid.n_theta, 2 * np.pi / grid.n_theta),
+                     np.diag([1j, -1j]))
+
+    def block_diag(P):
+        out = np.zeros((n_t, m, m), dtype=complex)
+        for o in range(grid.n_theta):
+            out[:, 2 * o:2 * o + 2, 2 * o:2 * o + 2] = P[:, o]
+        return out
+
+    B = circle[None] / grid.radii()[:, None, None] + block_diag(op.B)
+    C = block_diag(op.C)
+    Bprime = time_derivative(B, grid.spacing)
+    comm = B @ C - C @ B
+
+    def slices(M, x):
+        return np.einsum("tmk,tk->tm", M, x.reshape(n_t, m)).reshape(x.shape)
+
+    w = grid.quad_weights()
+
+    def wip(x, y):
+        return float(np.sum(w * np.real(np.sum(x * np.conj(y), axis=-1))))
+
+    prof = (geom.T - t)[:, None, None]
+    v0 = np.exp(0.5 * R * prof ** 2) * v.values
+    skew = time_derivative(v0, grid.spacing) + slices(C, v0)
+    sym = slices(B, v0) + R * prof * v0
+    want = {"j0": wip(v0, v0), "j1": wip(skew + sym, skew + sym),
+            "j_skew": wip(skew, skew), "j_sym": wip(sym, sym),
+            "j_mix": 2.0 * wip(skew, sym), "j3": wip(v0, slices(-Bprime + comm, v0))}
+    scale = max(abs(x) for x in want.values())
+    assert abs(want["j3"]) > 1e-6 * scale  # the commutator and B' terms are exercised
+    for name, value in want.items():
+        assert abs(getattr(rec, name) - value) <= 1e-12 * scale, name
 
 
 def test_annulus_symmetric_principal_part():

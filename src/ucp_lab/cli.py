@@ -62,6 +62,15 @@ class SuiteOutput:
         return ok
 
 
+def _worst(values, direction: str = "le") -> float:
+    """Largest value for an upper-bound ("le") check, smallest for a lower-bound
+    ("ge") one; a NaN anywhere comes back as NaN, which fails the check
+    (Python's max and min drop it).  No values give 0 and inf."""
+    if direction == "le":
+        return float(np.max(values, initial=0.0))
+    return float(np.min(values, initial=math.inf))
+
+
 def _rng(*key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(key))))
 
@@ -143,13 +152,13 @@ def run_carleman(opts: dict, seed: int, out: Path) -> SuiteOutput:
     res.summary["degenerate"] = sweep.degenerate
 
     if pert is not None:
-        worst = 0.0
+        defects = []
         for i in range(5):
             v = sampler(_rng(seed, 977, i))
             rep = cl.perturbed_carleman_ratio(op, pert, v, float(R_grid[0]), geom)
             adm = admissibility_bound(pert, v)
-            worst = max(worst, abs((rep.c0 or 0.0) - (adm.c0 or 0.0)))
-        res.check("admissibility-constant-consistency", worst, 1e-10,
+            defects.append(abs((rep.c0 or 0.0) - (adm.c0 or 0.0)))
+        res.check("admissibility-constant-consistency", _worst(defects), 1e-10,
                   note="reported C0 vs the bound re-sampled on the same fields")
 
     if opts["appendix_checks"]:
@@ -162,20 +171,19 @@ def _carleman_appendix(res: SuiteOutput, out: Path, seed: int, n_samples: int):
     op = model_operator_1d(geom.grid)
     sampler = cl.cutoff_bump_sampler(geom)
     pert = _pointwise_unit(geom)
-    worst = 0.0
-    rows = []
+    defects, rows = [], []
     for i in range(n_samples):
         rng = _rng(seed, 31, i)
         v = sampler(rng)
         R = float(rng.uniform(10.0, 100.0))
         rec = cl.appendix_decomposition(op, pert, v, R, geom)
-        worst = max(worst, rec.identity_defect)
+        defects.append(rec.identity_defect)
         rows.append([R, rec.j0, rec.j1, rec.j_skew, rec.j_sym, rec.j_mix,
                      rec.identity_defect, rec.mix_residual])
     _write_csv(out / "appendix.csv",
                ["R", "J0", "J1", "J_skew", "J_sym", "J_mix", "identity_defect",
                 "mix_residual"], rows)
-    res.check("appendix-identity-defect", worst, 1e-10,
+    res.check("appendix-identity-defect", _worst(defects), 1e-10,
               note=f"worst relative defect of J1 = Jskew+Jsym+Jmix over {n_samples} inputs")
 
     # constant-coefficient, skew-free case: the mix residual vanishes with the grid
@@ -231,7 +239,7 @@ def run_counterexample(opts: dict, seed: int, out: Path) -> SuiteOutput:
         sol = cx.peano_branches(case, c=float(opts["branch_point"]),
                                 grid=Grid1D.uniform(4.0, int(opts["peano_n"])))
         sol.to_csv(plot / f"peano_{case}.csv")
-        res.check(f"peano-{case}-residual", max(sol.residual0, sol.residual1), 1e-6)
+        res.check(f"peano-{case}-residual", _worst([sol.residual0, sol.residual1]), 1e-6)
         res.check(f"peano-{case}-separation", sol.separation_sup, 1e-4, direction="ge")
 
     sol, a = cx.rank_one_counterexample(grid=Grid1D.uniform(2.0, int(opts["rank_one_n"])))
@@ -265,8 +273,7 @@ def run_sw_gradcheck(opts: dict, seed: int, out: Path) -> SuiteOutput:
     lat = tw.TorusLattice(int(opts["N"]))
     params = tw.default_params(lat)
     hs = np.array([1e-2, 1e-3, 1e-4])
-    rows = []
-    worst_order = math.inf
+    rows, orders = [], []
     for case in ("unperturbed", "case1", "case2"):
         for i in range(int(opts["configs"])):
             rng = _rng(seed, 11, i)
@@ -280,16 +287,16 @@ def run_sw_gradcheck(opts: dict, seed: int, out: Path) -> SuiteOutput:
                 minus = tw.csd(config.shifted(direction, -h), params, case)
                 errs.append(abs((plus - minus) / (2 * h) - pair) / max(abs(pair), 1e-30))
             order = float(np.polyfit(np.log(hs), np.log(np.maximum(errs, 1e-300)), 1)[0])
-            worst_order = min(worst_order, order)
+            orders.append(order)
             for h, e in zip(hs, errs):
                 rows.append([case, i, h, e, order])
     _write_csv(out / "sw_gradcheck.csv", ["case", "config", "h", "rel_err", "order"], rows)
-    res.check("gradient-convergence-order", worst_order, float(opts["min_order"]),
+    res.check("gradient-convergence-order", _worst(orders, "ge"), float(opts["min_order"]),
               direction="ge", note="worst central-difference order across cases")
 
     config = tw.random_config(lat, _rng(seed, 12), amplitude=0.3)
     lin = tw.linearize(config, params)
-    worst = 0.0
+    defects = []
     for i in range(int(opts["adjoint_pairs"])):
         rng = _rng(seed, 13, i)
         x = tw.random_tangent(lat, rng)
@@ -299,8 +306,8 @@ def run_sw_gradcheck(opts: dict, seed: int, out: Path) -> SuiteOutput:
                             + 1j * rng.standard_normal(config.psi.shape))
         lhs = lin.pairing_out(lin.apply(x), y)
         rhs = tw.tangent_inner(x, lin.adjoint(y), lat)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    res.check("adjoint-identity", worst, float(opts["adjoint_tol"]),
+        defects.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
+    res.check("adjoint-identity", _worst(defects), float(opts["adjoint_tol"]),
               note="relative defect of <Lx, y> = <x, L*y> over random pairs")
 
     record = tw.linearization_ucp_setup(config, params)
@@ -365,24 +372,22 @@ def run_observables(opts: dict, seed: int, out: Path) -> SuiteOutput:
     res = SuiteOutput()
     lat = tw.TorusLattice(int(opts["N"]))
     params = tw.default_params(lat)
-    worst_zeta = worst_eta = worst_tau = worst_real = 0.0
-    rows = []
+    zeta_moves, eta_moves, tau_moves, imag_parts, rows = [], [], [], [], []
     for trial in range(int(opts["trials"])):
         rng = _rng(seed, 41, trial)
         config = tw.random_config(lat, rng, amplitude=float(opts["amplitude"]))
         obs = tw.observables(config, params)
-        worst_real = max(worst_real, float(np.max(np.abs(
-            np.imag(tw.zeta_pairings(config, params.nus))))))
+        imag_parts.append(np.abs(np.imag(tw.zeta_pairings(config, params.nus))))
 
         f = rng.standard_normal((lat.n,) * 3)
         f -= f.mean()
         gauged = tw.gauge_apply(config, f=f, winding=(1, 0, 0))
         obs_g = tw.observables(gauged, params)
-        worst_zeta = max(worst_zeta, float(np.max(np.abs(obs_g.zeta - obs.zeta))))
+        zeta_moves.append(np.abs(obs_g.zeta - obs.zeta))
 
         gauged_h = tw.gauge_apply(config, f=f)
         obs_h = tw.observables(gauged_h, params)
-        worst_eta = max(worst_eta, float(np.max(np.abs(obs_h.eta - obs.eta))))
+        eta_moves.append(np.abs(obs_h.eta - obs.eta))
 
         # direct-quadrature oracle for the winding shift of tau
         shift_measured = obs_g.tau - obs.tau
@@ -390,17 +395,17 @@ def run_observables(opts: dict, seed: int, out: Path) -> SuiteOutput:
         oracle = np.array([
             2.0 * float(np.sum(sum(wvec[j] * m[j] for j in range(3))))
             * lat.volume_element for m in params.mus])
-        worst_tau = max(worst_tau, float(np.max(np.abs(shift_measured - oracle))))
+        tau_moves.append(np.abs(shift_measured - oracle))
         rows.append([trial] + [x for x in obs.tau] + [x for x in obs.zeta]
                     + [abs(x) for x in obs.eta])
     header = (["trial"] + [f"tau{j}" for j in range(params.n_tau)]
               + [f"zeta{j}" for j in range(params.n_zeta)]
               + [f"abs_eta{j}" for j in range(params.n_eta)])
     _write_csv(out / "observables.csv", header, rows)
-    res.check("zeta-gauge-invariance", worst_zeta, 1e-10)
-    res.check("zeta-real-valued", worst_real, 1e-12)
-    res.check("eta-mean-zero-invariance", worst_eta, 1e-8)
-    res.check("tau-winding-shift", worst_tau, 1e-8,
+    res.check("zeta-gauge-invariance", _worst(zeta_moves), 1e-10)
+    res.check("zeta-real-valued", _worst(imag_parts), 1e-12)
+    res.check("eta-mean-zero-invariance", _worst(eta_moves), 1e-8)
+    res.check("tau-winding-shift", _worst(tau_moves), 1e-8,
               note="measured shift vs direct quadrature")
     return res
 
@@ -490,6 +495,9 @@ def run(suite: str, config_file: Optional[str] = None, seed: int = 42,
         out_dir: str = "ucp_lab_out") -> int:
     if suite not in SUITES:
         print(f"error: unknown suite {suite!r}; see 'ucp-lab list'", file=sys.stderr)
+        return 2
+    if not _matches_default_type(seed, 0):
+        print(f"error: seed takes an int >= 0, got {seed!r}", file=sys.stderr)
         return 2
     description, defaults, runner = SUITES[suite]
     opts = dict(defaults)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,9 +38,22 @@ M_TANH = 1.6  # sup |tanh| on the unit strip around the real axis (Cauchy bound)
 # semi-implicit step; nearer resonance a mode is amplified by ~1/margin.
 RESONANCE_MARGIN = 1e-6
 
+_AXES = (-3, -2, -1)
+
+
+def _curl_symbol(k, h):
+    """i k x h by components (np.cross is slower on stacked lattice arrays)."""
+    return 1j * np.stack([k[1] * h[2] - k[2] * h[1], k[2] * h[0] - k[0] * h[2],
+                          k[0] * h[1] - k[1] * h[0]])
+
 
 class TorusLattice:
-    """Fourier lattice with modes |k_j| <= N on the 2pi-periodic grid (n = 2N+1)."""
+    """Fourier lattice with modes |k_j| <= N on the 2pi-periodic grid (n = 2N+1).
+
+    Spinors use the full complex transforms with wave vectors k; real fields
+    (alpha, scalars) use the half spectrum of rfftn with wave vectors kr,
+    |k|^2 = k2r and inverse Laplacian multiplier green_r.  n is odd, so there
+    is no Nyquist mode and irfft equals ifftn(...).real of the full spectrum."""
 
     def __init__(self, N: int):
         if N < 1:
@@ -51,46 +64,45 @@ class TorusLattice:
         k1 = np.fft.fftfreq(n, 1.0 / n)
         self.k = np.stack(np.meshgrid(k1, k1, k1, indexing="ij"))
         self.k2 = np.sum(self.k ** 2, axis=0)
+        self.kr = np.ascontiguousarray(self.k[..., :self.N + 1])
+        self.k2r = np.ascontiguousarray(self.k2[..., :self.N + 1])
         x1 = np.arange(n) * (2.0 * np.pi / n)
         self.x = np.stack(np.meshgrid(x1, x1, x1, indexing="ij"))
         self.volume_element = (2.0 * np.pi / n) ** 3
         self.volume = (2.0 * np.pi) ** 3
-        inv = np.zeros_like(self.k2)
-        nz = self.k2 > 0
-        inv[nz] = 1.0 / self.k2[nz]
-        self._green_mult = inv
+        self.green_r = np.divide(1.0, self.k2r, out=np.zeros_like(self.k2r),
+                                 where=self.k2r > 0)
 
     # -- spectral primitives ------------------------------------------------
     def fft(self, f):
-        return np.fft.fftn(f, axes=(-3, -2, -1))
+        return np.fft.fftn(f, axes=_AXES)
 
     def ifft(self, f):
-        return np.fft.ifftn(f, axes=(-3, -2, -1))
+        return np.fft.ifftn(f, axes=_AXES)
+
+    def rfft(self, f):
+        return np.fft.rfftn(f, axes=_AXES)
+
+    def irfft(self, h):
+        return np.fft.irfftn(h, s=(self.n,) * 3, axes=_AXES)
 
     def spectral(self, f, symbol):
-        """ifft(symbol(fft(f))): one forward and one inverse transform of the
-        whole stacked input; real input gives real output."""
-        out = self.ifft(symbol(self.fft(f)))
-        return out.real if np.isrealobj(f) else out
+        """irfft(symbol(rfft(f))) for a real field: one forward and one inverse
+        transform of the whole stacked input, symbols on the half spectrum."""
+        return self.irfft(symbol(self.rfft(f)))
 
     def divergence(self, vec):
-        return self.spectral(vec, lambda h: np.sum(1j * self.k * h, axis=0))
+        return self.spectral(vec, lambda h: np.sum(1j * self.kr * h, axis=0))
 
     def curl(self, vec):
-        return self.spectral(vec, lambda h: np.cross(1j * self.k, h, axis=0))
+        return self.spectral(vec, lambda h: _curl_symbol(self.kr, h))
 
     def gradient(self, f):
-        return self.spectral(f, lambda h: 1j * self.k * h)
+        return self.spectral(f, lambda h: 1j * self.kr * h)
 
     def green(self, f):
         """Inverse of the positive Laplacian; the mean mode is annihilated."""
-        return self.spectral(f, lambda h: self._green_mult * h)
-
-    def integral(self, f) -> complex:
-        return complex(np.sum(f) * self.volume_element)
-
-    def mode_count(self) -> int:
-        return self.n ** 3
+        return self.spectral(f, lambda h: self.green_r * h)
 
     def __eq__(self, other):
         return isinstance(other, TorusLattice) and other.N == self.N
@@ -119,9 +131,6 @@ class SWConfiguration:
         n = lattice.n
         return cls(lattice, np.zeros((3, n, n, n)), np.zeros((2, n, n, n), dtype=complex))
 
-    def copy(self) -> "SWConfiguration":
-        return SWConfiguration(self.lattice, self.alpha.copy(), self.psi.copy())
-
     def shifted(self, tangent: "Tangent", scale: float = 1.0) -> "SWConfiguration":
         return SWConfiguration(self.lattice,
                                self.alpha + scale * tangent.alpha,
@@ -148,67 +157,64 @@ def tangent_inner(x: Tangent, y: Tangent, lattice: TorusLattice) -> float:
 # smooth perturbation-function families
 
 
+def _tanh_sup(k: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    if k >= 4:  # Cauchy estimate on the unit strip
+        return np.full(lo.shape, math.factorial(k) * M_TANH)
+    t = np.tanh(np.linspace(lo, hi, 257))
+    s = 1.0 - t ** 2
+    return np.max(np.abs((s, -2.0 * t * s, s * (6.0 * t ** 2 - 2.0))[k - 1]), axis=0)
+
+
+@dataclass(frozen=True)
+class _TermKind:
+    """Profile f of the terms c f(w x + b) of one kind, its derivative f', the
+    termwise sup of |f^(k)| (k >= 1) over [lo, hi], and whether the
+    derivatives go on forever (a geometric truncation tail)."""
+
+    f: Callable
+    df: Callable
+    sup: Callable
+    tail: bool
+
+
+_TERM_KINDS = {
+    "sin": _TermKind(np.sin, np.cos, lambda k, lo, hi: np.ones_like(lo), True),
+    "tanh": _TermKind(np.tanh, lambda z: 1.0 - np.tanh(z) ** 2, _tanh_sup, True),
+    "linear": _TermKind(lambda z: z, np.ones_like,
+                        lambda k, lo, hi: np.full_like(lo, float(k == 1)), False),
+}
+
+
 @dataclass
 class SeparableFunction:
     """Finite sum of single-slot terms: c sin(w x + b), c tanh(w x + b) and
-    the linear c (w x + b)."""
+    the linear c (w x + b), evaluated as one coefficient array per kind."""
 
     dim: int
-    terms: List[tuple]          # (kind, slot, c, w, b)
+    terms: List[tuple]          # (kind, slot, c, w, b), kept as given
+
+    def __post_init__(self):
+        unknown = {t[0] for t in self.terms} - _TERM_KINDS.keys()
+        if unknown:
+            raise ValueError(f"unknown term kinds {sorted(unknown)!r}")
+        self._groups = []       # (kind, slots, c, w, b) with array columns
+        for name, kind in _TERM_KINDS.items():
+            rows = [t[1:] for t in self.terms if t[0] == name]
+            if rows:
+                slot, c, w, b = (np.array(col) for col in zip(*rows))
+                self._groups.append((kind, slot.astype(int), c, w, b))
 
     def value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        out = 0.0
-        for kind, slot, c, w, b in self.terms:
-            z = w * x[slot] + b
-            if kind == "sin":
-                out += c * math.sin(z)
-            elif kind == "tanh":
-                out += c * math.tanh(z)
-            elif kind == "linear":
-                out += c * z
-            else:
-                raise ValueError(f"unknown term kind {kind!r}")
-        return out
+        return float(sum(np.sum(c * kind.f(w * x[slot] + b))
+                         for kind, slot, c, w, b in self._groups))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         g = np.zeros(self.dim)
-        for kind, slot, c, w, b in self.terms:
-            z = w * x[slot] + b
-            if kind == "sin":
-                g[slot] += c * w * math.cos(z)
-            elif kind == "tanh":
-                g[slot] += c * w * (1.0 - math.tanh(z) ** 2)
-            elif kind == "linear":
-                g[slot] += c * w
-            else:
-                raise ValueError(f"unknown term kind {kind!r}")
+        for kind, slot, c, w, b in self._groups:
+            g += np.bincount(slot, c * w * kind.df(w * x[slot] + b), self.dim)
         return g
-
-    def _term_deriv_sup(self, kind, c, w, b, k: int, lo: float, hi: float) -> float:
-        if kind == "sin":
-            return abs(c) * w ** k
-        if kind == "linear":
-            if k == 0:
-                return abs(c) * max(abs(w * lo + b), abs(w * hi + b))
-            return abs(c * w) if k == 1 else 0.0
-        if kind != "tanh":
-            raise ValueError(f"derivative order unavailable for term kind {kind!r}")
-        zs = np.linspace(w * lo + b, w * hi + b, 257)
-        t = np.tanh(zs)
-        if k == 0:
-            return float(abs(c) * np.max(np.abs(t)))
-        if k == 1:
-            prof = 1.0 - t ** 2
-        elif k == 2:
-            prof = -2.0 * t * (1.0 - t ** 2)
-        elif k == 3:
-            prof = (1.0 - t ** 2) * (6.0 * t ** 2 - 2.0)
-        else:
-            # Cauchy estimate on the unit strip
-            return abs(c) * w ** k * math.factorial(k) * M_TANH
-        return float(abs(c) * w ** k * np.max(np.abs(prof)))
 
     def deriv_sup(self, k: int, box: Tuple[float, float] = (-3.0, 3.0)) -> float:
         """Sup of the k-th derivative tensor over the box (max-entry norm;
@@ -216,25 +222,21 @@ class SeparableFunction:
         lo, hi = box
         if k == 0:
             xs = np.linspace(lo, hi, 257)
-            per_slot = np.zeros((self.dim, xs.size))
-            for kind, slot, c, w, b in self.terms:
-                z = w * xs + b
-                if kind == "sin":
-                    per_slot[slot] += c * np.sin(z)
-                elif kind == "tanh":
-                    per_slot[slot] += c * np.tanh(z)
-                else:
-                    per_slot[slot] += c * z
-            return float(np.max(np.abs(np.sum(per_slot, axis=0))))
+            total = np.zeros(xs.size)
+            for kind, slot, c, w, b in self._groups:
+                total += np.sum(c[:, None] * kind.f(np.outer(w, xs) + b[:, None]), axis=0)
+            return float(np.max(np.abs(total)))
         sums = np.zeros(self.dim)
-        for kind, slot, c, w, b in self.terms:
-            sums[slot] += self._term_deriv_sup(kind, c, w, b, k, lo, hi)
+        for kind, slot, c, w, b in self._groups:
+            sup = kind.sup(k, w * lo + b, w * hi + b)
+            sums += np.bincount(slot, np.abs(c) * w ** k * sup, self.dim)
         return float(np.max(sums)) if self.dim else 0.0
 
-    def tail_coefficients(self) -> List[tuple]:
-        """(|c|, w) pairs for the geometric truncation remainder; terms with
-        terminating derivatives contribute nothing."""
-        return [(abs(c), w) for kind, _, c, w, _ in self.terms if kind != "linear"]
+    def tail_coefficients(self) -> List[np.ndarray]:
+        """|c| and w of the terms in the geometric truncation remainder; terms
+        with terminating derivatives contribute nothing."""
+        tails = [(np.abs(c), w) for kind, _, c, w, _ in self._groups if kind.tail]
+        return [np.concatenate(col) for col in zip(*tails)] or [np.zeros(0)] * 2
 
 
 @dataclass(eq=False)
@@ -301,12 +303,8 @@ def eigenspinor_basis(lattice: TorusLattice, count: int):
         else:
             symbol = -np.tensordot(k, _SIGMA, axes=(0, 0))
             vals, vecs_mat = np.linalg.eigh(symbol)
-            vecs = []
-            for c in range(2):
-                v = vecs_mat[:, c]
-                pivot = int(np.argmax(np.abs(v)))
-                v = v * np.exp(-1j * np.angle(v[pivot]))
-                vecs.append(v)
+            vecs = [v * np.exp(-1j * np.angle(v[int(np.argmax(np.abs(v)))]))
+                    for v in vecs_mat.T]
         for lam, v in zip(vals, vecs):
             if len(fields) >= count:
                 break
@@ -315,39 +313,30 @@ def eigenspinor_basis(lattice: TorusLattice, count: int):
     return np.stack(fields), np.array(lambdas)
 
 
+_COCLOSED = [(0, None, None), (1, None, None), (2, None, None),
+             (2, 0, np.cos), (0, 1, np.cos), (1, 2, np.cos),
+             (2, 0, np.sin), (0, 1, np.sin), (1, 2, np.sin)]
+_GENERIC = [(0, None, None), (1, 0, np.cos), (2, 1, np.sin), (0, 2, np.cos),
+            (1, 1, np.cos), (2, 0, np.sin)]
+
+
+def _trig_forms(lattice: TorusLattice, specs, count: int) -> np.ndarray:
+    """The first count forms with one component (comp, axis, fn): 1 or fn(x_axis)."""
+    if count > len(specs):
+        raise ValueError("not enough shipped forms")
+    forms = np.zeros((count, 3) + (lattice.n,) * 3)
+    for form, (comp, axis, fn) in zip(forms, specs):
+        form[comp] = 1.0 if axis is None else fn(lattice.x[axis])
+    return forms
+
+
 def _coclosed_forms(lattice: TorusLattice, count: int) -> np.ndarray:
     """Harmonic frame forms first, then simple divergence-free trig forms."""
-    n = lattice.n
-    forms = []
-    for j in range(3):
-        m = np.zeros((3, n, n, n))
-        m[j] = 1.0
-        forms.append(m)
-    extras = [(2, 0, np.cos), (0, 1, np.cos), (1, 2, np.cos),
-              (2, 0, np.sin), (0, 1, np.sin), (1, 2, np.sin)]
-    for comp, axis, fn in extras:
-        if len(forms) >= count:
-            break
-        m = np.zeros((3, n, n, n))
-        m[comp] = fn(lattice.x[axis])
-        forms.append(m)
-    if len(forms) < count:
-        raise ValueError("not enough shipped co-closed forms")
-    return np.stack(forms[:count])
+    return _trig_forms(lattice, _COCLOSED, count)
 
 
 def _generic_forms(lattice: TorusLattice, count: int) -> np.ndarray:
-    specs = [(0, None, None), (1, 0, np.cos), (2, 1, np.sin), (0, 2, np.cos),
-             (1, 1, np.cos), (2, 0, np.sin)]
-    n = lattice.n
-    forms = []
-    for comp, axis, fn in specs:
-        if len(forms) >= count:
-            break
-        m = np.zeros((3, n, n, n))
-        m[comp] = 1.0 if axis is None else fn(lattice.x[axis])
-        forms.append(m)
-    return np.stack(forms[:count])
+    return _trig_forms(lattice, _GENERIC, count)
 
 
 def default_epsilons(k_max: int = 6) -> np.ndarray:
@@ -408,8 +397,7 @@ def dirac3(config: SWConfiguration) -> np.ndarray:
     """Twisted Dirac operator sum_j cl(e_j)(d_j + alpha_j i/2) psi, i.e.
     ifft(cl(i k) fft(psi)) + cl(i alpha) psi / 2."""
     lat = config.lattice
-    return (lat.spectral(config.psi, lambda h: _cl(lat.k, h))
-            + 0.5 * _cl(config.alpha, config.psi))
+    return lat.ifft(_cl(lat.k, lat.fft(config.psi))) + 0.5 * _cl(config.alpha, config.psi)
 
 
 def sigma_polarized(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -420,19 +408,17 @@ def sigma_polarized(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def sw_residual(config: SWConfiguration) -> Tuple[float, float]:
     """L2 norms of the curvature row *F_A - sigma(psi, psi) and the Dirac row."""
-    lat = config.lattice
-    curv = lat.curl(config.alpha) - sigma_polarized(config.psi, config.psi)
-    r1 = math.sqrt(float(np.sum(curv ** 2)) * lat.volume_element)
-    dp = dirac3(config)
-    r2 = math.sqrt(float(np.sum(np.abs(dp) ** 2)) * lat.volume_element)
-    return r1, r2
+    return evaluate(config).residuals
+
+
+def _dressing(lat: TorusLattice, alpha_hat: np.ndarray) -> np.ndarray:
+    """exp(i G(div alpha)/2) from the half spectrum of alpha (one fused symbol)."""
+    return np.exp(1j * lat.irfft(0.5 * lat.green_r * np.sum(1j * lat.kr * alpha_hat, axis=0)))
 
 
 def eta_dressing(config: SWConfiguration) -> np.ndarray:
     """Unit-modulus scalar exp(-G d*(A - A_0)/2) = exp(i G(div alpha)/2)."""
-    lat = config.lattice
-    phase = 0.5 * lat.green(lat.divergence(config.alpha))
-    return np.exp(1j * phase)
+    return _dressing(config.lattice, config.lattice.rfft(config.alpha))
 
 
 def _taus(config: SWConfiguration, mus: np.ndarray) -> np.ndarray:
@@ -449,19 +435,16 @@ def zeta_pairings(config: SWConfiguration, nus: np.ndarray) -> np.ndarray:
                      * config.lattice.volume_element for m in nus])
 
 
-def _zetas(config: SWConfiguration, nus: np.ndarray) -> np.ndarray:
-    return zeta_pairings(config, nus).real
+def _zetas(sigma: np.ndarray, nus: np.ndarray, lattice: TorusLattice) -> np.ndarray:
+    """zeta_j = Re int <cl(nu_j) psi, psi> = -2 <nu_j, sigma(psi, psi)> dv."""
+    return -2.0 * np.tensordot(nus, sigma, axes=4) * lattice.volume_element
 
 
 def _etas(config: SWConfiguration, params: PerturbationParams,
           dressing: Optional[np.ndarray] = None) -> np.ndarray:
-    lat = config.lattice
     X = eta_dressing(config) if dressing is None else dressing
-    out = []
-    for chi in params.spinor_basis:
-        out.append(complex(np.sum((X[None] * chi) * np.conj(config.psi))
-                           * lat.volume_element))
-    return np.array(out)
+    return (np.tensordot(params.spinor_basis, X[None] * np.conj(config.psi), axes=4)
+            * config.lattice.volume_element)
 
 
 @dataclass(eq=False)
@@ -472,7 +455,8 @@ class Observables:
 
 
 def observables(config: SWConfiguration, params: PerturbationParams) -> Observables:
-    return Observables(_taus(config, params.mus), _zetas(config, params.nus),
+    sigma = sigma_polarized(config.psi, config.psi)
+    return Observables(_taus(config, params.mus), _zetas(sigma, params.nus, config.lattice),
                        _etas(config, params))
 
 
@@ -498,11 +482,11 @@ def floer_norm(params: PerturbationParams, box: Tuple[float, float] = (-3.0, 3.0
     ])
     remainder = 0.0
     for fn in (params.p1, params.p2):
-        for c_abs, w in fn.tail_coefficients():
-            q = w / 4.0
-            if q >= 1.0:
-                raise ValueError("tail bound needs term frequency below 4")
-            remainder += M_TANH * c_abs * q ** (k_max + 1) / (1.0 - q)
+        c_abs, w = fn.tail_coefficients()
+        q = w / 4.0
+        if np.any(q >= 1.0):
+            raise ValueError("tail bound needs term frequency below 4")
+        remainder += float(np.sum(M_TANH * c_abs * q ** (k_max + 1) / (1.0 - q)))
     return FloerNormResult(float(np.sum(per_order)), float(remainder), per_order)
 
 
@@ -512,57 +496,65 @@ def floer_norm(params: PerturbationParams, box: Tuple[float, float] = (-3.0, 3.0
 _CASES = ("unperturbed", "case1", "case2")
 
 
-def _check_case(case: str):
+@dataclass(eq=False)
+class Evaluation:
+    value: float                        # csd
+    gradient: Tangent                   # grad_csd
+    residuals: Tuple[float, float]      # sw_residual: unperturbed row norms
+
+
+def evaluate(config: SWConfiguration, params: Optional[PerturbationParams] = None,
+             case: str = "unperturbed") -> Evaluation:
+    """csd, its exact L2 gradient and the unperturbed residual norms from one
+    forward transform of alpha and one of psi.  Curvature row curl alpha -
+    sigma(psi, psi), Dirac row D psi, unperturbed gradient (curvature row,
+    2 D psi), value 1/2 <alpha, curl alpha> + Re<psi, D psi>; the perturbed
+    cases add the functions of the observables and their couplings."""
     if case not in _CASES:
         raise ValueError(f"case must be one of {_CASES}")
+    if case != "unperturbed" and params is None:
+        raise ValueError("perturbed cases need params")
+    lat, alpha, psi = config.lattice, config.alpha, config.psi
+    dv = lat.volume_element
+    alpha_hat = lat.rfft(alpha)
+    curl = lat.irfft(_curl_symbol(lat.kr, alpha_hat))
+    sigma = sigma_polarized(psi, psi)
+    dp = dirac3(config)
+    ga, gp = curl - sigma, 2.0 * dp
+    residuals = (math.sqrt(float(np.vdot(ga, ga)) * dv),
+                 math.sqrt(float(np.vdot(dp, dp).real) * dv))
+    value = 0.5 * float(np.vdot(alpha, curl)) * dv + float(np.vdot(dp, psi).real) * dv
+
+    if case != "unperturbed":
+        tau, zeta = _taus(config, params.mus), _zetas(sigma, params.nus, lat)
+        value += params.p1.value(tau)
+        value += params.p2.value(zeta)
+        ga -= np.tensordot(params.p1.grad(tau), params.mus, axes=1)
+        gp += 2.0 * _cl(np.tensordot(params.p2.grad(zeta), params.nus, axes=1), psi)
+
+    if case == "case2":
+        X = _dressing(lat, alpha_hat)
+        eta = _etas(config, params, dressing=X)
+        value += params.p3.value(eta)
+        dressed = X[None] * np.tensordot(params.p3.wirtinger(eta), params.spinor_basis, axes=1)
+        gp += 2.0 * dressed
+        W = np.imag(np.sum(dressed * np.conj(psi), axis=0))
+        ga += lat.spectral(W, lambda h: 1j * lat.kr * (lat.green_r * h))
+
+    return Evaluation(value, Tangent(ga, gp), residuals)
 
 
 def csd(config: SWConfiguration, params: Optional[PerturbationParams] = None,
         case: str = "unperturbed") -> float:
     """Chern-Simons-Dirac value: -1/2 int a ^ (F_A + F_{A_0}) + int <psi, d_A psi>
     plus the selected perturbation functions of the observables."""
-    _check_case(case)
-    lat = config.lattice
-    cs = 0.5 * float(np.sum(config.alpha * lat.curl(config.alpha))) * lat.volume_element
-    dp = dirac3(config)
-    dirac_term = float(np.sum(config.psi * np.conj(dp)).real) * lat.volume_element
-    total = cs + dirac_term
-    if case in ("case1", "case2"):
-        if params is None:
-            raise ValueError("perturbed cases need params")
-        total += params.p1.value(_taus(config, params.mus))
-        total += params.p2.value(_zetas(config, params.nus))
-    if case == "case2":
-        total += params.p3.value(_etas(config, params))
-    return total
+    return evaluate(config, params, case).value
 
 
 def grad_csd(config: SWConfiguration, params: Optional[PerturbationParams] = None,
              case: str = "unperturbed") -> Tangent:
-    """Exact discrete L2 gradient of csd (finite-difference oracle fixes all
-    signs; see module docstring for the relation to the printed form)."""
-    _check_case(case)
-    lat = config.lattice
-    ga = lat.curl(config.alpha) - sigma_polarized(config.psi, config.psi)
-    gp = 2.0 * dirac3(config)
-
-    if case in ("case1", "case2"):
-        if params is None:
-            raise ValueError("perturbed cases need params")
-        dp1 = params.p1.grad(_taus(config, params.mus))
-        ga -= np.tensordot(dp1, params.mus, axes=1)
-        dp2 = params.p2.grad(_zetas(config, params.nus))
-        gp += 2.0 * _cl(np.tensordot(dp2, params.nus, axes=1), config.psi)
-
-    if case == "case2":
-        X = eta_dressing(config)
-        wirt = params.p3.wirtinger(_etas(config, params, dressing=X))
-        dressed = X[None] * np.tensordot(wirt, params.spinor_basis, axes=1)
-        gp += 2.0 * dressed
-        W = np.sum(dressed * np.conj(config.psi), axis=0)
-        ga += lat.gradient(lat.green(np.imag(W)))
-
-    return Tangent(ga, gp)
+    """Exact discrete L2 gradient of csd."""
+    return evaluate(config, params, case).gradient
 
 
 def flow_step(config: SWConfiguration, params: Optional[PerturbationParams] = None,
@@ -580,24 +572,31 @@ def flow_step(config: SWConfiguration, params: Optional[PerturbationParams] = No
     Its fixed points are exactly the critical points; a dt within
     RESONANCE_MARGIN of a pole raises FlowInstabilityError.
     """
+    return _descend(config, evaluate(config, params, case), params, case, dt, scheme,
+                    energy_tol)[0]
+
+
+def _descend(config: SWConfiguration, ev: Evaluation,
+             params: Optional[PerturbationParams], case: str, dt: float, scheme: str,
+             energy_tol: float = 1e-10) -> Tuple[SWConfiguration, Optional[Evaluation]]:
+    """flow_step from the evaluation ev of config: the new configuration and,
+    for the explicit scheme, the evaluation its energy check made of it."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    lat = config.lattice
-    g = grad_csd(config, params, case)
+    lat, g = config.lattice, ev.gradient
     if scheme == "explicit":
-        before = csd(config, params, case)
         new = SWConfiguration(lat, config.alpha - dt * g.alpha, config.psi - dt * g.phi)
-        after = csd(new, params, case)
-        if after > before + energy_tol * (1.0 + abs(before)):
+        after = evaluate(new, params, case)
+        if after.value > ev.value + energy_tol * (1.0 + abs(ev.value)):
             raise FlowInstabilityError(
-                f"functional increased by {after - before:.3e} in an explicit step")
-        return new
+                f"functional increased by {after.value - ev.value:.3e} in an explicit step")
+        return new, after
     if scheme != "semi-implicit":
         raise ValueError("scheme must be 'explicit' or 'semi-implicit'")
 
-    k, k2 = lat.k, lat.k2
-    den_a, den_p = 1.0 - dt ** 2 * k2, 1.0 - 4.0 * dt ** 2 * k2
-    for den in (den_a, den_p):
+    kr = lat.kr
+    den_a, den_p = 1.0 - dt ** 2 * lat.k2r, 1.0 - 4.0 * dt ** 2 * lat.k2
+    for den, k2 in ((den_a, lat.k2r), (den_p, lat.k2)):
         i = int(np.argmin(np.abs(den)))
         if abs(den.flat[i]) < RESONANCE_MARGIN:
             raise FlowInstabilityError(
@@ -606,14 +605,13 @@ def flow_step(config: SWConfiguration, params: Optional[PerturbationParams] = No
                 f"is below the margin {RESONANCE_MARGIN:g}")
 
     def curl_resolvent(h):
-        par = k * (lat._green_mult * np.sum(k * h, axis=0))
-        return par + (h - par - dt * np.cross(1j * k, h, axis=0)) / den_a
+        par = kr * (lat.green_r * np.sum(kr * h, axis=0))
+        return par + (h - par - dt * _curl_symbol(kr, h)) / den_a
 
-    def dirac_resolvent(h):
-        return (h - 2.0 * dt * _cl(k, h)) / den_p
-
+    phi_hat = lat.fft(g.phi)
+    dirac_step = lat.ifft((phi_hat - 2.0 * dt * _cl(lat.k, phi_hat)) / den_p)
     return SWConfiguration(lat, config.alpha - dt * lat.spectral(g.alpha, curl_resolvent),
-                           config.psi - dt * lat.spectral(g.phi, dirac_resolvent))
+                           config.psi - dt * dirac_step), None
 
 
 @dataclass
@@ -638,13 +636,14 @@ def run_flow(config: SWConfiguration, params: Optional[PerturbationParams] = Non
              scheme: str = "semi-implicit", residual_target: Optional[float] = None,
              record_every: int = 1) -> FlowResult:
     """Finite-horizon flow integration with trajectory records; a non-finite
-    recorded value raises FlowInstabilityError."""
+    recorded value raises FlowInstabilityError.  Each configuration is
+    evaluated once: its record and the next step share the evaluation."""
     current = config
+    ev = evaluate(current, params, case)
     records = []
 
     def record(i):
-        r1, r2 = sw_residual(current)
-        value = csd(current, params, case)
+        value, (r1, r2) = ev.value, ev.residuals
         if not all(map(math.isfinite, (value, r1, r2))):
             raise FlowInstabilityError(
                 f"flow diverged by step {i}: csd {value}, residuals {r1}, {r2}")
@@ -656,7 +655,9 @@ def run_flow(config: SWConfiguration, params: Optional[PerturbationParams] = Non
     converged = residual_target is not None and res < residual_target
     i = 0
     while i < steps and not converged:
-        current = flow_step(current, params, case, dt, scheme)
+        current, ev = _descend(current, ev, params, case, dt, scheme)
+        if ev is None:
+            ev = evaluate(current, params, case)
         i += 1
         if i % record_every == 0 or i == steps:
             res = record(i)
@@ -687,20 +688,22 @@ class SWLinearization:
         self.lattice = config.lattice
 
     def apply(self, t: Tangent) -> SystemTriple:
-        lat, psi = self.lattice, self.config.psi
-        scalar = -lat.divergence(t.alpha) + np.imag(np.sum(psi * np.conj(t.phi), axis=0))
-        one_form = lat.curl(t.alpha) - 2.0 * sigma_polarized(psi, t.phi)
-        cfg = self.config
-        dphi = dirac3(SWConfiguration(lat, cfg.alpha, t.phi))
+        lat, psi, kr = self.lattice, self.config.psi, self.lattice.kr
+        h = lat.rfft(t.alpha)   # one transform for -div and curl
+        rows = lat.irfft(np.concatenate([-np.sum(1j * kr * h, axis=0)[None],
+                                         _curl_symbol(kr, h)]))
+        scalar = rows[0] + np.imag(np.sum(psi * np.conj(t.phi), axis=0))
+        one_form = rows[1:] - 2.0 * sigma_polarized(psi, t.phi)
+        dphi = dirac3(SWConfiguration(lat, self.config.alpha, t.phi))
         spinor = dphi + 0.5 * _cl(t.alpha, psi)
         return SystemTriple(scalar, one_form, spinor)
 
     def adjoint(self, y: SystemTriple) -> Tangent:
-        lat, psi = self.lattice, self.config.psi
-        alpha = (lat.gradient(y.scalar) + lat.curl(y.one_form)
+        lat, psi, kr = self.lattice, self.config.psi, self.lattice.kr
+        h = lat.rfft(np.concatenate([y.scalar[None], y.one_form]))
+        alpha = (lat.irfft(1j * kr * h[0] + _curl_symbol(kr, h[1:]))
                  - sigma_polarized(psi, y.spinor))
-        cfg = self.config
-        phi = dirac3(SWConfiguration(lat, cfg.alpha, y.spinor))
+        phi = dirac3(SWConfiguration(lat, self.config.alpha, y.spinor))
         phi = phi - 1j * y.scalar[None] * psi
         phi = phi + _cl(y.one_form, psi)
         return Tangent(alpha, phi)
@@ -729,9 +732,7 @@ def gauge_apply(config: SWConfiguration, f: Optional[np.ndarray] = None,
     lat = config.lattice
     w = np.asarray(winding, dtype=int)
     phase = np.tensordot(w.astype(float), lat.x, axes=(0, 0))
-    shift = np.zeros_like(config.alpha)
-    for j in range(3):
-        shift[j] = 2.0 * float(w[j])
+    shift = 2.0 * w.astype(float)[:, None, None, None] * np.ones_like(config.alpha)
     if f is not None:
         f = np.asarray(f, dtype=float)
         phase = phase + f
@@ -791,24 +792,21 @@ def linearization_ucp_setup(config: SWConfiguration,
     sup_psi = math.sqrt(config.sup_psi_sq())
     mixed_coefficient = 0.5 * sup_psi
 
-    n_pts = lat.mode_count()
+    n_pts = lat.n ** 3
     weights = np.full(n_pts, lat.volume_element)
     carrier = FlatDomain(weights).zeros(rank=2)
 
+    M = np.zeros((lat.n, lat.n, lat.n, 2, 2), dtype=complex)
+    witness, dressed_sups = 0.0, np.zeros(0)
     if params is not None:
-        coeffs = params.p2.grad(_zetas(config, params.nus))
-        M = np.zeros((lat.n, lat.n, lat.n, 2, 2), dtype=complex)
-        witness = 0.0
+        sigma = sigma_polarized(config.psi, config.psi)
+        coeffs = params.p2.grad(_zetas(sigma, params.nus, lat))
         for c, nu in zip(coeffs, params.nus):
             M -= c * cl_imaginary_form(nu)
             witness += abs(c) * float(np.max(np.sqrt(np.sum(nu ** 2, axis=0))))
         dressed = eta_dressing(config)[None] * params.spinor_basis
         dressed_sups = np.array([float(np.max(np.sqrt(np.sum(np.abs(d) ** 2, axis=0))))
                                  for d in dressed])
-    else:
-        M = np.zeros((lat.n, lat.n, lat.n, 2, 2), dtype=complex)
-        witness = 0.0
-        dressed_sups = np.zeros(0)
 
     pert = Perturbation.matrix_field(carrier, M.reshape(n_pts, 2, 2))
     return LinearizationUcpRecord(mixed_coefficient, False, pert, witness, dressed_sups)

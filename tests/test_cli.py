@@ -1,5 +1,8 @@
 import json
+import math
+import warnings
 
+import numpy as np
 import pytest
 
 from ucp_lab.cli import SUITES, main, parse_config_text
@@ -68,6 +71,44 @@ def test_config_value_types_follow_defaults(tmp_path):
         suite = "observables" if "trials" in text else "carleman"
         assert run_cli("run", "--suite", suite, "--config", str(cfg),
                        "--out", str(tmp_path / "out")) == code, text
+
+
+def test_negative_seed_flag_exits_2_naming_seed(tmp_path, capsys):
+    code = run_cli("run", "--suite", "observables", "--seed", "-1",
+                   "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_observables_fail_their_gates(tmp_path):
+    """At amplitude 1e300 the zeta values are NaN; the gates must fail, not
+    report a worst value of 0."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("N = 2\ntrials = 2\namplitude = 1e300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = run_cli("run", "--suite", "observables", "--config", str(cfg),
+                       "--out", str(out))
+    assert code == 1
+    report = json.loads((out / "report.json").read_text())
+    gates = {a["name"]: a for a in report["assertions"]}
+    for name in ("zeta-gauge-invariance", "zeta-real-valued"):
+        assert not gates[name]["passed"], name
+
+
+def test_nan_gradient_order_fails_its_gate(tmp_path, monkeypatch):
+    monkeypatch.setattr(np, "polyfit", lambda *args, **kwargs: np.array([math.nan, 0.0]))
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("N = 2\nconfigs = 1\nadjoint_pairs = 1\n")
+    code = run_cli("run", "--suite", "sw-gradcheck", "--config", str(cfg),
+                   "--out", str(out))
+    assert code == 1
+    report = json.loads((out / "report.json").read_text())
+    [gate] = [a for a in report["assertions"] if a["name"] == "gradient-convergence-order"]
+    assert not gate["passed"] and math.isnan(gate["value"])
 
 
 def test_jobs_option_is_rejected(tmp_path):

@@ -550,7 +550,9 @@ def test_semi_implicit_step_solves_its_linear_system(N, dt):
 
 
 def test_spectral_transform_counts(lat2, params2, monkeypatch):
-    """One forward and one inverse transform per spectral operator."""
+    """One forward transform per field in an evaluation, and one stacked
+    forward/inverse pair per operator; every numpy transform is counted, so
+    switching between complex and real transforms cannot hide calls."""
     calls = []
 
     def counted(transform):
@@ -559,16 +561,85 @@ def test_spectral_transform_counts(lat2, params2, monkeypatch):
             return transform(*args, **kwargs)
         return wrapper
 
-    for name in ("fftn", "ifftn"):
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     cfg = tw.random_config(lat2, rng_for(27), amplitude=0.3)
-    for fn, limit in ((tw.grad_csd, 12), (tw.csd, 8)):
+    for fn, limit in ((tw.evaluate, 8), (tw.grad_csd, 8), (tw.csd, 8)):
         calls.clear()
         fn(cfg, params2, "case2")
-        assert len(calls) <= limit
+        assert 0 < len(calls) <= limit, fn.__name__
     calls.clear()
     tw.flow_step(cfg, None, "unperturbed", dt=3.0, scheme="semi-implicit")
-    assert len(calls) <= 8
+    assert 0 < len(calls) <= 8
+    calls.clear()
+    tw.run_flow(cfg, None, "unperturbed", dt=3.0, steps=2, scheme="semi-implicit")
+    assert 0 < len(calls) <= 20
+
+
+@pytest.mark.parametrize("scheme, dt", [("explicit", 5e-3), ("semi-implicit", 3.0)])
+def test_flow_records_match_fresh_evaluations(lat2, params2, scheme, dt):
+    """Records reuse the evaluation the next step consumes; each must equal a
+    fresh csd / sw_residual at the configuration a flow_step loop reaches."""
+    cfg = tw.random_config(lat2, rng_for(28), amplitude=0.1)
+    result = tw.run_flow(cfg, params2, "case2", dt=dt, steps=3, scheme=scheme,
+                         record_every=1)
+    assert [r.step for r in result.trajectory] == [0, 1, 2, 3]
+    current = cfg
+    for rec in result.trajectory:
+        if rec.step:
+            current = tw.flow_step(current, params2, "case2", dt=dt, scheme=scheme)
+        r1, r2 = tw.sw_residual(current)
+        for got, want in ((rec.csd, tw.csd(current, params2, "case2")),
+                          (rec.residual_curvature, r1), (rec.residual_dirac, r2)):
+            assert abs(got - want) <= 1e-12 * abs(want)
+    assert np.array_equal(result.config.alpha, current.alpha)
+    assert np.array_equal(result.config.psi, current.psi)
+
+
+def _separable_loop(terms, dim, x, k=None, box=(-3.0, 3.0)):
+    """Scalar per-term reference for SeparableFunction (value and gradient,
+    or the k-th derivative sup)."""
+    profiles = {"sin": (math.sin, math.cos), "linear": (lambda z: z, lambda z: 1.0),
+                "tanh": (math.tanh, lambda z: 1.0 - math.tanh(z) ** 2)}
+    if k is None:
+        value, grad = 0.0, np.zeros(dim)
+        for kind, slot, c, w, b in terms:
+            f, df = profiles[kind]
+            value += c * f(w * x[slot] + b)
+            grad[slot] += c * w * df(w * x[slot] + b)
+        return value, grad
+    sums = np.zeros(dim)
+    for kind, slot, c, w, b in terms:
+        if kind == "sin":
+            sums[slot] += abs(c) * w ** k
+        elif kind == "linear":
+            sums[slot] += abs(c * w) if k == 1 else 0.0
+        elif k >= 4:
+            sums[slot] += abs(c) * w ** k * math.factorial(k) * tw.M_TANH
+        else:
+            t = np.tanh(np.linspace(w * box[0] + b, w * box[1] + b, 257))
+            prof = [1 - t ** 2, -2 * t * (1 - t ** 2), (1 - t ** 2) * (6 * t ** 2 - 2)][k - 1]
+            sums[slot] += abs(c) * w ** k * np.max(np.abs(prof))
+    return float(np.max(sums))
+
+
+def test_separable_function_matches_termwise_loop():
+    terms = [("sin", 0, 0.3, 1.5, 0.2), ("tanh", 0, -0.4, 0.7, -0.1),
+             ("linear", 1, 0.25, 2.0, 0.5), ("tanh", 2, 0.2, 1.1, 0.3),
+             ("sin", 2, -0.15, 0.9, 1.0), ("linear", 0, -0.5, 0.3, 0.0)]
+    fn = tw.SeparableFunction(3, terms)
+    for x in rng_for(29).standard_normal((5, 3)):
+        value, grad = _separable_loop(terms, 3, x)
+        assert abs(fn.value(x) - value) <= 1e-14
+        assert np.max(np.abs(fn.grad(x) - grad)) <= 1e-14
+    for k in range(1, 7):
+        want = _separable_loop(terms, 3, None, k)
+        assert abs(fn.deriv_sup(k) - want) <= 1e-13 * want
+    xs = np.linspace(-3.0, 3.0, 257)
+    diagonal = max(abs(_separable_loop(terms, 3, np.full(3, s))[0]) for s in xs)
+    assert abs(fn.deriv_sup(0) - diagonal) <= 1e-14
+    with pytest.raises(ValueError):
+        tw.SeparableFunction(1, [("cos", 0, 1.0, 1.0, 0.0)])
 
 
 @pytest.mark.parametrize("amplitude", [5.0, 20.0])

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (DomainMismatchError, NonAdmissibleError, PreconditionError,
                      SupportConditionError)
@@ -105,7 +104,14 @@ def log_weighted_l2(v: SpinorField, R: float, geom: CarlemanGeometry) -> float:
     mask = dens > 0.0
     if not mask.any():
         return -math.inf
-    return float(logsumexp(expo_full[mask], b=dens[mask]))
+    # shifted log-sum-exp with the maximal terms summed apart (scipy's arithmetic)
+    a, b = expo_full[mask], dens[mask]
+    a_max = np.max(a)
+    at_max = a == a_max
+    m = np.sum(b * at_max)
+    terms = b * np.exp(a - a_max)
+    terms[at_max] = 0.0
+    return float(np.log1p(np.sum(terms) / m) + np.log(m) + a_max)
 
 
 def weighted_l2(v: SpinorField, R: float, geom: CarlemanGeometry) -> float:
@@ -116,9 +122,9 @@ def weighted_l2(v: SpinorField, R: float, geom: CarlemanGeometry) -> float:
 @dataclass
 class CarlemanReport:
     R: float
-    lhs: float
-    rhs: float
-    ratio: float                 # R * lhs / rhs; nan when rhs = 0 contractually
+    log_lhs: float               # log of the weighted mass of v; -inf for v = 0
+    log_rhs: float               # log of the weighted mass of D v (+ P(v))
+    ratio: float                 # R exp(log_lhs - log_rhs); nan when both vanish
     constant_estimate: float
     c0: Optional[float] = None   # admissibility constant when perturbed
     violation: bool = False      # rhs = 0 with lhs > 0
@@ -144,14 +150,12 @@ def _ratio_report(v: SpinorField, dv: SpinorField, R: float, geom: CarlemanGeome
                   c0: Optional[float] = None) -> CarlemanReport:
     log_lhs = log_weighted_l2(v, R, geom)
     log_rhs = log_weighted_l2(dv, R, geom)
-    lhs = 0.0 if log_lhs == -math.inf else math.exp(log_lhs)
-    rhs = 0.0 if log_rhs == -math.inf else math.exp(log_rhs)
     if log_rhs == -math.inf:
         if log_lhs == -math.inf:
-            return CarlemanReport(R, 0.0, 0.0, math.nan, math.nan, c0)
-        return CarlemanReport(R, lhs, 0.0, math.inf, math.inf, c0, violation=True)
+            return CarlemanReport(R, log_lhs, log_rhs, math.nan, math.nan, c0)
+        return CarlemanReport(R, log_lhs, log_rhs, math.inf, math.inf, c0, violation=True)
     ratio = R * math.exp(log_lhs - log_rhs)
-    return CarlemanReport(R, lhs, rhs, ratio, ratio, c0)
+    return CarlemanReport(R, log_lhs, log_rhs, ratio, ratio, c0)
 
 
 def carleman_ratio(op: DiracOperator, v: SpinorField, R: float,
@@ -263,8 +267,8 @@ def constant_sweep(op: DiracOperator, sampler: Callable, R_grid: Sequence[float]
         else:
             rep = group[0]
             est = math.nan
-        reports.append(CarlemanReport(rep.R, rep.lhs, rep.rhs, rep.ratio, est, rep.c0,
-                                      rep.violation))
+        reports.append(CarlemanReport(rep.R, rep.log_lhs, rep.log_rhs, rep.ratio, est,
+                                      rep.c0, rep.violation))
         estimates.append(est)
     return SweepResult(R_grid, reports, np.array(estimates), degenerate=degenerate)
 
@@ -343,10 +347,7 @@ def ucp_decay_check(op: DiracOperator, P: Perturbation, u: SpinorField,
 
     half = t <= 0.5 * T
     sub_w = np.copy(w)
-    if isinstance(geom.grid, AnnulusGrid):
-        sub_w[~half, :] = 0.0
-    else:
-        sub_w[~half] = 0.0
+    sub_w[~half] = 0.0
     measured = float(np.sum(sub_w * np.sum(np.abs(u.values) ** 2, axis=-1)))
 
     log_measured = math.log(measured) if measured > 0 else -math.inf

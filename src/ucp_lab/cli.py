@@ -129,12 +129,13 @@ def run_carleman(opts: dict, seed: int, out: Path) -> SuiteOutput:
     rows = []
     for rep in sweep.reports:
         conclusive = rep.R >= R_SUFFICIENT
-        rows.append([rep.R, geom.T, rep.lhs, rep.rhs, rep.ratio, rep.constant_estimate,
-                     "conclusive" if conclusive else "inconclusive"])
+        rows.append([rep.R, geom.T, rep.log_lhs, rep.log_rhs, rep.ratio,
+                     rep.constant_estimate, "conclusive" if conclusive else "inconclusive"])
         if not conclusive:
             res.inconclusive.append(f"R={rep.R:g} below the large-parameter regime")
     _write_csv(out / "carleman.csv",
-               ["R", "T", "lhs", "rhs", "ratio", "constant_estimate", "status"], rows)
+               ["R", "T", "log_lhs", "log_rhs", "ratio", "constant_estimate", "status"],
+               rows)
 
     concl = [(rep.R, est) for rep, est in zip(sweep.reports, sweep.estimates)
              if rep.R >= R_SUFFICIENT and np.isfinite(est)]

@@ -11,7 +11,7 @@ adjoint is the plain conjugate transpose and the circle term is Hermitian.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -40,10 +40,9 @@ def _fiber_apply(M: np.ndarray, w: np.ndarray) -> np.ndarray:
 class DiracOperator:
     frame: CliffordFrame
     grid: object
-    cl_dt: np.ndarray          # (r, r) on Grid1D, (n_theta, r, r) on AnnulusGrid
+    cl_dt: np.ndarray          # (r, r) on Grid1D, (n_t, n_theta, r, r) on AnnulusGrid
     B: np.ndarray              # (n, r, r) or (n_t, n_theta, r, r), self-adjoint points
     C: np.ndarray              # same shape as B, skew points
-    slice_maker: Optional[Callable[[float], tuple]] = None  # smooth (B, C) source, if any
     angular: Optional[np.ndarray] = None  # (n_t,) a(t) of the circle term, annulus only
 
     @property
@@ -96,8 +95,8 @@ def dirac_apply(op: DiracOperator, u: SpinorField) -> SpinorField:
     return SpinorField(u.grid, op.apply_cl_dt(w))
 
 
-def product_decompose(raw_slices: np.ndarray, fr: CliffordFrame, grid, cl_dt: np.ndarray,
-                      slice_maker=None) -> DiracOperator:
+def product_decompose(raw_slices: np.ndarray, fr: CliffordFrame, grid,
+                      cl_dt: np.ndarray) -> DiracOperator:
     """Split raw pointwise tangential operators into self-adjoint and skew parts."""
     raw_slices = np.asarray(raw_slices, dtype=complex)
     if raw_slices.shape[-1] != raw_slices.shape[-2]:
@@ -105,7 +104,7 @@ def product_decompose(raw_slices: np.ndarray, fr: CliffordFrame, grid, cl_dt: np
     adj = slice_adjoint(raw_slices)
     B = 0.5 * (raw_slices + adj)
     C = 0.5 * (raw_slices - adj)
-    return DiracOperator(fr, grid, cl_dt, B, C, slice_maker)
+    return DiracOperator(fr, grid, cl_dt, B, C)
 
 
 def absorb_homomorphism(op: DiracOperator, R: np.ndarray) -> DiracOperator:
@@ -119,38 +118,27 @@ def absorb_homomorphism(op: DiracOperator, R: np.ndarray) -> DiracOperator:
     S = np.einsum("...ji,...jk->...ik", np.conj(op.cl_dt), R)
     adj = slice_adjoint(S)
     return DiracOperator(op.frame, op.grid, op.cl_dt, op.B + 0.5 * (S + adj),
-                         op.C + 0.5 * (S - adj), None, op.angular)
+                         op.C + 0.5 * (S - adj), op.angular)
 
 
 # ---------------------------------------------------------------------------
 # shipped model operators
 
 
-def _model_bc_1d(T: float, b_amp: float, c_amp: float):
-    s1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    s3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-
-    def b_func(t):
-        return b_amp * (0.6 * np.cos(2.0 * np.pi * t / T) * s3 + 0.4 * s1)
-
-    def c_func(t):
-        return c_amp * np.sin(2.0 * np.pi * t / T) * J
-
-    return b_func, c_func
-
-
 def model_operator_1d(grid: Grid1D, b_amp: float = 1.0, c_amp: float = 0.5) -> DiracOperator:
-    """1D model operator J(d/dt + B_t + C_t) with smooth slice coefficients.
+    """1D model operator J(d/dt + B_t + C_t) with smooth slice coefficients
+    B_t = b_amp (0.6 cos(2 pi t/T) sigma_3 + 0.4 sigma_1), C_t = c_amp sin(2 pi t/T) J.
 
     Operator norms of B_t and C_t stay <= 1 for the default amplitudes.
     """
     fr = frame(1)
-    b_func, c_func = _model_bc_1d(float(grid.t[-1] - grid.t[0]), b_amp, c_amp)
-    B = np.stack([b_func(t) for t in grid.t])
-    C = np.stack([c_func(t) for t in grid.t])
-    return DiracOperator(fr, grid, fr.generator(0), B, C,
-                         slice_maker=lambda t: (b_func(t), c_func(t)))
+    s1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    s3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+    phase = 2.0 * np.pi * grid.t / float(grid.t[-1] - grid.t[0])
+    B = b_amp * (0.6 * np.cos(phase)[:, None, None] * s3 + 0.4 * s1)
+    C = c_amp * np.sin(phase)[:, None, None] * J
+    return DiracOperator(fr, grid, fr.generator(0), B, C)
 
 
 def constant_operator_1d(grid: Grid1D, B0: Optional[np.ndarray] = None) -> DiracOperator:
@@ -159,9 +147,7 @@ def constant_operator_1d(grid: Grid1D, B0: Optional[np.ndarray] = None) -> Dirac
     if B0 is None:
         B0 = np.array([[0.7, 0.2], [0.2, -0.5]], dtype=complex)
     B = np.broadcast_to(B0, (grid.n, 2, 2)).copy()
-    C = np.zeros_like(B)
-    return DiracOperator(fr, grid, fr.generator(0), B, C,
-                         slice_maker=lambda t: (B0, np.zeros((2, 2), dtype=complex)))
+    return DiracOperator(fr, grid, fr.generator(0), B, np.zeros_like(B))
 
 
 def annulus_operator(grid: AnnulusGrid) -> DiracOperator:
@@ -176,5 +162,7 @@ def annulus_operator(grid: AnnulusGrid) -> DiracOperator:
     g1, g2 = fr.generators
     theta = grid.theta
     cl_dr = (np.cos(theta)[:, None, None] * g1 + np.sin(theta)[:, None, None] * g2)
+    # stored at full shape: a contiguous operand keeps the fiber einsum fast
+    cl_dr = np.broadcast_to(cl_dr, (grid.n,) + cl_dr.shape).copy()
     zeros = np.zeros((grid.n, grid.n_theta, 2, 2), dtype=complex)
     return DiracOperator(fr, grid, cl_dr, zeros, zeros.copy(), angular=1.0 / grid.radii())

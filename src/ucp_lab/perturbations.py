@@ -8,8 +8,9 @@ a per-point coefficient c, P(u)(x) = fiber(c(x), u(x)):
 Nonlocal kinds are a whole-field map P(u) = field(u):
   kernel      P(u)(x) = |int k(x, z) u(z) dz| u(x)
   rank-one    P(u)(x) = <u, a>_{L2} a(x)
-integrate_zero_data evaluates local kinds at RK4 stage values (order 4) and
-freezes nonlocal kinds once per step, zero ahead of the front.
+integrate_zero_data reads the operator's stored B + C and a local kind's
+coefficient at the RK4 stage times, applies local kinds to each stage value
+(order 4) and freezes nonlocal kinds once per step, zero ahead of the front.
 """
 from __future__ import annotations
 
@@ -147,17 +148,16 @@ def ucp_condition_check(a: SpinorField, u: SpinorField, zero_tol: float = 1e-12,
 def integrate_zero_data(op, P: Perturbation, u0: Optional[np.ndarray] = None) -> SpinorField:
     """March D u + P(u) = 0 on the operator grid by RK4 from slice data u0.
 
-    The tangential slice coefficients come from the operator's smooth
-    slice_maker.  A local kind acts on each stage value, its coefficient at
-    t + h/2 from the 4-point midpoint rule, so the march keeps order 4.  A
-    nonlocal kind is evaluated once per step on the marched state (zero
-    ahead of the front, exact for zero data), interpolated to stage times.
+    The tangential part B + C and a local kind's coefficient are read from
+    their stored arrays at the stage offsets 0, 1/2 and 1 of each step, the
+    midpoint by the 4-point rule, so the march keeps order 4.  A local kind
+    acts on each stage value.  A nonlocal kind is evaluated once per step on
+    the marched state (zero ahead of the front, exact for zero data) and
+    interpolated linearly to the stage times.
     """
     grid: Grid1D = op.grid
     if not isinstance(grid, Grid1D):
         raise DomainMismatchError("initial-value integration is 1D only")
-    if op.slice_maker is None:
-        raise ValueError("operator carries no smooth slice coefficients")
     values = np.zeros((grid.n, op.fiber_rank), dtype=complex)
     if P.a is not None:
         same_grid(P.a, SpinorField(grid, values))
@@ -165,18 +165,17 @@ def integrate_zero_data(op, P: Perturbation, u0: Optional[np.ndarray] = None) ->
         values[0] = np.asarray(u0, dtype=complex)
     cl_inv = -op.cl_dt  # cl(dt)^{-1}
     h = grid.spacing
+    tangential = _stages(op.B + op.C)
     if P.field is None:
-        coeff = np.broadcast_to(P.coeff, (grid.n,) + np.shape(P.coeff)[1:])
-        coeff_at = {0.0: coeff[:-1], 0.5: _midpoints(coeff), 1.0: coeff[1:]}
+        coeff_at = _stages(np.broadcast_to(P.coeff, (grid.n,) + np.shape(P.coeff)[1:]))
     for i in range(grid.n - 1):
-        t, y = grid.t[i], values[i]
+        y = values[i]
         frozen = None if P.field is None else P.field(SpinorField(grid, values))
 
         def rhs(s, y):
-            b, c = op.slice_maker(t + s * h)
             p = (P.fiber(coeff_at[s][i], y) if frozen is None
-                 else _interp_row(frozen, grid, t + s * h))
-            return -(b + c) @ y - cl_inv @ p
+                 else (1.0 - s) * frozen[i] + s * frozen[i + 1])
+            return -tangential[s][i] @ y - cl_inv @ p
 
         k1 = rhs(0.0, y)
         k2 = rhs(0.5, y + 0.5 * h * k1)
@@ -184,6 +183,11 @@ def integrate_zero_data(op, P: Perturbation, u0: Optional[np.ndarray] = None) ->
         k4 = rhs(1.0, y + h * k3)
         values[i + 1] = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return SpinorField(grid, values)
+
+
+def _stages(c: np.ndarray) -> dict:
+    """Per-step values of c at the RK4 stage offsets 0, 1/2 and 1."""
+    return {0.0: c[:-1], 0.5: _midpoints(c), 1.0: c[1:]}
 
 
 def _midpoints(c: np.ndarray) -> np.ndarray:
@@ -195,10 +199,3 @@ def _midpoints(c: np.ndarray) -> np.ndarray:
     inner = (-c[:-3] + 9.0 * c[1:-2] + 9.0 * c[2:-1] - c[3:]) / 16.0
     last = (c[-4] - 5.0 * c[-3] + 15.0 * c[-2] + 5.0 * c[-1]) / 16.0
     return np.concatenate([first[None], inner, last[None]])
-
-
-def _interp_row(values: np.ndarray, grid: Grid1D, t: float) -> np.ndarray:
-    x = (t - grid.t[0]) / grid.spacing
-    i = int(np.clip(np.floor(x), 0, grid.n - 2))
-    lam = x - i
-    return (1.0 - lam) * values[i] + lam * values[i + 1]

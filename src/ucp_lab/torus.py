@@ -383,11 +383,6 @@ def _measure_winding_shift(lattice: TorusLattice, mus: np.ndarray) -> float:
 # core operators and observables
 
 
-def cl_imaginary_form(alpha: np.ndarray) -> np.ndarray:
-    """Pointwise fiber matrices of Clifford multiplication by i*alpha."""
-    return 1j * np.tensordot(_GEN, alpha, axes=(0, 0)).transpose(2, 3, 4, 0, 1)
-
-
 def _cl(form: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Clifford multiplication cl(i form) psi = sum_j form_j i cl(e_j) psi."""
     return 1j * np.einsum("jab,jxyz,bxyz->axyz", _GEN, form, psi)
@@ -801,8 +796,9 @@ def linearization_ucp_setup(config: SWConfiguration,
     if params is not None:
         sigma = sigma_polarized(config.psi, config.psi)
         coeffs = params.p2.grad(_zetas(sigma, params.nus, lat))
+        # fiber matrices of -cl(i sum_k c_k nu_k)
+        M = -1j * np.einsum("jab,jxyz->xyzab", _GEN, np.tensordot(coeffs, params.nus, axes=1))
         for c, nu in zip(coeffs, params.nus):
-            M -= c * cl_imaginary_form(nu)
             witness += abs(c) * float(np.max(np.sqrt(np.sum(nu ** 2, axis=0))))
         dressed = eta_dressing(config)[None] * params.spinor_basis
         dressed_sups = np.array([float(np.max(np.sqrt(np.sum(np.abs(d) ** 2, axis=0))))

@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ucp_lab
 from ucp_lab.carleman import (CarlemanGeometry, appendix_decomposition, bump_cutoff,
                               carleman_ratio, constant_sweep, cutoff_bump_sampler,
                               log_weighted_l2, perturbed_carleman_ratio, ucp_decay_check,
@@ -80,8 +84,30 @@ def test_ratio_zero_field_contract():
     geom = interval_geom()
     op = model_operator_1d(geom.grid)
     rep = carleman_ratio(op, geom.grid.zeros(), 10.0, geom)
-    assert rep.lhs == 0.0 and rep.rhs == 0.0
+    assert rep.log_lhs == rep.log_rhs == -math.inf
     assert math.isnan(rep.ratio)
+
+
+def test_log_weighted_l2_matches_scipy_logsumexp():
+    special = pytest.importorskip("scipy.special")
+    for geom in (interval_geom(), CarlemanGeometry.annulus(0.5, 33, 16)):
+        sampler = cutoff_bump_sampler(geom)
+        for i, R in enumerate((0.0, 10.0, 1e4, 1e8)):
+            v = sampler(np.random.default_rng(i))
+            dens = geom.grid.quad_weights() * np.sum(np.abs(v.values) ** 2, axis=-1)
+            expo = np.broadcast_to(R * geom.normal_profile(dens.ndim) ** 2, dens.shape)
+            mask = dens > 0.0
+            want = float(special.logsumexp(expo[mask], b=dens[mask]))
+            assert log_weighted_l2(v, R, geom) == want
+
+
+def test_import_leaves_scipy_special_unloaded():
+    src = str(Path(ucp_lab.__file__).resolve().parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import ucp_lab; "
+             "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_ratio_support_violation():

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import warnings
@@ -176,6 +177,20 @@ def test_carleman_suite_default_spread_fails_honestly(tmp_path):
     assert not spread["passed"]
     assert spread["value"] > 2.0
     assert (out / "carleman.csv").exists()
+
+
+def test_carleman_suite_large_R_writes_finite_log_masses(tmp_path):
+    # R T^2 > 709 at R = 1e5: the weighted masses overflow a float, their logs do not
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("r_max = 1e5\nsamples = 2\n")
+    run_cli("run", "--suite", "carleman", "--config", str(cfg), "--out", str(out))
+    report = json.loads((out / "report.json").read_text())
+    assert "suite-error" not in {a["name"] for a in report["assertions"]}
+    with open(out / "carleman.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert float(rows[-1]["R"]) == 1e5
+    assert all(math.isfinite(float(row["log_lhs"])) for row in rows)
 
 
 def test_observables_suite_passes(tmp_path):

@@ -3,7 +3,8 @@ import pytest
 
 from ucp_lab.counterexamples import rank_one_counterexample
 from ucp_lab.fields import Grid1D, SpinorField
-from ucp_lab.operators import model_operator_1d
+from ucp_lab.operators import (absorb_homomorphism, constant_operator_1d,
+                               model_operator_1d)
 from ucp_lab.perturbations import (Perturbation, admissibility_bound,
                                    eval_perturbation, integrate_zero_data,
                                    ucp_condition_check)
@@ -173,18 +174,37 @@ def test_zero_data_integration_stays_zero():
         assert u.sup_norm() < 1e-12
 
 
-def test_pointwise_integration_is_fourth_order():
+def march_orders(make_op, make_P, ns, T):
+    """Observed orders of the march's end value over successive grid halvings."""
     ends = []
-    for n in (129, 257, 513, 1025):
-        grid = Grid1D.uniform(1.0, n)
-        a = np.stack([np.cos(np.pi * grid.t), 1j * np.sin(np.pi * grid.t)], axis=1)
-        u = integrate_zero_data(model_operator_1d(grid),
-                                Perturbation.pointwise(SpinorField(grid, a)),
-                                u0=np.array([0.6, 0.3 + 0.2j]))
+    for n in ns:
+        grid = Grid1D.uniform(T, n)
+        u = integrate_zero_data(make_op(grid), make_P(grid), u0=np.array([0.6, 0.3 + 0.2j]))
         ends.append(u.values[-1])
-    diffs = [np.linalg.norm(ends[i] - ends[i + 1]) for i in range(3)]
-    orders = [np.log2(diffs[i] / diffs[i + 1]) for i in range(2)]
-    assert min(orders) >= 3.9, orders
+    diffs = [np.linalg.norm(ends[i] - ends[i + 1]) for i in range(len(ns) - 1)]
+    return [np.log2(diffs[i] / diffs[i + 1]) for i in range(len(diffs) - 1)]
+
+
+def test_pointwise_integration_is_fourth_order():
+    def pointwise(grid):
+        a = np.stack([np.cos(np.pi * grid.t), 1j * np.sin(np.pi * grid.t)], axis=1)
+        return Perturbation.pointwise(SpinorField(grid, a))
+
+    for make_P in (pointwise, lambda grid: Perturbation.zero()):
+        orders = march_orders(model_operator_1d, make_P, (129, 257, 513, 1025), 1.0)
+        assert min(orders) >= 3.9, orders
+
+
+def test_unperturbed_march_is_fourth_order_for_any_stored_operator():
+    # operators without a closed-form coefficient source march from B and C
+    def absorbed(grid):
+        R = np.exp(1j * grid.t)[:, None, None] * np.array([[0.3, 0.5], [-0.2, 0.4j]])
+        return absorb_homomorphism(model_operator_1d(grid), R)
+
+    for make_op in (absorbed, constant_operator_1d):
+        orders = march_orders(make_op, lambda grid: Perturbation.zero(),
+                              (33, 65, 129, 257), 2.0)
+        assert min(orders) >= 3.9, orders
 
 
 def test_nonlocal_kind_is_evaluated_once_per_step():

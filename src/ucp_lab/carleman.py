@@ -8,7 +8,7 @@ Quadrature is trapezoid in the normal coordinate times the slice measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -21,6 +21,10 @@ from .perturbations import Perturbation, admissibility_bound, eval_perturbation
 
 SUPPORT_TOL = 1e-12
 MEASURED_FLOOR = 1e-20  # solver noise floor below which a measured mass counts as zero
+# The cutoff falls from 1 to 0 over [0.8T, 0.9T].  The decay factor
+# exp(-21 R T^2 / 100) of ucp_decay_check holds for this plateau only:
+# 21/100 = 1/4 - (1 - 0.8)^2.
+PLATEAU = (0.8, 0.9)
 
 
 def smoothstep(x):
@@ -38,26 +42,21 @@ def smoothstep_derivative(x):
 
 @dataclass(frozen=True)
 class CarlemanGeometry:
-    """Annular region [0, T] with its slice measure and cutoff plateau."""
+    """Annular region [0, T] with its slice measure."""
 
     grid: object
-    plateau: tuple = (0.8, 0.9)
 
     def __post_init__(self):
-        lo, hi = self.plateau
-        if not 0.0 < lo < hi < 1.0:
-            raise ValueError("plateau fractions must increase strictly inside (0,1)")
         if self.T <= 0:
             raise ValueError("horizon T must be positive")
 
     @classmethod
-    def interval(cls, T: float, n: int, plateau=(0.8, 0.9)) -> "CarlemanGeometry":
-        return cls(Grid1D.uniform(T, n), plateau)
+    def interval(cls, T: float, n: int) -> "CarlemanGeometry":
+        return cls(Grid1D.uniform(T, n))
 
     @classmethod
-    def annulus(cls, T: float, n_t: int, n_theta: int, r0: float = 1.0,
-                plateau=(0.8, 0.9)) -> "CarlemanGeometry":
-        return cls(AnnulusGrid.uniform(T, n_t, n_theta, r0), plateau)
+    def annulus(cls, T: float, n_t: int, n_theta: int, r0: float = 1.0) -> "CarlemanGeometry":
+        return cls(AnnulusGrid.uniform(T, n_t, n_theta, r0))
 
     @property
     def T(self) -> float:
@@ -74,13 +73,13 @@ def bump_cutoff(geom: CarlemanGeometry, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < -1e-15) or np.any(t > geom.T * (1 + 1e-15)):
         raise ValueError("normal coordinate outside [0, T]")
-    lo, hi = geom.plateau
+    lo, hi = PLATEAU
     return 1.0 - smoothstep((t - lo * geom.T) / ((hi - lo) * geom.T))
 
 
 def bump_cutoff_derivative(geom: CarlemanGeometry, t):
     t = np.asarray(t, dtype=float)
-    lo, hi = geom.plateau
+    lo, hi = PLATEAU
     width = (hi - lo) * geom.T
     return -smoothstep_derivative((t - lo * geom.T) / width) / width
 
@@ -125,7 +124,6 @@ class CarlemanReport:
     log_lhs: float               # log of the weighted mass of v; -inf for v = 0
     log_rhs: float               # log of the weighted mass of D v (+ P(v))
     ratio: float                 # R exp(log_lhs - log_rhs); nan when both vanish
-    constant_estimate: float
     c0: Optional[float] = None   # admissibility constant when perturbed
     violation: bool = False      # rhs = 0 with lhs > 0
 
@@ -152,10 +150,9 @@ def _ratio_report(v: SpinorField, dv: SpinorField, R: float, geom: CarlemanGeome
     log_rhs = log_weighted_l2(dv, R, geom)
     if log_rhs == -math.inf:
         if log_lhs == -math.inf:
-            return CarlemanReport(R, log_lhs, log_rhs, math.nan, math.nan, c0)
-        return CarlemanReport(R, log_lhs, log_rhs, math.inf, math.inf, c0, violation=True)
-    ratio = R * math.exp(log_lhs - log_rhs)
-    return CarlemanReport(R, log_lhs, log_rhs, ratio, ratio, c0)
+            return CarlemanReport(R, log_lhs, log_rhs, math.nan, c0)
+        return CarlemanReport(R, log_lhs, log_rhs, math.inf, c0, violation=True)
+    return CarlemanReport(R, log_lhs, log_rhs, R * math.exp(log_lhs - log_rhs), c0)
 
 
 def carleman_ratio(op: DiracOperator, v: SpinorField, R: float,
@@ -180,10 +177,9 @@ def perturbed_carleman_ratio(op: DiracOperator, P: Perturbation, v: SpinorField,
 # samplers and sweeps
 
 
-def cutoff_bump_sampler(geom: CarlemanGeometry, rank: int = 2,
-                        max_bumps: int = 3) -> Callable:
-    """Random smooth bumps, cutoff on the outer side and collared to vanish
-    at the inner slice (the class the inequality quantifies over)."""
+def cutoff_bump_sampler(geom: CarlemanGeometry, rank: int = 2) -> Callable:
+    """One to three random smooth bumps, cutoff on the outer side and collared
+    to vanish at the inner slice (the class the inequality quantifies over)."""
     grid = geom.grid
     T = geom.T
     t = grid.t
@@ -192,7 +188,7 @@ def cutoff_bump_sampler(geom: CarlemanGeometry, rank: int = 2,
 
     def sample(rng: np.random.Generator) -> SpinorField:
         profile = np.zeros(grid.n)
-        for _ in range(int(rng.integers(1, max_bumps + 1))):
+        for _ in range(int(rng.integers(1, 4))):
             mu = rng.uniform(0.25 * T, 0.65 * T)
             sig = rng.uniform(T / 14.0, T / 7.0)
             profile += rng.uniform(0.3, 1.0) * np.exp(-((t - mu) ** 2) / (2.0 * sig ** 2))
@@ -212,10 +208,18 @@ def cutoff_bump_sampler(geom: CarlemanGeometry, rank: int = 2,
 
 @dataclass(eq=False)
 class SweepResult:
+    """Per R, the report of the sample with the largest finite ratio and that
+    ratio as the estimate; with no finite ratio, the first sample's report
+    and a nan estimate."""
+
     R_grid: np.ndarray
     reports: List[CarlemanReport]
     estimates: np.ndarray
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """Every sampled ratio undefined."""
+        return not np.isfinite(self.estimates).any()
 
     @property
     def spread(self) -> float:
@@ -251,26 +255,15 @@ def constant_sweep(op: DiracOperator, sampler: Callable, R_grid: Sequence[float]
             return carleman_ratio(op, v, float(R_grid[i_r]), geom)
         return perturbed_carleman_ratio(op, perturbation, v, float(R_grid[i_r]), geom)
 
-    flat = [one(i_r, i_s) for i_r in range(R_grid.size) for i_s in range(n_samples)]
-
     reports, estimates = [], []
-    degenerate = True
     for i_r in range(R_grid.size):
-        group = flat[i_r * n_samples:(i_r + 1) * n_samples]
+        group = [one(i_r, i_s) for i_s in range(n_samples)]
         ratios = np.array([g.ratio for g in group])
-        finite = ratios[np.isfinite(ratios)]
-        if finite.size:
-            degenerate = False
-            best = int(np.nanargmax(np.where(np.isfinite(ratios), ratios, -np.inf)))
-            rep = group[best]
-            est = float(np.max(finite))
-        else:
-            rep = group[0]
-            est = math.nan
-        reports.append(CarlemanReport(rep.R, rep.log_lhs, rep.log_rhs, rep.ratio, est,
-                                      rep.c0, rep.violation))
-        estimates.append(est)
-    return SweepResult(R_grid, reports, np.array(estimates), degenerate=degenerate)
+        finite = np.isfinite(ratios)
+        best = group[int(np.argmax(np.where(finite, ratios, -np.inf)))]
+        reports.append(best)
+        estimates.append(best.ratio if finite.any() else math.nan)
+    return SweepResult(R_grid, reports, np.array(estimates))
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +402,13 @@ class JTermRecord:
         return self.j_mix - self.R * self.j0 - self.j_skew_pert
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def appendix_decomposition(op: DiracOperator, P: Perturbation, v: SpinorField,
                            R: float, geom: CarlemanGeometry,
                            balance: float = 0.25) -> JTermRecord:
     """J-terms of the identity |L v0|^2 = J_skew + J_sym + J_mix after the
     substitution v = exp(-R(T-t)^2/2) v0.  Direct exponentials: intended for
-    moderate R (R T^2 well below overflow scale)."""
+    moderate R; a J-term that overflows raises PreconditionError."""
     _check_domain(geom, v)
     _support_check(v, geom)
     w = geom.grid.quad_weights()
@@ -455,5 +449,9 @@ def appendix_decomposition(op: DiracOperator, P: Perturbation, v: SpinorField,
     j_err = float(np.sum(w * np.sum(np.abs(v0) ** 2, axis=-1)
                          * (R - quot ** 2 / balance)))
 
-    return JTermRecord(R, j0, j1, j_skew, j_sym, j_mix, j3,
-                       j_skew_pert, j_sym_pert, j_err, balance)
+    rec = JTermRecord(R, j0, j1, j_skew, j_sym, j_mix, j3,
+                      j_skew_pert, j_sym_pert, j_err, balance)
+    if not all(map(math.isfinite, astuple(rec))):
+        raise PreconditionError(
+            f"J-terms overflow at R T^2 = {R * geom.T ** 2:.4g}: lower R or T")
+    return rec

@@ -101,14 +101,9 @@ def _rank_one_l2(geom: cl.CarlemanGeometry) -> Perturbation:
     return Perturbation.rank_one(SpinorField(grid, a))
 
 
-def _build_perturbation(name: str, geom: cl.CarlemanGeometry) -> Optional[Perturbation]:
-    if name == "none":
-        return None
-    if name == "pointwise":
-        return _pointwise_unit(geom)
-    if name == "rank-one":
-        return _rank_one_l2(geom)
-    raise ValueError(f"unknown perturbation {name!r}")
+# values of the `perturbation` config key: geometry -> Perturbation, or None
+PERTURBATIONS = {"none": lambda geom: None, "pointwise": _pointwise_unit,
+                 "rank-one": _rank_one_l2}
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +116,16 @@ def run_carleman(opts: dict, seed: int, out: Path) -> SuiteOutput:
     op = model_operator_1d(geom.grid)
     R_grid = np.logspace(math.log10(opts["r_min"]), math.log10(opts["r_max"]),
                          int(opts["r_points"]))
-    pert = _build_perturbation(opts["perturbation"], geom)
+    pert = PERTURBATIONS[opts["perturbation"]](geom)
     sampler = cl.cutoff_bump_sampler(geom)
 
     sweep = cl.constant_sweep(op, sampler, R_grid, geom, n_samples=int(opts["samples"]),
                               perturbation=pert, seed=seed, require_span=False)
     rows = []
-    for rep in sweep.reports:
+    for rep, est in zip(sweep.reports, sweep.estimates):
         conclusive = rep.R >= R_SUFFICIENT
-        rows.append([rep.R, geom.T, rep.log_lhs, rep.log_rhs, rep.ratio,
-                     rep.constant_estimate, "conclusive" if conclusive else "inconclusive"])
+        rows.append([rep.R, geom.T, rep.log_lhs, rep.log_rhs, rep.ratio, est,
+                     "conclusive" if conclusive else "inconclusive"])
         if not conclusive:
             res.inconclusive.append(f"R={rep.R:g} below the large-parameter regime")
     _write_csv(out / "carleman.csv",
@@ -206,7 +201,7 @@ def run_decay(opts: dict, seed: int, out: Path) -> SuiteOutput:
     res = SuiteOutput()
     geom = cl.CarlemanGeometry.interval(opts["T"], opts["n_t"])
     op = model_operator_1d(geom.grid)
-    pert = _build_perturbation(opts["perturbation"], geom) or Perturbation.zero()
+    pert = PERTURBATIONS[opts["perturbation"]](geom) or Perturbation.zero()
     delta = float(opts["seed_amplitude"])
     u = integrate_zero_data(op, pert, u0=np.array([delta, 0.0], dtype=complex))
     R_grid = np.logspace(math.log10(opts["r_min"]), math.log10(opts["r_max"]),
@@ -444,7 +439,7 @@ SUITES: Dict[str, tuple] = {
 
 def parse_config_text(text: str) -> dict:
     """Flat key = value lines; '#' comments; ints, floats, booleans, quoted
-    strings, bare strings and [comma, lists]."""
+    strings and bare strings."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -460,9 +455,6 @@ def parse_config_text(text: str) -> dict:
 
 
 def _coerce(value: str, lineno: int):
-    if value.startswith("[") and value.endswith("]"):
-        inner = value[1:-1].strip()
-        return [_coerce(v.strip(), lineno) for v in inner.split(",")] if inner else []
     if value.lower() in ("true", "false"):
         return value.lower() == "true"
     if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
@@ -528,6 +520,10 @@ def run(suite: str, config_file: Optional[str] = None, seed: int = 42,
             if not _matches_default_type(value, default):
                 print(f"error: config key {key!r} takes a value like {default!r}, "
                       f"got {value!r}", file=sys.stderr)
+                return 2
+            if key == "perturbation" and value not in PERTURBATIONS:
+                print(f"error: config key 'perturbation' takes one of "
+                      f"{', '.join(PERTURBATIONS)}, got {value!r}", file=sys.stderr)
                 return 2
             if key == "seed":
                 seed = value

@@ -62,7 +62,6 @@ class BranchedSolution:
     branch_point: float
     residual0: float
     residual1: float
-    label: str
 
     @property
     def agreement_sup(self) -> float:
@@ -101,24 +100,23 @@ def _rk4_track(f: Callable, x0: float, y0: float, x1: float, h: float,
 
 
 _PEANO_CASES = {
-    "sqrt": (lambda x, y: 2.0 * math.sqrt(abs(y)), lambda s: s ** 2, 2),
-    "two-thirds": (lambda x, y: 3.0 * abs(y) ** (2.0 / 3.0), lambda s: s ** 3, 3),
+    "sqrt": (lambda x, y: 2.0 * math.sqrt(abs(y)), lambda s: s ** 2),
+    "two-thirds": (lambda x, y: 3.0 * abs(y) ** (2.0 / 3.0), lambda s: s ** 3),
 }
 
 
-def peano_branches(case: str, c: float, grid: Optional[Grid1D] = None,
-                   rk4_steps: int = 4096, rk4_tol: float = 1e-6) -> BranchedSolution:
+def peano_branches(case: str, c: float, grid: Optional[Grid1D] = None) -> BranchedSolution:
     """Zero branch and the analytic branch leaving u = 0 at x = c.
 
     case 'sqrt':        u' = 2 sqrt|u|,   u1 = (x-c)^2 past c;
     case 'two-thirds':  u' = 3 u^{2/3},   u1 = (x-c)^3 past c.
 
     The nontrivial branch is re-integrated by RK4 from just past the branch
-    point as an independent cross-check.
+    point as an independent cross-check, which must agree to 1e-6.
     """
     if case not in _PEANO_CASES:
         raise ValueError(f"unknown case {case!r}")
-    rhs, branch, _power = _PEANO_CASES[case]
+    rhs, branch = _PEANO_CASES[case]
     if grid is None:
         grid = Grid1D.uniform(max(4.0, c + 3.0), 4097)
     x = grid.t
@@ -137,18 +135,19 @@ def peano_branches(case: str, c: float, grid: Optional[Grid1D] = None,
 
     # independent shooting check from (c + eps, u1(c + eps)), fixed step domain/4096
     eps = max(0.1 * (x[-1] - c), 8.0 * grid.spacing)
-    h_rk4 = (x[-1] - x[0]) / rk4_steps
+    h_rk4 = (x[-1] - x[0]) / 4096
     deviation = _rk4_track(rhs, c + eps, branch(eps), float(x[-1]), h_rk4,
                            lambda xi: branch(xi - c))
-    if deviation > rk4_tol:
+    if deviation > 1e-6:
         raise ValueError(f"RK4 re-integration deviates by {deviation:.3e}")
 
-    return BranchedSolution(grid, u0, u1, c, residual0, residual1, f"peano-{case}")
+    return BranchedSolution(grid, u0, u1, c, residual0, residual1)
 
 
-def default_rank_one_profile(x: np.ndarray, collar_fraction: float = 0.02) -> np.ndarray:
-    """sqrt(2) times the indicator of [1,2], smoothstep-collared at the jump."""
-    width = collar_fraction * (x[-1] - x[0])
+def default_rank_one_profile(x: np.ndarray) -> np.ndarray:
+    """sqrt(2) times the indicator of [1,2], smoothstep-collared at the jump
+    over 2% of the grid's length."""
+    width = 0.02 * (x[-1] - x[0])
     return math.sqrt(2.0) * smoothstep((x - 1.0) / width) * (x >= 1.0)
 
 
@@ -198,5 +197,5 @@ def rank_one_counterexample(a: Optional[np.ndarray] = None,
     if residual1 > 1e-6:
         raise NormalizationError(f"branch residual {residual1:.3e} exceeds 1e-6")
 
-    sol = BranchedSolution(grid, u0, u1, 1.0, 0.0, residual1, "rank-one")
+    sol = BranchedSolution(grid, u0, u1, 1.0, 0.0, residual1)
     return sol, a

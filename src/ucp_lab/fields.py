@@ -35,8 +35,8 @@ class Grid1D:
         return hash((self.t.size, float(self.t[0]), float(self.t[-1])))
 
     @classmethod
-    def uniform(cls, t_max: float, n: int, t_min: float = 0.0) -> "Grid1D":
-        return cls(np.linspace(t_min, t_max, n))
+    def uniform(cls, t_max: float, n: int) -> "Grid1D":
+        return cls(np.linspace(0.0, t_max, n))
 
     @property
     def n(self) -> int:
@@ -49,8 +49,8 @@ class Grid1D:
     def quad_weights(self) -> np.ndarray:
         return trapezoid_weights(self.t)
 
-    def zeros(self, rank: int = 2) -> "SpinorField":
-        return SpinorField(self, np.zeros((self.n, rank), dtype=complex))
+    def zeros(self) -> "SpinorField":
+        return SpinorField(self, np.zeros((self.n, 2), dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +88,6 @@ class AnnulusGrid:
     def theta(self) -> np.ndarray:
         return np.arange(self.n_theta) * (2.0 * np.pi / self.n_theta)
 
-    def radius(self, i: int) -> float:
-        return self.r0 + float(self.t[i])
-
     def radii(self) -> np.ndarray:
         return self.r0 + self.t
 
@@ -98,8 +95,8 @@ class AnnulusGrid:
         wt = trapezoid_weights(self.t)
         return wt[:, None] * (self.radii()[:, None] * (2.0 * np.pi / self.n_theta))
 
-    def zeros(self, rank: int = 2) -> "SpinorField":
-        return SpinorField(self, np.zeros((self.n, self.n_theta, rank), dtype=complex))
+    def zeros(self) -> "SpinorField":
+        return SpinorField(self, np.zeros((self.n, self.n_theta, 2), dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +118,8 @@ class FlatDomain:
     def quad_weights(self) -> np.ndarray:
         return self.weights
 
-    def zeros(self, rank: int = 2) -> "SpinorField":
-        return SpinorField(self, np.zeros((self.n, rank), dtype=complex))
+    def zeros(self) -> "SpinorField":
+        return SpinorField(self, np.zeros((self.n, 2), dtype=complex))
 
 
 @dataclass(eq=False)
@@ -154,9 +151,6 @@ class SpinorField:
 
     def sup_norm(self) -> float:
         return float(np.max(self.fiber_abs())) if self.values.size else 0.0
-
-    def copy(self) -> "SpinorField":
-        return SpinorField(self.grid, self.values.copy())
 
     def __add__(self, other: "SpinorField") -> "SpinorField":
         self._check_same(other)

@@ -141,12 +141,10 @@ def model_operator_1d(grid: Grid1D, b_amp: float = 1.0, c_amp: float = 0.5) -> D
     return DiracOperator(fr, grid, fr.generator(0), B, C)
 
 
-def constant_operator_1d(grid: Grid1D, B0: Optional[np.ndarray] = None) -> DiracOperator:
+def constant_operator_1d(grid: Grid1D) -> DiracOperator:
     """Constant-coefficient 1D operator with C = 0 (appendix reference case)."""
     fr = frame(1)
-    if B0 is None:
-        B0 = np.array([[0.7, 0.2], [0.2, -0.5]], dtype=complex)
-    B = np.broadcast_to(B0, (grid.n, 2, 2)).copy()
+    B = np.tile(np.array([[0.7, 0.2], [0.2, -0.5]], dtype=complex), (grid.n, 1, 1))
     return DiracOperator(fr, grid, fr.generator(0), B, np.zeros_like(B))
 
 

@@ -1,8 +1,8 @@
 """Zeroth-order perturbations P(u) and the pointwise admissibility criterion.
 
-Shipped kinds all satisfy P(0) = 0 exactly.  Local kinds are a fiber map of
-a per-point coefficient c, P(u)(x) = fiber(c(x), u(x)):
-  zero        P(u) = 0
+Shipped kinds all satisfy P(0) = 0 exactly.  The zero kind has neither a
+fiber nor a field map.  Local kinds are a fiber map of a per-point
+coefficient c, P(u)(x) = fiber(c(x), u(x)):
   pointwise   P(u)(x) = <u(x), a(x)> u(x)
   matrix      P(u)(x) = M(x) u(x)      (bundle map of the torus linearization)
 Nonlocal kinds are a whole-field map P(u) = field(u):
@@ -10,7 +10,8 @@ Nonlocal kinds are a whole-field map P(u) = field(u):
   rank-one    P(u)(x) = <u, a>_{L2} a(x)
 integrate_zero_data reads the operator's stored B + C and a local kind's
 coefficient at the RK4 stage times, applies local kinds to each stage value
-(order 4) and freezes nonlocal kinds once per step, zero ahead of the front.
+(order 4) and freezes nonlocal kinds once per step, zero ahead of the front;
+the zero kind adds no term.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ class Perturbation:
 
     @classmethod
     def zero(cls) -> "Perturbation":
-        return cls(fiber=lambda c, v: np.zeros_like(v))
+        return cls()
 
     @classmethod
     def pointwise(cls, a: SpinorField) -> "Perturbation":
@@ -66,6 +67,8 @@ def eval_perturbation(P: Perturbation, u: SpinorField) -> SpinorField:
         same_grid(P.a, u)
     if P.field is not None:
         return SpinorField(u.grid, P.field(u))
+    if P.fiber is None:
+        return SpinorField(u.grid, np.zeros_like(u.values))
     return SpinorField(u.grid, P.fiber(P.coeff, u.values))
 
 
@@ -111,11 +114,10 @@ class UcpConditionResult:
     c0: Optional[float] = None
 
 
-def ucp_condition_check(a: SpinorField, u: SpinorField, zero_tol: float = 1e-12,
-                        run_length: int = 3) -> UcpConditionResult:
+def ucp_condition_check(a: SpinorField, u: SpinorField) -> UcpConditionResult:
     """Which continuation condition holds for the fixed spinor a and solution u.
 
-    (i)  a has no zero run of >= run_length consecutive samples,
+    (i)  a has no zero run (|a| < 1e-12) of >= 3 consecutive samples,
     (ii) |a(x)| <= C0 |u(x)| everywhere on the grid,
     else neither.
     """
@@ -126,13 +128,13 @@ def ucp_condition_check(a: SpinorField, u: SpinorField, zero_tol: float = 1e-12,
     holds_i = True
     run = 0
     for m in mag_a:
-        run = run + 1 if m < zero_tol else 0
-        if run >= run_length:
+        run = run + 1 if m < 1e-12 else 0
+        if run >= 3:
             holds_i = False
             break
 
     zero_u = mag_u == 0.0
-    holds_ii = not np.any(mag_a[zero_u] > zero_tol)
+    holds_ii = not np.any(mag_a[zero_u] > 1e-12)
     c0 = None
     if holds_ii:
         active = ~zero_u & (mag_a > 0.0)
@@ -153,7 +155,7 @@ def integrate_zero_data(op, P: Perturbation, u0: Optional[np.ndarray] = None) ->
     midpoint by the 4-point rule, so the march keeps order 4.  A local kind
     acts on each stage value.  A nonlocal kind is evaluated once per step on
     the marched state (zero ahead of the front, exact for zero data) and
-    interpolated linearly to the stage times.
+    interpolated linearly to the stage times.  The zero kind adds no term.
     """
     grid: Grid1D = op.grid
     if not isinstance(grid, Grid1D):
@@ -166,16 +168,19 @@ def integrate_zero_data(op, P: Perturbation, u0: Optional[np.ndarray] = None) ->
     cl_inv = -op.cl_dt  # cl(dt)^{-1}
     h = grid.spacing
     tangential = _stages(op.B + op.C)
-    if P.field is None:
+    if P.fiber is not None:
         coeff_at = _stages(np.broadcast_to(P.coeff, (grid.n,) + np.shape(P.coeff)[1:]))
     for i in range(grid.n - 1):
         y = values[i]
         frozen = None if P.field is None else P.field(SpinorField(grid, values))
 
         def rhs(s, y):
-            p = (P.fiber(coeff_at[s][i], y) if frozen is None
-                 else (1.0 - s) * frozen[i] + s * frozen[i + 1])
-            return -tangential[s][i] @ y - cl_inv @ p
+            dy = -tangential[s][i] @ y
+            if frozen is not None:
+                return dy - cl_inv @ ((1.0 - s) * frozen[i] + s * frozen[i + 1])
+            if P.fiber is not None:
+                return dy - cl_inv @ P.fiber(coeff_at[s][i], y)
+            return dy
 
         k1 = rhs(0.0, y)
         k2 = rhs(0.5, y + 0.5 * h * k1)

@@ -100,10 +100,6 @@ class TorusLattice:
     def gradient(self, f):
         return self.spectral(f, lambda h: 1j * self.kr * h)
 
-    def green(self, f):
-        """Inverse of the positive Laplacian; the mean mode is annihilated."""
-        return self.spectral(f, lambda h: self.green_r * h)
-
     def __eq__(self, other):
         return isinstance(other, TorusLattice) and other.N == self.N
 
@@ -339,8 +335,9 @@ def _generic_forms(lattice: TorusLattice, count: int) -> np.ndarray:
     return _trig_forms(lattice, _GENERIC, count)
 
 
-def default_epsilons(k_max: int = 6) -> np.ndarray:
-    return np.array([4.0 ** (-k) / math.factorial(k) for k in range(k_max + 1)])
+def default_epsilons() -> np.ndarray:
+    """Floer weights 4^-k / k! for the derivative orders k = 0..6."""
+    return np.array([4.0 ** (-k) / math.factorial(k) for k in range(7)])
 
 
 def default_params(lattice: TorusLattice, n_tau: int = 5, n_zeta: int = 3,
@@ -407,13 +404,9 @@ def sw_residual(config: SWConfiguration) -> Tuple[float, float]:
 
 
 def _dressing(lat: TorusLattice, alpha_hat: np.ndarray) -> np.ndarray:
-    """exp(i G(div alpha)/2) from the half spectrum of alpha (one fused symbol)."""
+    """The eta dressing exp(-G d*(A - A_0)/2) = exp(i G(div alpha)/2), a
+    unit-modulus scalar, from the half spectrum of alpha (one fused symbol)."""
     return np.exp(1j * lat.irfft(0.5 * lat.green_r * np.sum(1j * lat.kr * alpha_hat, axis=0)))
-
-
-def eta_dressing(config: SWConfiguration) -> np.ndarray:
-    """Unit-modulus scalar exp(-G d*(A - A_0)/2) = exp(i G(div alpha)/2)."""
-    return _dressing(config.lattice, config.lattice.rfft(config.alpha))
 
 
 def _taus(config: SWConfiguration, mus: np.ndarray) -> np.ndarray:
@@ -437,9 +430,10 @@ def _zetas(sigma: np.ndarray, nus: np.ndarray, lattice: TorusLattice) -> np.ndar
 
 def _etas(config: SWConfiguration, params: PerturbationParams,
           dressing: Optional[np.ndarray] = None) -> np.ndarray:
-    X = eta_dressing(config) if dressing is None else dressing
+    lat = config.lattice
+    X = _dressing(lat, lat.rfft(config.alpha)) if dressing is None else dressing
     return (np.tensordot(params.spinor_basis, X[None] * np.conj(config.psi), axes=4)
-            * config.lattice.volume_element)
+            * lat.volume_element)
 
 
 @dataclass(eq=False)
@@ -554,26 +548,25 @@ def grad_csd(config: SWConfiguration, params: Optional[PerturbationParams] = Non
 
 def flow_step(config: SWConfiguration, params: Optional[PerturbationParams] = None,
               case: str = "unperturbed", dt: float = 1e-2,
-              scheme: str = "explicit", energy_tol: float = 1e-10) -> SWConfiguration:
+              scheme: str = "explicit") -> SWConfiguration:
     """One step of the downward flow d/dt (A, psi) = -grad csd.
 
-    'explicit' checks that the functional did not increase beyond tolerance
-    and raises FlowInstabilityError otherwise.  'semi-implicit' treats the
-    linear part L = (curl, 2 D_0) implicitly, x_new = x - dt (I + dt L)^-1
-    grad csd(x), with the closed-form per-mode resolvents (S = cl(i k),
-    C = i k x, C^2 = |k|^2 P_perp):
+    'explicit' checks that the functional did not increase by more than
+    1e-10 (1 + |csd|) and raises FlowInstabilityError otherwise.
+    'semi-implicit' treats the linear part L = (curl, 2 D_0) implicitly,
+    x_new = x - dt (I + dt L)^-1 grad csd(x), with the closed-form per-mode
+    resolvents (S = cl(i k), C = i k x, C^2 = |k|^2 P_perp):
         (I + 2 dt S)^-1 = (I - 2 dt S) / (1 - 4 dt^2 |k|^2),
         (I + dt C)^-1 = P_par + (I - dt C) P_perp / (1 - dt^2 |k|^2).
     Its fixed points are exactly the critical points; a dt within
     RESONANCE_MARGIN of a pole raises FlowInstabilityError.
     """
-    return _descend(config, evaluate(config, params, case), params, case, dt, scheme,
-                    energy_tol)[0]
+    return _descend(config, evaluate(config, params, case), params, case, dt, scheme)[0]
 
 
 def _descend(config: SWConfiguration, ev: Evaluation,
-             params: Optional[PerturbationParams], case: str, dt: float, scheme: str,
-             energy_tol: float = 1e-10) -> Tuple[SWConfiguration, Optional[Evaluation]]:
+             params: Optional[PerturbationParams], case: str, dt: float,
+             scheme: str) -> Tuple[SWConfiguration, Optional[Evaluation]]:
     """flow_step from the evaluation ev of config: the new configuration and,
     for the explicit scheme, the evaluation its energy check made of it."""
     if dt <= 0:
@@ -582,7 +575,7 @@ def _descend(config: SWConfiguration, ev: Evaluation,
     if scheme == "explicit":
         new = SWConfiguration(lat, config.alpha - dt * g.alpha, config.psi - dt * g.phi)
         after = evaluate(new, params, case)
-        if after.value > ev.value + energy_tol * (1.0 + abs(ev.value)):
+        if after.value > ev.value + 1e-10 * (1.0 + abs(ev.value)):
             raise FlowInstabilityError(
                 f"functional increased by {after.value - ev.value:.3e} in an explicit step")
         return new, after
@@ -747,15 +740,14 @@ class BoundVerdict:
     residual: float
 
 
-def scalar_bound_check(config: SWConfiguration, residual_tol: float = 1e-6,
-                       bound_tol: float = 1e-6) -> BoundVerdict:
+def scalar_bound_check(config: SWConfiguration) -> BoundVerdict:
     """On the flat torus the curvature-scalar bound forces sup|psi|^2 <= 0,
-    checked to tolerance for configurations that solve the equations."""
+    checked to 1e-6 for configurations that solve the equations to 1e-6."""
     r = max(sw_residual(config))
     sup_sq = config.sup_psi_sq()
-    if r >= residual_tol:
+    if r >= 1e-6:
         return BoundVerdict("inconclusive", sup_sq, r)
-    status = "pass" if sup_sq <= bound_tol else "fail"
+    status = "pass" if sup_sq <= 1e-6 else "fail"
     return BoundVerdict(status, sup_sq, r)
 
 
@@ -765,7 +757,6 @@ class LinearizationUcpRecord:
     mixed_admissible_in_phi: bool
     case1: Perturbation
     case1_witness_c0: float
-    case2_dressed_sups: np.ndarray      # sup norms of the dressed basis spinors
 
     def case1_field(self, phi: np.ndarray) -> SpinorField:
         flat = phi.reshape(phi.shape[0], -1).T
@@ -789,10 +780,10 @@ def linearization_ucp_setup(config: SWConfiguration,
 
     n_pts = lat.n ** 3
     weights = np.full(n_pts, lat.volume_element)
-    carrier = FlatDomain(weights).zeros(rank=2)
+    carrier = FlatDomain(weights).zeros()
 
     M = np.zeros((lat.n, lat.n, lat.n, 2, 2), dtype=complex)
-    witness, dressed_sups = 0.0, np.zeros(0)
+    witness = 0.0
     if params is not None:
         sigma = sigma_polarized(config.psi, config.psi)
         coeffs = params.p2.grad(_zetas(sigma, params.nus, lat))
@@ -800,12 +791,9 @@ def linearization_ucp_setup(config: SWConfiguration,
         M = -1j * np.einsum("jab,jxyz->xyzab", _GEN, np.tensordot(coeffs, params.nus, axes=1))
         for c, nu in zip(coeffs, params.nus):
             witness += abs(c) * float(np.max(np.sqrt(np.sum(nu ** 2, axis=0))))
-        dressed = eta_dressing(config)[None] * params.spinor_basis
-        dressed_sups = np.array([float(np.max(np.sqrt(np.sum(np.abs(d) ** 2, axis=0))))
-                                 for d in dressed])
 
     pert = Perturbation.matrix_field(carrier, M.reshape(n_pts, 2, 2))
-    return LinearizationUcpRecord(mixed_coefficient, False, pert, witness, dressed_sups)
+    return LinearizationUcpRecord(mixed_coefficient, False, pert, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,9 @@ def test_constant_sweep_determinism():
     one = constant_sweep(op, sampler, grid_R, geom, n_samples=4, seed=9)
     two = constant_sweep(op, sampler, grid_R, geom, n_samples=4, seed=9)
     assert np.array_equal(one.estimates, two.estimates)
+    # each estimate is the ratio of the report kept for its R
+    for est, rep in zip(one.estimates, one.reports):
+        assert not np.isfinite(est) or est == rep.ratio
 
 
 def test_constant_sweep_grid_validation_and_empty_samples():
@@ -331,6 +335,20 @@ def test_appendix_constant_coefficient_mix_residual_converges():
         hs.append(geom.grid.spacing)
     slope = np.polyfit(np.log(hs), np.log(defects), 1)[0]
     assert slope >= 1.9
+
+
+def test_appendix_overflow_raises_typed_error():
+    """At T = 0.1 the direct exponentials overflow the J-terms between
+    R = 7e4 (finite, identity holds) and R = 1e5 (j1 = inf)."""
+    geom = interval_geom(n=1025)
+    op = model_operator_1d(geom.grid)
+    v = cutoff_bump_sampler(geom)(np.random.default_rng(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = appendix_decomposition(op, Perturbation.zero(), v, 7e4, geom)
+        assert rec.identity_defect <= 1e-10
+        with pytest.raises(PreconditionError, match=r"R T\^2"):
+            appendix_decomposition(op, Perturbation.zero(), v, 1e5, geom)
 
 
 def test_appendix_identity_on_annulus_operator():

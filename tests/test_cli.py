@@ -30,9 +30,8 @@ def test_unknown_suite_exits_2(tmp_path):
 
 def test_config_parsing_types():
     parsed = parse_config_text(
-        "a = 1\nb = 2.5\nc = true\nd = hello\ne = 'quoted'\nf = [1, 2.0]\n# note\n")
-    assert parsed == {"a": 1, "b": 2.5, "c": True, "d": "hello",
-                      "e": "quoted", "f": [1, 2.0]}
+        "a = 1\nb = 2.5\nc = true\nd = hello\ne = 'quoted'\n# note\n")
+    assert parsed == {"a": 1, "b": 2.5, "c": True, "d": "hello", "e": "quoted"}
 
 
 def test_config_parse_errors():
@@ -72,6 +71,18 @@ def test_config_value_types_follow_defaults(tmp_path):
         suite = "observables" if "trials" in text else "carleman"
         assert run_cli("run", "--suite", suite, "--config", str(cfg),
                        "--out", str(tmp_path / "out")) == code, text
+
+
+@pytest.mark.parametrize("suite", ["carleman", "decay"])
+def test_unknown_perturbation_exits_2_naming_key(tmp_path, capsys, suite):
+    cfg = tmp_path / "c.cfg"
+    for value in ('"bogus"', "[none]"):
+        cfg.write_text(f"perturbation = {value}\n")
+        code = run_cli("run", "--suite", suite, "--config", str(cfg),
+                       "--out", str(tmp_path / "out"))
+        assert code == 2, value
+        assert "'perturbation'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_negative_seed_flag_exits_2_naming_seed(tmp_path, capsys):

@@ -174,6 +174,18 @@ def test_zero_data_integration_stays_zero():
         assert u.sup_norm() < 1e-12
 
 
+def test_zero_march_matches_zero_pointwise_carrier():
+    """The zero kind skips the perturbation term; marching a pointwise kind
+    with an all-zero carrier, which keeps it, gives the same bits."""
+    grid = Grid1D.uniform(0.1, 1025)
+    op = model_operator_1d(grid)
+    u0 = np.array([1e-12, 0.3e-12j])
+    skipped = integrate_zero_data(op, Perturbation.zero(), u0=u0)
+    kept = integrate_zero_data(op, Perturbation.pointwise(grid.zeros()), u0=u0)
+    assert np.array_equal(skipped.values, kept.values)
+    assert skipped.sup_norm() > 0.0
+
+
 def march_orders(make_op, make_P, ns, T):
     """Observed orders of the march's end value over successive grid halvings."""
     ends = []

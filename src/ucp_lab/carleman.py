@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import (DomainMismatchError, NonAdmissibleError, PreconditionError,
                      SupportConditionError)
-from .fields import AnnulusGrid, Grid1D, SpinorField
+from .clifford import fiber_inner
+from .fields import AnnulusGrid, Grid1D, SpinorField, fiber_norm2
 from .operators import DiracOperator, dirac_apply, time_derivative
 from .perturbations import Perturbation, admissibility_bound, eval_perturbation
 
@@ -94,17 +95,13 @@ def log_weighted_l2(v: SpinorField, R: float, geom: CarlemanGeometry) -> float:
     _check_domain(geom, v)
     if R < 0:
         raise ValueError("weight parameter R must be nonnegative")
-    w = geom.grid.quad_weights()
-    dens = w * np.sum(np.abs(v.values) ** 2, axis=-1)
-    expo_full = np.broadcast_to(
-        (R * (geom.T - geom.grid.t) ** 2).reshape((geom.grid.n,) + (1,) * (dens.ndim - 1)),
-        dens.shape,
-    )
-    mask = dens > 0.0
+    dens = geom.grid.quad_weights() * fiber_norm2(v.values)
+    # the weight depends on t only: log-sum-exp of slice masses (scipy's arithmetic)
+    mass = np.sum(dens, axis=tuple(range(1, dens.ndim)))
+    mask = mass > 0.0
     if not mask.any():
         return -math.inf
-    # shifted log-sum-exp with the maximal terms summed apart (scipy's arithmetic)
-    a, b = expo_full[mask], dens[mask]
+    a, b = R * (geom.T - geom.grid.t[mask]) ** 2, mass[mask]
     a_max = np.max(a)
     at_max = a == a_max
     m = np.sum(b * at_max)
@@ -130,13 +127,11 @@ class CarlemanReport:
 
 def _support_check(v: SpinorField, geom: CarlemanGeometry):
     """|v| must vanish (to tolerance) on the last 5% of slices."""
-    sup = v.sup_norm()
+    mag = v.fiber_abs()
+    sup = float(np.max(mag, initial=0.0))
     if sup == 0.0:
         return
-    t = geom.grid.t
-    tail = t > 0.95 * geom.T
-    mag = v.fiber_abs()
-    tail_sup = float(np.max(mag[tail])) if tail.any() else 0.0
+    tail_sup = float(np.max(mag[geom.grid.t > 0.95 * geom.T], initial=0.0))
     if tail_sup >= SUPPORT_TOL * sup:
         raise SupportConditionError(
             f"field magnitude {tail_sup:.3e} on the last 5% of slices exceeds "
@@ -336,12 +331,12 @@ def ucp_decay_check(op: DiracOperator, P: Perturbation, u: SpinorField,
         (geom.grid.n,) + (1,) * (u.values.ndim - 1))
     collar_term = op.apply_cl_dt(phi_prime * u.values)
     w = geom.grid.quad_weights()
-    cutoff_integral = float(np.sum(w * np.sum(np.abs(collar_term) ** 2, axis=-1)))
+    cutoff_integral = float(np.sum(w * fiber_norm2(collar_term)))
 
     half = t <= 0.5 * T
     sub_w = np.copy(w)
     sub_w[~half] = 0.0
-    measured = float(np.sum(sub_w * np.sum(np.abs(u.values) ** 2, axis=-1)))
+    measured = float(np.sum(sub_w * fiber_norm2(u.values)))
 
     log_measured = math.log(measured) if measured > 0 else -math.inf
     log_cut = math.log(cutoff_integral) if cutoff_integral > 0 else -math.inf
@@ -419,7 +414,7 @@ def appendix_decomposition(op: DiracOperator, P: Perturbation, v: SpinorField,
     h = geom.grid.spacing
 
     def wip(x, y) -> float:
-        return float(np.sum(w * np.real(np.sum(x * np.conj(y), axis=-1))))
+        return float(np.sum(w * fiber_inner(x, y).real))
 
     pv = eval_perturbation(P, v).values
     q = op.apply_cl_dt_inverse(pv)          # reduced perturbation for d/dt + Bcal
@@ -443,11 +438,9 @@ def appendix_decomposition(op: DiracOperator, P: Perturbation, v: SpinorField,
     j_skew_pert = 2.0 * wip(skew, pert)
     j_sym_pert = 2.0 * wip(symB, pert)
 
-    mag_v = v.fiber_abs()
-    mag_p = np.sqrt(np.sum(np.abs(pv) ** 2, axis=-1))
-    quot = np.divide(mag_p, mag_v, out=np.zeros_like(mag_p), where=mag_v > 0)
-    j_err = float(np.sum(w * np.sum(np.abs(v0) ** 2, axis=-1)
-                         * (R - quot ** 2 / balance)))
+    mag2_v, mag2_p = fiber_norm2(v.values), fiber_norm2(pv)
+    quot2 = np.divide(mag2_p, mag2_v, out=np.zeros_like(mag2_p), where=mag2_v > 0)
+    j_err = float(np.sum(w * fiber_norm2(v0) * (R - quot2 / balance)))
 
     rec = JTermRecord(R, j0, j1, j_skew, j_sym, j_mix, j3,
                       j_skew_pert, j_sym_pert, j_err, balance)

@@ -28,7 +28,7 @@ from . import counterexamples as cx
 from . import torus as tw
 from .checkpoint import save_checkpoint, write_trajectory
 from .errors import FlowInstabilityError, NonAdmissibleError, UcpLabError
-from .fields import Grid1D, SpinorField
+from .fields import Grid1D, SpinorField, fiber_norm2
 from .operators import constant_operator_1d, model_operator_1d
 from .perturbations import (Perturbation, admissibility_bound,
                             integrate_zero_data, ucp_condition_check)
@@ -90,7 +90,7 @@ def _pointwise_unit(geom: cl.CarlemanGeometry) -> Perturbation:
     a = np.zeros((grid.n, 2), dtype=complex)
     a[:, 0] = np.cos(np.pi * grid.t / geom.T)
     a[:, 1] = 1j * np.sin(np.pi * grid.t / geom.T)
-    vals = np.sqrt(np.sum(np.abs(a) ** 2, axis=1))
+    vals = np.sqrt(fiber_norm2(a))
     return Perturbation.pointwise(SpinorField(grid, a / np.max(vals)))
 
 

@@ -73,4 +73,4 @@ def cl_form(fr: CliffordFrame, coeffs) -> np.ndarray:
 
 def fiber_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pointwise Hermitian product over the trailing fiber axis (linear in x)."""
-    return np.sum(np.asarray(x) * np.conj(y), axis=-1)
+    return np.einsum("...i,...i->...", x, np.conj(y))

@@ -5,7 +5,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .clifford import fiber_inner
 from .errors import DomainMismatchError
+
+
+def fiber_norm2(x: np.ndarray) -> np.ndarray:
+    """Pointwise |x|^2 over the trailing fiber axis."""
+    return fiber_inner(x, x).real
 
 
 def trapezoid_weights(t: np.ndarray) -> np.ndarray:
@@ -147,10 +153,10 @@ class SpinorField:
         return self.values.shape[-1]
 
     def fiber_abs(self) -> np.ndarray:
-        return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=-1))
+        return np.sqrt(fiber_norm2(self.values))
 
     def sup_norm(self) -> float:
-        return float(np.max(self.fiber_abs())) if self.values.size else 0.0
+        return float(np.sqrt(np.max(fiber_norm2(self.values), initial=0.0)))
 
     def __add__(self, other: "SpinorField") -> "SpinorField":
         self._check_same(other)
@@ -174,4 +180,4 @@ def l2_inner(u: SpinorField, v: SpinorField) -> complex:
     """Domain L2 product, linear in u, conjugated in v."""
     same_grid(u, v)
     w = u.grid.quad_weights()
-    return complex(np.sum(w * np.sum(u.values * np.conj(v.values), axis=-1)))
+    return complex(np.sum(w * fiber_inner(u.values, v.values)))

@@ -10,8 +10,8 @@ Nonlocal kinds are a whole-field map P(u) = field(u):
   rank-one    P(u)(x) = <u, a>_{L2} a(x)
 integrate_zero_data reads the operator's stored B + C and a local kind's
 coefficient at the RK4 stage times, applies local kinds to each stage value
-(order 4) and freezes nonlocal kinds once per step, zero ahead of the front;
-the zero kind adds no term.
+(order 4), freezes nonlocal kinds once per step, zero ahead of the front
+(rank-one from a running <u, a>), and adds no term for the zero kind.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .clifford import fiber_inner
 from .errors import DomainMismatchError
-from .fields import Grid1D, SpinorField, l2_inner, same_grid
+from .fields import Grid1D, SpinorField, fiber_norm2, l2_inner, same_grid
 
 
 @dataclass(eq=False)
@@ -31,6 +31,7 @@ class Perturbation:
     coeff: Any = 0.0                   # local kinds: per-point coefficient (or scalar)
     fiber: Optional[Callable] = None   # local kinds: (coeff, values) -> values
     field: Optional[Callable] = None   # nonlocal kinds: SpinorField -> values
+    l2_pairing: bool = False           # nonlocal: field(u) = <u, a>_{L2} a
 
     @classmethod
     def zero(cls) -> "Perturbation":
@@ -48,13 +49,13 @@ class Perturbation:
         def field(u: SpinorField) -> np.ndarray:
             w = u.grid.quad_weights().reshape(-1)
             integral = kernel @ (w[:, None] * u.values.reshape(-1, u.rank))
-            omega = np.sqrt(np.sum(np.abs(integral) ** 2, axis=-1))
+            omega = np.sqrt(fiber_norm2(integral))
             return omega.reshape(u.values.shape[:-1])[..., None] * u.values
         return cls(a_grid_field, field=field)
 
     @classmethod
     def rank_one(cls, a: SpinorField) -> "Perturbation":
-        return cls(a, field=lambda u: l2_inner(u, a) * a.values)
+        return cls(a, field=lambda u: l2_inner(u, a) * a.values, l2_pairing=True)
 
     @classmethod
     def matrix_field(cls, carrier: SpinorField, matrix: np.ndarray) -> "Perturbation":
@@ -125,13 +126,8 @@ def ucp_condition_check(a: SpinorField, u: SpinorField) -> UcpConditionResult:
     mag_a = a.fiber_abs().reshape(-1)
     mag_u = u.fiber_abs().reshape(-1)
 
-    holds_i = True
-    run = 0
-    for m in mag_a:
-        run = run + 1 if m < 1e-12 else 0
-        if run >= 3:
-            holds_i = False
-            break
+    z = mag_a < 1e-12
+    holds_i = not np.any(z[:-2] & z[1:-1] & z[2:])
 
     zero_u = mag_u == 0.0
     holds_ii = not np.any(mag_a[zero_u] > 1e-12)
@@ -170,14 +166,19 @@ def integrate_zero_data(op, P: Perturbation, u0: Optional[np.ndarray] = None) ->
     tangential = _stages(op.B + op.C)
     if P.fiber is not None:
         coeff_at = _stages(np.broadcast_to(P.coeff, (grid.n,) + np.shape(P.coeff)[1:]))
+    w, pairing = grid.quad_weights(), 0.0
     for i in range(grid.n - 1):
         y = values[i]
-        frozen = None if P.field is None else P.field(SpinorField(grid, values))
+        if P.l2_pairing:  # <values, a>_{L2} over the marched rows, one row per step
+            pairing = pairing + w[i] * fiber_inner(y, P.a.values[i])
+            frozen = pairing * P.a.values[i:i + 2]
+        elif P.field is not None:
+            frozen = P.field(SpinorField(grid, values))[i:i + 2]
 
         def rhs(s, y):
             dy = -tangential[s][i] @ y
-            if frozen is not None:
-                return dy - cl_inv @ ((1.0 - s) * frozen[i] + s * frozen[i + 1])
+            if P.field is not None:
+                return dy - cl_inv @ ((1.0 - s) * frozen[0] + s * frozen[1])
             if P.fiber is not None:
                 return dy - cl_inv @ P.fiber(coeff_at[s][i], y)
             return dy

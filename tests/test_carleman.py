@@ -14,7 +14,7 @@ from ucp_lab.carleman import (CarlemanGeometry, appendix_decomposition, bump_cut
                               weighted_l2, _ratio_report)
 from ucp_lab.errors import (NonAdmissibleError, PreconditionError,
                             SupportConditionError)
-from ucp_lab.fields import SpinorField
+from ucp_lab.fields import AnnulusGrid, SpinorField, fiber_norm2
 from ucp_lab.operators import constant_operator_1d, model_operator_1d
 from ucp_lab.perturbations import Perturbation, integrate_zero_data
 
@@ -90,16 +90,47 @@ def test_ratio_zero_field_contract():
 
 
 def test_log_weighted_l2_matches_scipy_logsumexp():
+    # the log-sum-exp runs over the slice masses, with scipy's arithmetic
     special = pytest.importorskip("scipy.special")
     for geom in (interval_geom(), CarlemanGeometry.annulus(0.5, 33, 16)):
         sampler = cutoff_bump_sampler(geom)
         for i, R in enumerate((0.0, 10.0, 1e4, 1e8)):
             v = sampler(np.random.default_rng(i))
-            dens = geom.grid.quad_weights() * np.sum(np.abs(v.values) ** 2, axis=-1)
-            expo = np.broadcast_to(R * geom.normal_profile(dens.ndim) ** 2, dens.shape)
-            mask = dens > 0.0
-            want = float(special.logsumexp(expo[mask], b=dens[mask]))
+            dens = geom.grid.quad_weights() * fiber_norm2(v.values)
+            mass = dens.reshape(geom.grid.n, -1).sum(axis=1)
+            mask = mass > 0.0
+            expo = R * (geom.T - geom.grid.t) ** 2
+            want = float(special.logsumexp(expo[mask], b=mass[mask]))
             assert log_weighted_l2(v, R, geom) == want
+
+
+def per_point_log_weighted_l2(v, R, geom):
+    """The per-point formula: log-sum-exp over every grid point's density."""
+    special = pytest.importorskip("scipy.special")
+    dens = geom.grid.quad_weights() * np.sum(np.abs(v.values) ** 2, axis=-1)
+    expo = np.broadcast_to(R * geom.normal_profile(dens.ndim) ** 2, dens.shape)
+    mask = dens > 0.0
+    return float(special.logsumexp(expo[mask], b=dens[mask])) if mask.any() else -math.inf
+
+
+def test_log_weighted_l2_matches_per_point_formula():
+    rng = np.random.default_rng(7)
+    for geom in (interval_geom(), CarlemanGeometry.annulus(0.5, 33, 16)):
+        grid = geom.grid
+        noise = rng.standard_normal(grid.zeros().values.shape)
+        patchy = noise * (np.arange(grid.n) % 3 == 1).reshape((-1,) + (1,) * (noise.ndim - 1))
+        if isinstance(grid, AnnulusGrid):
+            patchy[1, ::2] = 0.0       # a slice that vanishes only in part
+        fields = [cutoff_bump_sampler(geom)(np.random.default_rng(i)) for i in range(3)]
+        fields.append(SpinorField(grid, patchy))   # zero on two slices in three
+        for v in fields:
+            for R in (0.0, 10.0, 1e4, 1e8):
+                want = per_point_log_weighted_l2(v, R, geom)
+                got = log_weighted_l2(v, R, geom)
+                assert abs(got - want) <= 1e-14 * abs(want), (R, got, want)
+        for R in (0.0, 10.0, 1e4, 1e8):
+            assert log_weighted_l2(grid.zeros(), R, geom) == -math.inf
+            assert per_point_log_weighted_l2(grid.zeros(), R, geom) == -math.inf
 
 
 def test_import_leaves_scipy_special_unloaded():

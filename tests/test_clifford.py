@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ucp_lab.clifford import cl_apply, cl_form, fiber_inner, frame
+from ucp_lab.fields import fiber_norm2
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -63,3 +64,30 @@ def test_cl_form_matches_generator_sum():
     m = cl_form(fr, coeffs)
     direct = sum(coeffs[j] * fr.generator(j) for j in range(3))
     assert np.allclose(m, direct, atol=1e-15)
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_fiber_kernels_match_reductions_over_the_fiber_axis():
+    rng = np.random.default_rng(11)
+    values = _complex(rng, (129, 64, 2))
+    cases = [
+        (_complex(rng, (257, 2)), _complex(rng, (257, 2))),     # interval field
+        (values, _complex(rng, (129, 64, 2))),                  # annulus field
+        (values[:-1:2], values[1::2]),                          # strided slices
+        (values.transpose(1, 0, 2).copy().transpose(1, 0, 2),   # Fortran-ordered copy
+         values[:, ::-1]),
+        (values, _complex(rng, 2)),                             # broadcast coefficient
+        (_complex(rng, (257, 2)), np.broadcast_to(_complex(rng, 2), (257, 2))),
+    ]
+    for x, y in cases:
+        inner = fiber_inner(x, y)
+        want = np.sum(x * np.conj(y), -1)
+        assert inner.shape == want.shape
+        scale = np.max(np.abs(x)) * np.max(np.abs(y))
+        assert np.max(np.abs(inner - want)) <= 1e-15 * scale
+        norm2 = fiber_norm2(x)
+        assert norm2.dtype == float
+        assert np.max(np.abs(norm2 - np.sum(np.abs(x) ** 2, -1))) <= 1e-15 * np.max(norm2)

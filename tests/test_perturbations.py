@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucp_lab.counterexamples import rank_one_counterexample
-from ucp_lab.fields import Grid1D, SpinorField
+from ucp_lab.fields import Grid1D, SpinorField, l2_inner
 from ucp_lab.operators import (absorb_homomorphism, constant_operator_1d,
                                model_operator_1d)
 from ucp_lab.perturbations import (Perturbation, admissibility_bound,
@@ -155,6 +157,47 @@ def test_ucp_condition_a_equals_u():
     assert abs(res.c0 - 1.0) < 1e-14
 
 
+def loop_condition_i(mag_a):
+    """Condition (i) as a scan: no run of >= 3 samples with |a| < 1e-12."""
+    run = 0
+    for m in mag_a:
+        run = run + 1 if m < 1e-12 else 0
+        if run >= 3:
+            return False
+    return True
+
+
+def condition_i(mags):
+    grid = Grid1D.uniform(1.0, len(mags))
+    a = SpinorField(grid, np.stack([np.asarray(mags, dtype=complex),
+                                    np.zeros(len(mags))], axis=1))
+    res = ucp_condition_check(a, SpinorField(grid, np.ones((grid.n, 2))))
+    assert res.holds_i == loop_condition_i(a.fiber_abs())
+    return res.holds_i
+
+
+def test_ucp_condition_i_zero_runs():
+    one, zero = 1.0, 0.0
+    assert condition_i([one] * 9)                              # no zero
+    assert not condition_i([zero] * 9)                         # all zero
+    assert condition_i([one, zero, zero, one, zero, zero, one])  # runs of exactly 2
+    assert not condition_i([one, one, zero, zero, zero, one, one])  # a run of 3
+    assert not condition_i([zero, zero, zero, one, one, one])  # run at the start
+    assert not condition_i([one, one, one, zero, zero, zero])  # run at the end
+    assert not condition_i([zero] * 3)                         # 3-point grids
+    assert condition_i([zero, zero, one])
+    assert condition_i([zero, one, zero])
+    assert condition_i([5e-13, 2e-12, 5e-13, 5e-13])           # near the 1e-12 threshold
+    assert not condition_i([5e-13, 9e-13, 5e-13])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 3e-13, 9.9e-13, 1e-12, 1.1e-12, 0.5, 1.0]),
+                min_size=3, max_size=40))
+def test_ucp_condition_i_matches_scan(mags):
+    condition_i(mags)
+
+
 def test_ucp_condition_neither(grid):
     a_vals = np.zeros((grid.n, 1), dtype=complex)
     a_vals[grid.t >= 1.0, 0] = 1.0
@@ -220,15 +263,37 @@ def test_unperturbed_march_is_fourth_order_for_any_stored_operator():
 
 
 def test_nonlocal_kind_is_evaluated_once_per_step():
+    # rank-one never evaluates its whole field: it keeps a running <u, a>
     grid = Grid1D.uniform(1.0, 65)
     a = bump_field(grid, 0.5, 0.2)
-    for P in (Perturbation.rank_one(a),
-              Perturbation.kernel_nonlocal(a, np.ones((grid.n, grid.n)))):
+    for P, evaluations in ((Perturbation.rank_one(a), 0),
+                           (Perturbation.kernel_nonlocal(a, np.ones((grid.n, grid.n))),
+                            grid.n - 1)):
         calls = []
         field = P.field
         P.field = lambda u: calls.append(1) or field(u)
         integrate_zero_data(model_operator_1d(grid), P, u0=np.array([1.0, 0.5j]))
-        assert len(calls) == grid.n - 1
+        assert len(calls) == evaluations
+
+
+def test_rank_one_running_sum_matches_whole_field_reevaluation():
+    """The oracle freezes <u, a>_{L2} a from the whole marched field at every
+    step, as a generic nonlocal kind; the running sum adds the summands in
+    another order, so the two agree to rounding."""
+    u0 = np.array([0.6, 0.3 + 0.2j])
+    for T in (0.1, 2.0):
+        for n in (3, 4, 65, 1025):
+            grid = Grid1D.uniform(T, n)
+            op = model_operator_1d(grid)
+            a = SpinorField(grid, bump_field(grid, 0.4 * T, 0.2 * T).values
+                            * np.array([3.0, 1.0 - 2.0j]))
+            whole = Perturbation(a, field=lambda u: l2_inner(u, a) * a.values)
+            want = integrate_zero_data(op, whole, u0=u0).values
+            got = integrate_zero_data(op, Perturbation.rank_one(a), u0=u0).values
+            unperturbed = integrate_zero_data(op, Perturbation.zero(), u0=u0).values
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, (T, n)
+            assert np.max(np.abs(unperturbed - want)) > 1e-3 * scale  # the term acts
 
 
 def test_three_point_grid_integrates_every_kind():

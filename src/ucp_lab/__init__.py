@@ -8,7 +8,7 @@ from .carleman import (CarlemanGeometry, CarlemanReport, appendix_decomposition,
 from .clifford import CliffordFrame, cl_apply, cl_form, frame
 from .counterexamples import (BranchedSolution, peano_branches,
                               rank_one_counterexample)
-from .fields import AnnulusGrid, FlatDomain, Grid1D, SpinorField, l2_inner
+from .fields import AnnulusGrid, Grid1D, SpinorField, l2_inner
 from .operators import (DiracOperator, absorb_homomorphism, annulus_operator,
                         constant_operator_1d, dirac_apply, model_operator_1d,
                         product_decompose)

@@ -1,4 +1,4 @@
-"""Configuration checkpoints and trajectory CSV emission.
+"""Configuration checkpoints.
 
 Checkpoint layout: one UTF-8 JSON header line, a newline, then raw
 little-endian float64 bytes of the Fourier coefficients of a and psi,
@@ -8,15 +8,14 @@ convention 0, 1, ..., N, -N, ..., -1.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import CheckpointError
-from .torus import FlowRecord, PerturbationParams, SWConfiguration, TorusLattice
+from .torus import PerturbationParams, SWConfiguration, TorusLattice
 
 _MAGIC = "ucp-lab-checkpoint"
 
@@ -88,13 +87,3 @@ def load_checkpoint(path) -> Tuple[SWConfiguration, dict]:
     psi = lat.ifft(psi_hat)
     return SWConfiguration(lat, alpha, psi), header
 
-
-def write_trajectory(path, records: Iterable[FlowRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "time", "csd", "residual_curvature",
-                         "residual_dirac", "sup_psi"])
-        for r in records:
-            writer.writerow([r.step, repr(r.time), repr(r.csd),
-                             repr(r.residual_curvature), repr(r.residual_dirac),
-                             repr(r.sup_psi)])

@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -26,7 +26,7 @@ import numpy as np
 from . import carleman as cl
 from . import counterexamples as cx
 from . import torus as tw
-from .checkpoint import save_checkpoint, write_trajectory
+from .checkpoint import save_checkpoint
 from .errors import FlowInstabilityError, NonAdmissibleError, UcpLabError
 from .fields import Grid1D, SpinorField, fiber_norm2
 from .operators import constant_operator_1d, model_operator_1d
@@ -55,20 +55,16 @@ class SuiteOutput:
     inconclusive: List[str] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
-    def check(self, name, value, threshold, note="", direction="le"):
-        ok = value <= threshold if direction == "le" else value >= threshold
-        self.assertions.append(Assertion(name, bool(ok), float(value),
-                                         float(threshold), note))
+    def check(self, name, values, threshold, note="", direction="le"):
+        """Gate the worst of the values (a scalar or array-like): the largest
+        for an upper bound ("le"), the smallest for a lower bound ("ge").  A
+        NaN anywhere is kept, so the check fails (Python's max and min drop
+        it).  No values give 0 and inf."""
+        le = direction == "le"
+        value = float(np.max(values, initial=0.0) if le else np.min(values, initial=math.inf))
+        ok = value <= threshold if le else value >= threshold
+        self.assertions.append(Assertion(name, bool(ok), value, float(threshold), note))
         return ok
-
-
-def _worst(values, direction: str = "le") -> float:
-    """Largest value for an upper-bound ("le") check, smallest for a lower-bound
-    ("ge") one; a NaN anywhere comes back as NaN, which fails the check
-    (Python's max and min drop it).  No values give 0 and inf."""
-    if direction == "le":
-        return float(np.max(values, initial=0.0))
-    return float(np.min(values, initial=math.inf))
 
 
 def _rng(*key) -> np.random.Generator:
@@ -154,7 +150,7 @@ def run_carleman(opts: dict, seed: int, out: Path) -> SuiteOutput:
             rep = cl.perturbed_carleman_ratio(op, pert, v, float(R_grid[0]), geom)
             adm = admissibility_bound(pert, v)
             defects.append(abs((rep.c0 or 0.0) - (adm.c0 or 0.0)))
-        res.check("admissibility-constant-consistency", _worst(defects), 1e-10,
+        res.check("admissibility-constant-consistency", defects, 1e-10,
                   note="reported C0 vs the bound re-sampled on the same fields")
 
     if opts["appendix_checks"]:
@@ -179,7 +175,7 @@ def _carleman_appendix(res: SuiteOutput, out: Path, seed: int, n_samples: int):
     _write_csv(out / "appendix.csv",
                ["R", "J0", "J1", "J_skew", "J_sym", "J_mix", "identity_defect",
                 "mix_residual"], rows)
-    res.check("appendix-identity-defect", _worst(defects), 1e-10,
+    res.check("appendix-identity-defect", defects, 1e-10,
               note=f"worst relative defect of J1 = Jskew+Jsym+Jmix over {n_samples} inputs")
 
     # constant-coefficient, skew-free case: the mix residual vanishes with the grid
@@ -234,12 +230,13 @@ def run_counterexample(opts: dict, seed: int, out: Path) -> SuiteOutput:
     for case in ("sqrt", "two-thirds"):
         sol = cx.peano_branches(case, c=float(opts["branch_point"]),
                                 grid=Grid1D.uniform(4.0, int(opts["peano_n"])))
-        sol.to_csv(plot / f"peano_{case}.csv")
-        res.check(f"peano-{case}-residual", _worst([sol.residual0, sol.residual1]), 1e-6)
+        _write_csv(plot / f"peano_{case}.csv", ["x", "u0", "u1"],
+                   zip(sol.grid.t, sol.u0, sol.u1))
+        res.check(f"peano-{case}-residual", [sol.residual0, sol.residual1], 1e-6)
         res.check(f"peano-{case}-separation", sol.separation_sup, 1e-4, direction="ge")
 
     sol, a = cx.rank_one_counterexample(grid=Grid1D.uniform(2.0, int(opts["rank_one_n"])))
-    sol.to_csv(plot / "rank_one.csv")
+    _write_csv(plot / "rank_one.csv", ["x", "u0", "u1"], zip(sol.grid.t, sol.u0, sol.u1))
     grid = sol.grid
     w = grid.quad_weights()
     pairing = float(np.sum(w * sol.u1 * a))
@@ -287,7 +284,7 @@ def run_sw_gradcheck(opts: dict, seed: int, out: Path) -> SuiteOutput:
             for h, e in zip(hs, errs):
                 rows.append([case, i, h, e, order])
     _write_csv(out / "sw_gradcheck.csv", ["case", "config", "h", "rel_err", "order"], rows)
-    res.check("gradient-convergence-order", _worst(orders, "ge"), float(opts["min_order"]),
+    res.check("gradient-convergence-order", orders, float(opts["min_order"]),
               direction="ge", note="worst central-difference order across cases")
 
     config = tw.random_config(lat, _rng(seed, 12), amplitude=0.3)
@@ -303,7 +300,7 @@ def run_sw_gradcheck(opts: dict, seed: int, out: Path) -> SuiteOutput:
         lhs = lin.pairing_out(lin.apply(x), y)
         rhs = tw.tangent_inner(x, lin.adjoint(y), lat)
         defects.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
-    res.check("adjoint-identity", _worst(defects), float(opts["adjoint_tol"]),
+    res.check("adjoint-identity", defects, float(opts["adjoint_tol"]),
               note="relative defect of <Lx, y> = <x, L*y> over random pairs")
 
     record = tw.linearization_ucp_setup(config, params)
@@ -331,7 +328,8 @@ def run_sw_flow(opts: dict, seed: int, out: Path) -> SuiteOutput:
         flow = tw.run_flow(config, None, "unperturbed", dt=float(opts["dt"]),
                            steps=int(opts["max_steps"]), scheme="semi-implicit",
                            residual_target=target)
-        write_trajectory(plot / f"flow_{trial}.csv", flow.trajectory)
+        _write_csv(plot / f"flow_{trial}.csv", [f.name for f in fields(tw.FlowRecord)],
+                   map(astuple, flow.trajectory))
         final_res = max(flow.trajectory[-1].residual_curvature,
                         flow.trajectory[-1].residual_dirac)
         res.check(f"flow-{trial}-residual", final_res, target)
@@ -398,10 +396,10 @@ def run_observables(opts: dict, seed: int, out: Path) -> SuiteOutput:
               + [f"zeta{j}" for j in range(params.n_zeta)]
               + [f"abs_eta{j}" for j in range(params.n_eta)])
     _write_csv(out / "observables.csv", header, rows)
-    res.check("zeta-gauge-invariance", _worst(zeta_moves), 1e-10)
-    res.check("zeta-real-valued", _worst(imag_parts), 1e-12)
-    res.check("eta-mean-zero-invariance", _worst(eta_moves), 1e-8)
-    res.check("tau-winding-shift", _worst(tau_moves), 1e-8,
+    res.check("zeta-gauge-invariance", zeta_moves, 1e-10)
+    res.check("zeta-real-valued", imag_parts, 1e-12)
+    res.check("eta-mean-zero-invariance", eta_moves, 1e-8)
+    res.check("tau-winding-shift", tau_moves, 1e-8,
               note="measured shift vs direct quadrature")
     return res
 

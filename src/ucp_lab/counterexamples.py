@@ -7,7 +7,6 @@ branch point, so piecewise-polynomial branches differentiate exactly.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -72,13 +71,6 @@ class BranchedSolution:
     def separation_sup(self) -> float:
         mask = self.grid.t > self.branch_point
         return float(np.max(np.abs(self.u0[mask] - self.u1[mask])))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "u0", "u1"])
-            for x, a, b in zip(self.grid.t, self.u0, self.u1):
-                writer.writerow([repr(float(x)), repr(float(a)), repr(float(b))])
 
 
 def _rk4_track(f: Callable, x0: float, y0: float, x1: float, h: float,

@@ -1,4 +1,8 @@
-"""Grids and sampled spinor fields for the 1D interval and 2D annulus models."""
+"""Grids and sampled spinor fields for the 1D interval and 2D annulus models.
+
+A grid is a field carrier: it declares shape, the value shape of a field
+without its fiber axis, and quad_weights(), quadrature weights that
+broadcast against shape.  TorusLattice is a carrier too."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -23,16 +27,35 @@ def trapezoid_weights(t: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Grid1D:
-    """Uniform grid on [t[0], t[-1]]; slices are single points."""
+class _SliceGrid:
+    """Uniform normal coordinate t; a field on the grid has values of shape
+    shape + (fiber rank,)."""
 
     t: np.ndarray
 
     def __post_init__(self):
-        if self.t.ndim != 1 or self.t.size < 3:
-            raise ValueError("1D grid needs at least 3 samples")
-        if self.spacing <= 0:
-            raise ValueError("grid spacing must be positive")
+        t = self.t
+        if t.ndim != 1 or t.size < 3:
+            raise ValueError("grid needs a 1-D t of at least 3 samples")
+        steps = np.diff(t)
+        if not (steps[0] > 0 and np.all(np.abs(steps - steps[0]) <= 1e-9 * steps[0])):
+            raise ValueError("grid t must be increasing and uniform")
+
+    @property
+    def n(self) -> int:
+        return self.t.size
+
+    @property
+    def spacing(self) -> float:
+        return float(self.t[1] - self.t[0])
+
+    def zeros(self) -> "SpinorField":
+        return SpinorField(self, np.zeros(self.shape + (2,), dtype=complex))
+
+
+@dataclass(frozen=True, eq=False)
+class Grid1D(_SliceGrid):
+    """Uniform grid on [t[0], t[-1]]; slices are single points."""
 
     def __eq__(self, other):
         return isinstance(other, Grid1D) and np.array_equal(self.t, other.t)
@@ -45,29 +68,24 @@ class Grid1D:
         return cls(np.linspace(0.0, t_max, n))
 
     @property
-    def n(self) -> int:
-        return self.t.size
-
-    @property
-    def spacing(self) -> float:
-        return float(self.t[1] - self.t[0])
+    def shape(self) -> tuple:
+        return (self.n,)
 
     def quad_weights(self) -> np.ndarray:
         return trapezoid_weights(self.t)
 
-    def zeros(self) -> "SpinorField":
-        return SpinorField(self, np.zeros((self.n, 2), dtype=complex))
-
 
 @dataclass(frozen=True, eq=False)
-class AnnulusGrid:
+class AnnulusGrid(_SliceGrid):
     """Polar annulus: normal coordinate t in [0, T], circles of radius r0 + t."""
 
-    t: np.ndarray
     n_theta: int
     r0: float
 
     def __post_init__(self):
+        super().__post_init__()
+        if self.n_theta < 1:
+            raise ValueError("annulus needs n_theta >= 1")
         if self.r0 <= 0:
             raise ValueError("inner radius must be positive")
 
@@ -83,12 +101,8 @@ class AnnulusGrid:
         return cls(np.linspace(0.0, t_max, n_t), n_theta, r0)
 
     @property
-    def n(self) -> int:
-        return self.t.size
-
-    @property
-    def spacing(self) -> float:
-        return float(self.t[1] - self.t[0])
+    def shape(self) -> tuple:
+        return (self.n, self.n_theta)
 
     @property
     def theta(self) -> np.ndarray:
@@ -101,52 +115,19 @@ class AnnulusGrid:
         wt = trapezoid_weights(self.t)
         return wt[:, None] * (self.radii()[:, None] * (2.0 * np.pi / self.n_theta))
 
-    def zeros(self) -> "SpinorField":
-        return SpinorField(self, np.zeros((self.n, self.n_theta, 2), dtype=complex))
-
-
-@dataclass(frozen=True, eq=False)
-class FlatDomain:
-    """Unstructured point set with quadrature weights (adapter for lattice fields)."""
-
-    weights: np.ndarray
-
-    def __eq__(self, other):
-        return isinstance(other, FlatDomain) and np.array_equal(self.weights, other.weights)
-
-    def __hash__(self):
-        return hash((self.weights.size, float(self.weights[0])))
-
-    @property
-    def n(self) -> int:
-        return self.weights.size
-
-    def quad_weights(self) -> np.ndarray:
-        return self.weights
-
-    def zeros(self) -> "SpinorField":
-        return SpinorField(self, np.zeros((self.n, 2), dtype=complex))
-
 
 @dataclass(eq=False)
 class SpinorField:
-    """Complex multi-component field sampled on a grid (fiber axis last)."""
+    """Complex multi-component field sampled on a carrier (fiber axis last)."""
 
     grid: object
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        expected = self._point_shape()
-        if self.values.shape[:-1] != expected:
-            raise DomainMismatchError(
-                f"value array shape {self.values.shape} does not match grid shape {expected}"
-            )
-
-    def _point_shape(self):
-        if isinstance(self.grid, AnnulusGrid):
-            return (self.grid.n, self.grid.n_theta)
-        return (self.grid.n,)
+        if self.values.shape[:-1] != self.grid.shape:
+            raise DomainMismatchError(f"value array shape {self.values.shape} does "
+                                      f"not match grid shape {self.grid.shape}")
 
     @property
     def rank(self) -> int:

@@ -162,5 +162,5 @@ def annulus_operator(grid: AnnulusGrid) -> DiracOperator:
     cl_dr = (np.cos(theta)[:, None, None] * g1 + np.sin(theta)[:, None, None] * g2)
     # stored at full shape: a contiguous operand keeps the fiber einsum fast
     cl_dr = np.broadcast_to(cl_dr, (grid.n,) + cl_dr.shape).copy()
-    zeros = np.zeros((grid.n, grid.n_theta, 2, 2), dtype=complex)
+    zeros = np.zeros(grid.shape + (2, 2), dtype=complex)
     return DiracOperator(fr, grid, cl_dr, zeros, zeros.copy(), angular=1.0 / grid.radii())

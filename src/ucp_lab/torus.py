@@ -25,7 +25,7 @@ import numpy as np
 
 from .clifford import frame
 from .errors import DomainMismatchError, FlowInstabilityError
-from .fields import FlatDomain, SpinorField
+from .fields import SpinorField
 from .perturbations import Perturbation
 
 _FRAME3 = frame(3)
@@ -53,7 +53,9 @@ class TorusLattice:
     Spinors use the full complex transforms with wave vectors k; real fields
     (alpha, scalars) use the half spectrum of rfftn with wave vectors kr,
     |k|^2 = k2r and inverse Laplacian multiplier green_r.  n is odd, so there
-    is no Nyquist mode and irfft equals ifftn(...).real of the full spectrum."""
+    is no Nyquist mode and irfft equals ifftn(...).real of the full spectrum.
+    As a field carrier it has shape (n, n, n) and the volume element as the
+    quadrature weight of every point."""
 
     def __init__(self, N: int):
         if N < 1:
@@ -61,6 +63,7 @@ class TorusLattice:
         self.N = int(N)
         self.n = 2 * self.N + 1
         n = self.n
+        self.shape = (n, n, n)
         k1 = np.fft.fftfreq(n, 1.0 / n)
         self.k = np.stack(np.meshgrid(k1, k1, k1, indexing="ij"))
         self.k2 = np.sum(self.k ** 2, axis=0)
@@ -72,6 +75,9 @@ class TorusLattice:
         self.volume = (2.0 * np.pi) ** 3
         self.green_r = np.divide(1.0, self.k2r, out=np.zeros_like(self.k2r),
                                  where=self.k2r > 0)
+
+    def quad_weights(self) -> np.ndarray:
+        return np.full(self.shape, self.volume_element)
 
     # -- spectral primitives ------------------------------------------------
     def fft(self, f):
@@ -621,10 +627,10 @@ class FlowResult:
 
 def run_flow(config: SWConfiguration, params: Optional[PerturbationParams] = None,
              case: str = "unperturbed", dt: float = 3.0, steps: int = 200,
-             scheme: str = "semi-implicit", residual_target: Optional[float] = None,
-             record_every: int = 1) -> FlowResult:
-    """Finite-horizon flow integration with trajectory records; a non-finite
-    recorded value raises FlowInstabilityError.  Each configuration is
+             scheme: str = "semi-implicit", residual_target: Optional[float] = None
+             ) -> FlowResult:
+    """Finite-horizon flow integration with one trajectory record per step; a
+    non-finite recorded value raises FlowInstabilityError.  Each configuration is
     evaluated once: its record and the next step share the evaluation."""
     current = config
     ev = evaluate(current, params, case)
@@ -647,10 +653,8 @@ def run_flow(config: SWConfiguration, params: Optional[PerturbationParams] = Non
         if ev is None:
             ev = evaluate(current, params, case)
         i += 1
-        if i % record_every == 0 or i == steps:
-            res = record(i)
-            if residual_target is not None and res < residual_target:
-                converged = True
+        res = record(i)
+        converged = residual_target is not None and res < residual_target
     return FlowResult(current, records, converged)
 
 
@@ -754,13 +758,12 @@ def scalar_bound_check(config: SWConfiguration) -> BoundVerdict:
 @dataclass(eq=False)
 class LinearizationUcpRecord:
     mixed_coefficient: float            # sup|cl(alpha) psi|/2 per unit sup|alpha|
-    mixed_admissible_in_phi: bool
-    case1: Perturbation
+    case1: Perturbation                 # matrix field carried by the lattice
     case1_witness_c0: float
 
     def case1_field(self, phi: np.ndarray) -> SpinorField:
-        flat = phi.reshape(phi.shape[0], -1).T
-        return SpinorField(self.case1.a.grid, flat)
+        """A (2, n, n, n) spinor as a fiber-last lattice field."""
+        return SpinorField(self.case1.a.grid, np.moveaxis(phi, 0, -1))
 
 
 def linearization_ucp_setup(config: SWConfiguration,
@@ -771,18 +774,14 @@ def linearization_ucp_setup(config: SWConfiguration,
     The mixed term phi -> cl(alpha) psi / 2 admits only the inhomogeneous
     witness sup|psi|/2 per unit sup|alpha| (not admissible in phi alone).
     The zeroth-order term coming from the first perturbation family is a
-    pointwise bundle map, packaged for the admissibility machinery with its
-    recorded witness constant.
+    pointwise bundle map on the lattice, packaged for the admissibility
+    machinery with its recorded witness constant.
     """
     lat = config.lattice
     sup_psi = math.sqrt(config.sup_psi_sq())
     mixed_coefficient = 0.5 * sup_psi
 
-    n_pts = lat.n ** 3
-    weights = np.full(n_pts, lat.volume_element)
-    carrier = FlatDomain(weights).zeros()
-
-    M = np.zeros((lat.n, lat.n, lat.n, 2, 2), dtype=complex)
+    M = np.zeros(lat.shape + (2, 2), dtype=complex)
     witness = 0.0
     if params is not None:
         sigma = sigma_polarized(config.psi, config.psi)
@@ -792,8 +791,9 @@ def linearization_ucp_setup(config: SWConfiguration,
         for c, nu in zip(coeffs, params.nus):
             witness += abs(c) * float(np.max(np.sqrt(np.sum(nu ** 2, axis=0))))
 
-    pert = Perturbation.matrix_field(carrier, M.reshape(n_pts, 2, 2))
-    return LinearizationUcpRecord(mixed_coefficient, False, pert, witness)
+    carrier = SpinorField(lat, np.zeros(lat.shape + (2,), dtype=complex))
+    pert = Perturbation.matrix_field(carrier, M)
+    return LinearizationUcpRecord(mixed_coefficient, pert, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ucp_lab import torus as tw
-from ucp_lab.checkpoint import (load_checkpoint, params_hash, save_checkpoint,
-                                write_trajectory)
+from ucp_lab.checkpoint import load_checkpoint, params_hash, save_checkpoint
+from ucp_lab.cli import _rng, main
 from ucp_lab.errors import CheckpointError
 
 
@@ -91,10 +91,14 @@ def test_params_hash_distinguishes_data(lat):
 
 
 def test_trajectory_csv(tmp_path, lat):
-    cfg = tw.random_config(lat, np.random.default_rng(3), amplitude=1e-4)
-    flow = tw.run_flow(cfg, dt=3.0, steps=5, scheme="semi-implicit")
-    path = tmp_path / "traj.csv"
-    write_trajectory(path, flow.trajectory)
-    lines = path.read_text().strip().splitlines()
+    """The sw-flow suite writes trial 0's trajectory to plotdata/flow_0.csv."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("N = 2\ntrials = 1\nmax_steps = 150\n")
+    assert main(["run", "--suite", "sw-flow", "--config", str(cfg),
+                 "--out", str(tmp_path), "--seed", "5"]) == 0
+    start = tw.random_config(lat, _rng(5, 21, 0), amplitude=1e-4)
+    flow = tw.run_flow(start, dt=3.0, steps=150, residual_target=1e-6)
+    lines = (tmp_path / "plotdata" / "flow_0.csv").read_text().strip().splitlines()
     assert lines[0] == "step,time,csd,residual_curvature,residual_dirac,sup_psi"
     assert len(lines) == len(flow.trajectory) + 1
+    assert float(lines[-1].split(",")[-1]) == flow.trajectory[-1].sup_psi

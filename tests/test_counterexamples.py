@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ucp_lab.cli import main
 from ucp_lab.counterexamples import (default_rank_one_profile, derivative_5pt,
                                      peano_branches, rank_one_counterexample)
 from ucp_lab.errors import NormalizationError
@@ -86,10 +87,12 @@ def test_rank_one_perturbation_fails_continuation_conditions():
 
 
 def test_branch_csv_round_trip(tmp_path):
+    """The counterexample suite writes the sqrt branches to plotdata/peano_sqrt.csv."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("peano_n = 1025\nrank_one_n = 4097\n")
+    main(["run", "--suite", "counterexample", "--config", str(cfg), "--out", str(tmp_path)])
     sol = peano_branches("sqrt", c=1.0, grid=Grid1D.uniform(4.0, 1025))
-    path = tmp_path / "branches.csv"
-    sol.to_csv(path)
-    rows = path.read_text().strip().splitlines()
+    rows = (tmp_path / "plotdata" / "peano_sqrt.csv").read_text().strip().splitlines()
     assert rows[0] == "x,u0,u1"
     assert len(rows) == sol.grid.n + 1
     last = rows[-1].split(",")

@@ -6,6 +6,7 @@ import pytest
 
 from ucp_lab import torus as tw
 from ucp_lab.errors import FlowInstabilityError
+from ucp_lab.fields import l2_inner
 from ucp_lab.perturbations import admissibility_bound
 
 
@@ -498,7 +499,6 @@ def test_scalar_bound_check_paths(lat2):
 def test_linearization_setup_zero_spinor(lat2, params2):
     record = tw.linearization_ucp_setup(tw.SWConfiguration.zero(lat2), params2)
     assert record.mixed_coefficient == 0.0
-    assert not record.mixed_admissible_in_phi
 
 
 def test_linearization_setup_case1_admissibility(lat2, params2):
@@ -512,6 +512,19 @@ def test_linearization_setup_case1_admissibility(lat2, params2):
     adm = admissibility_bound(record.case1, record.case1_field(phi))
     assert adm.admissible
     assert adm.c0 <= record.case1_witness_c0 * (1 + 1e-10)
+
+
+def test_case1_matrix_field_lives_on_the_lattice(lat2, params2):
+    cfg = tw.random_config(lat2, rng_for(22), amplitude=0.5)
+    record = tw.linearization_ucp_setup(cfg, params2)
+    assert record.case1.a.grid == lat2
+    rng = rng_for(29)
+    x, y = (rng.standard_normal(cfg.psi.shape) + 1j * rng.standard_normal(cfg.psi.shape)
+            for _ in range(2))
+    u, v = record.case1_field(x), record.case1_field(y)
+    assert u.values.shape == (lat2.n,) * 3 + (2,)
+    oracle = np.sum(x * np.conj(y)) * lat2.volume_element
+    assert abs(l2_inner(u, v) - oracle) <= 1e-13 * abs(oracle)
 
 
 @pytest.mark.parametrize("dt, k_norm", [(1.0, 1.0), (0.5, 2.0), (0.25, 4.0),
@@ -581,8 +594,7 @@ def test_flow_records_match_fresh_evaluations(lat2, params2, scheme, dt):
     """Records reuse the evaluation the next step consumes; each must equal a
     fresh csd / sw_residual at the configuration a flow_step loop reaches."""
     cfg = tw.random_config(lat2, rng_for(28), amplitude=0.1)
-    result = tw.run_flow(cfg, params2, "case2", dt=dt, steps=3, scheme=scheme,
-                         record_every=1)
+    result = tw.run_flow(cfg, params2, "case2", dt=dt, steps=3, scheme=scheme)
     assert [r.step for r in result.trajectory] == [0, 1, 2, 3]
     current = cfg
     for rec in result.trajectory:

@@ -1,0 +1,28 @@
+"""Print the two code-size numbers ROADMAP.md tracks for src/: the line
+count of its Python files and the number of function parameters that have
+a default value, counted with ast.
+
+    python3 tools/code_size.py [SRC_DIR]
+"""
+import ast
+import sys
+from pathlib import Path
+
+
+def code_size(src: Path):
+    lines = defaulted = 0
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        lines += len(text.splitlines())
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                defaulted += len(node.args.defaults)
+                defaulted += sum(d is not None for d in node.args.kw_defaults)
+    return lines, defaulted
+
+
+if __name__ == "__main__":
+    root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src"
+    lines, defaulted = code_size(root)
+    print(f"src lines: {lines}")
+    print(f"defaulted parameters: {defaulted}")

@@ -100,6 +100,9 @@ def _rank_one_l2(geom: cl.CarlemanGeometry) -> Perturbation:
 # values of the `perturbation` config key: geometry -> Perturbation, or None
 PERTURBATIONS = {"none": lambda geom: None, "pointwise": _pointwise_unit,
                  "rank-one": _rank_one_l2}
+# Keys with values no suite can run below a limit: (holds, the range stated).
+_RANGES = {"N": (lambda v: v >= 1, ">= 1"), "n_t": (lambda v: v >= 3, ">= 3"),
+           "dt": (lambda v: v > 0, "> 0"), "r_min": (lambda v: v > 0, "> 0")}
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +520,10 @@ def run(suite: str, config_file: Optional[str] = None, seed: int = 42,
             default = seed if key == "seed" else opts[key]
             if not _matches_default_type(value, default):
                 print(f"error: config key {key!r} takes a value like {default!r}, "
+                      f"got {value!r}", file=sys.stderr)
+                return 2
+            if key in _RANGES and not _RANGES[key][0](value):
+                print(f"error: config key {key!r} takes a value {_RANGES[key][1]}, "
                       f"got {value!r}", file=sys.stderr)
                 return 2
             if key == "perturbation" and value not in PERTURBATIONS:

@@ -47,7 +47,7 @@ class Perturbation:
         kernel = np.asarray(kernel, dtype=complex)
 
         def field(u: SpinorField) -> np.ndarray:
-            w = u.grid.quad_weights().reshape(-1)
+            w = np.broadcast_to(u.grid.quad_weights(), u.grid.shape).reshape(-1)
             integral = kernel @ (w[:, None] * u.values.reshape(-1, u.rank))
             omega = np.sqrt(fiber_norm2(integral))
             return omega.reshape(u.values.shape[:-1])[..., None] * u.values

@@ -38,8 +38,6 @@ M_TANH = 1.6  # sup |tanh| on the unit strip around the real axis (Cauchy bound)
 # semi-implicit step; nearer resonance a mode is amplified by ~1/margin.
 RESONANCE_MARGIN = 1e-6
 
-_AXES = (-3, -2, -1)
-
 
 def _curl_symbol(k, h):
     """i k x h by components (np.cross is slower on stacked lattice arrays)."""
@@ -51,11 +49,12 @@ class TorusLattice:
     """Fourier lattice with modes |k_j| <= N on the 2pi-periodic grid (n = 2N+1).
 
     Spinors use the full complex transforms with wave vectors k; real fields
-    (alpha, scalars) use the half spectrum of rfftn with wave vectors kr,
+    (alpha, scalars) use the half spectrum (rfft) with wave vectors kr,
     |k|^2 = k2r and inverse Laplacian multiplier green_r.  n is odd, so there
-    is no Nyquist mode and irfft equals ifftn(...).real of the full spectrum.
-    As a field carrier it has shape (n, n, n) and the volume element as the
-    quadrature weight of every point."""
+    is no Nyquist mode and irfft equals ifft(...).real of the full spectrum.
+    Each transform is one matmul per axis with the n x n DFT matrix, faster
+    than an FFT at the small odd, often prime, n in use.  As a field carrier
+    it has shape (n, n, n) and the volume element as every point's weight."""
 
     def __init__(self, N: int):
         if N < 1:
@@ -75,22 +74,38 @@ class TorusLattice:
         self.volume = (2.0 * np.pi) ** 3
         self.green_r = np.divide(1.0, self.k2r, out=np.zeros_like(self.k2r),
                                  where=self.k2r > 0)
+        j, m = np.arange(n), self.N + 1
+        self._dft = np.exp(-2j * np.pi * (np.outer(j, j) % n) / n)
+        self._idft = np.conj(self._dft) / n
+        # x <-> half spectrum h, re/im interleaved: x = Re sum_k w_k h_k e^{ikx}/n, w = 1,2,..,2
+        half, back = self._dft[:, :m], np.where(j[:m, None] == 0, 1.0, 2.0) * self._idft[:m]
+        self._to_half = np.stack([half.real, half.imag], axis=-1).reshape(n, 2 * m)
+        self._from_half = np.stack([back.real, -back.imag], axis=1).reshape(2 * m, n)
 
     def quad_weights(self) -> np.ndarray:
         return np.full(self.shape, self.volume_element)
 
-    # -- spectral primitives ------------------------------------------------
+    # -- spectral primitives: one matmul per lattice axis ---------------------
+    @staticmethod
+    def _last(f, mat):
+        return (f.reshape(-1, f.shape[-1]) @ mat).reshape(f.shape[:-1] + mat.shape[1:])
+
+    def _outer(self, g, mat):
+        """mat applied along lattice axes -3, then -2, of g (..., n, n, m)."""
+        return mat @ (mat @ g.reshape(g.shape[:-3] + (self.n, -1))).reshape(g.shape)
+
     def fft(self, f):
-        return np.fft.fftn(f, axes=_AXES)
+        return self._outer(self._last(f, self._dft), self._dft)
 
     def ifft(self, f):
-        return np.fft.ifftn(f, axes=_AXES)
+        return self._outer(self._last(f, self._idft), self._idft)
 
     def rfft(self, f):
-        return np.fft.rfftn(f, axes=_AXES)
+        f = f.astype(float, casting="safe", copy=False)  # complex input raises TypeError
+        return self._outer(self._last(f, self._to_half).view(complex), self._dft)
 
     def irfft(self, h):
-        return np.fft.irfftn(h, s=(self.n,) * 3, axes=_AXES)
+        return self._last(self._outer(h, self._idft).view(float), self._from_half)
 
     def spectral(self, f, symbol):
         """irfft(symbol(rfft(f))) for a real field: one forward and one inverse
@@ -388,7 +403,7 @@ def _measure_winding_shift(lattice: TorusLattice, mus: np.ndarray) -> float:
 
 def _cl(form: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Clifford multiplication cl(i form) psi = sum_j form_j i cl(e_j) psi."""
-    return 1j * np.einsum("jab,jxyz,bxyz->axyz", _GEN, form, psi)
+    return 1j * np.einsum("abxyz,bxyz->axyz", np.tensordot(_GEN, form, axes=(0, 0)), psi)
 
 
 def dirac3(config: SWConfiguration) -> np.ndarray:
@@ -401,7 +416,7 @@ def dirac3(config: SWConfiguration) -> np.ndarray:
 def sigma_polarized(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Symmetric polarization: (i/2) Im <cl(e_j)psi, phi> (real storage);
     sigma_polarized(psi, psi) is the quadratic term sigma(psi, psi)."""
-    return 0.5 * np.imag(np.einsum("jab,bxyz,axyz->jxyz", _GEN, psi, np.conj(phi)))
+    return 0.5 * np.imag(np.tensordot(_GEN, psi[None] * np.conj(phi)[:, None], axes=2))
 
 
 def sw_residual(config: SWConfiguration) -> Tuple[float, float]:
@@ -494,7 +509,7 @@ _CASES = ("unperturbed", "case1", "case2")
 @dataclass(eq=False)
 class Evaluation:
     value: float                        # csd
-    gradient: Tangent                   # grad_csd
+    gradient: Optional[Tangent]         # grad_csd (None for a value-only csd)
     residuals: Tuple[float, float]      # sw_residual: unperturbed row norms
 
 
@@ -505,6 +520,11 @@ def evaluate(config: SWConfiguration, params: Optional[PerturbationParams] = Non
     sigma(psi, psi), Dirac row D psi, unperturbed gradient (curvature row,
     2 D psi), value 1/2 <alpha, curl alpha> + Re<psi, D psi>; the perturbed
     cases add the functions of the observables and their couplings."""
+    return _evaluate(config, params, case, True)
+
+
+def _evaluate(config: SWConfiguration, params, case: str, with_gradient: bool) -> Evaluation:
+    """evaluate, or without with_gradient its value and residuals alone."""
     if case not in _CASES:
         raise ValueError(f"case must be one of {_CASES}")
     if case != "unperturbed" and params is None:
@@ -524,13 +544,16 @@ def evaluate(config: SWConfiguration, params: Optional[PerturbationParams] = Non
         tau, zeta = _taus(config, params.mus), _zetas(sigma, params.nus, lat)
         value += params.p1.value(tau)
         value += params.p2.value(zeta)
-        ga -= np.tensordot(params.p1.grad(tau), params.mus, axes=1)
-        gp += 2.0 * _cl(np.tensordot(params.p2.grad(zeta), params.nus, axes=1), psi)
-
     if case == "case2":
         X = _dressing(lat, alpha_hat)
         eta = _etas(config, params, dressing=X)
         value += params.p3.value(eta)
+    if not with_gradient:
+        return Evaluation(value, None, residuals)
+    if case != "unperturbed":
+        ga -= np.tensordot(params.p1.grad(tau), params.mus, axes=1)
+        gp += 2.0 * _cl(np.tensordot(params.p2.grad(zeta), params.nus, axes=1), psi)
+    if case == "case2":
         dressed = X[None] * np.tensordot(params.p3.wirtinger(eta), params.spinor_basis, axes=1)
         gp += 2.0 * dressed
         W = np.imag(np.sum(dressed * np.conj(psi), axis=0))
@@ -542,8 +565,8 @@ def evaluate(config: SWConfiguration, params: Optional[PerturbationParams] = Non
 def csd(config: SWConfiguration, params: Optional[PerturbationParams] = None,
         case: str = "unperturbed") -> float:
     """Chern-Simons-Dirac value: -1/2 int a ^ (F_A + F_{A_0}) + int <psi, d_A psi>
-    plus the selected perturbation functions of the observables."""
-    return evaluate(config, params, case).value
+    plus the selected perturbation functions of the observables (no gradient)."""
+    return _evaluate(config, params, case, False).value
 
 
 def grad_csd(config: SWConfiguration, params: Optional[PerturbationParams] = None,

@@ -26,6 +26,19 @@ def test_round_trip(tmp_path, lat):
     assert np.max(np.abs(loaded.psi - cfg.psi)) < 1e-12
 
 
+def test_loads_spectra_written_by_numpy_fft(tmp_path, lat, monkeypatch):
+    """A checkpoint whose spectra numpy's FFT wrote loads within 1e-13."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([5])))
+    cfg = tw.random_config(lat, rng, amplitude=0.7)
+    path = tmp_path / "numpy.ckpt"
+    with monkeypatch.context() as m:
+        m.setattr(tw.TorusLattice, "fft", lambda self, f: np.fft.fftn(f, axes=(-3, -2, -1)))
+        save_checkpoint(cfg, path)
+    loaded, _ = load_checkpoint(path)
+    for got, want in ((loaded.alpha, cfg.alpha), (loaded.psi, cfg.psi)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_header_is_json_line_with_layout(tmp_path, lat):
     cfg = tw.SWConfiguration.zero(lat)
     path = tmp_path / "state.ckpt"

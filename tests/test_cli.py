@@ -85,6 +85,20 @@ def test_unknown_perturbation_exits_2_naming_key(tmp_path, capsys, suite):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("suite, line, key", [
+    ("sw-flow", "N = 0", "N"), ("sw-flow", "dt = 0.0", "dt"), ("sw-flow", "dt = -1", "dt"),
+    ("decay", "n_t = 2", "n_t"), ("carleman", "r_min = 0", "r_min"),
+    ("carleman", "r_min = nan", "r_min")])
+def test_out_of_range_config_value_exits_2_naming_key(tmp_path, capsys, suite, line, key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    code = run_cli("run", "--suite", suite, "--config", str(cfg),
+                   "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_flag_exits_2_naming_seed(tmp_path, capsys):
     code = run_cli("run", "--suite", "observables", "--seed", "-1",
                    "--out", str(tmp_path / "out"))

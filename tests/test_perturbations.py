@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucp_lab.counterexamples import rank_one_counterexample
-from ucp_lab.fields import Grid1D, SpinorField, l2_inner
+from ucp_lab.fields import AnnulusGrid, Grid1D, SpinorField, l2_inner, trapezoid_weights
 from ucp_lab.operators import (absorb_homomorphism, constant_operator_1d,
                                model_operator_1d)
 from ucp_lab.perturbations import (Perturbation, admissibility_bound,
@@ -101,6 +101,23 @@ def test_kernel_evaluation_with_box_kernel(grid):
     # k = 1 makes omega(x) = |int u|, constant across the domain
     mass = abs(np.trapezoid(u.values[:, 0], grid.t))
     assert np.max(np.abs(out.values - mass * u.values)) < 1e-10
+
+
+def test_kernel_evaluation_on_annulus_against_dense_weights():
+    """On a 9 x 4 annulus the kernel integrates against the weight of every
+    point, (n_t, 1) broadcast over theta, not against the n_t radial ones."""
+    grid = AnnulusGrid.uniform(0.5, 9, 4)
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal(grid.shape + (2,)) + 1j * rng.standard_normal(grid.shape + (2,))
+    u = SpinorField(grid, vals)
+    k = rng.standard_normal((36, 36))
+    out = eval_perturbation(Perturbation.kernel_nonlocal(u, k), u)
+    w = np.array([[wt * (grid.r0 + t) * (2.0 * np.pi / 4) for _ in range(4)]
+                  for wt, t in zip(trapezoid_weights(grid.t), grid.t)]).reshape(-1)
+    flat = vals.reshape(36, 2)
+    omega = np.array([np.linalg.norm(sum(k[x, z] * w[z] * flat[z] for z in range(36)))
+                      for x in range(36)])
+    assert np.max(np.abs(out.values - omega.reshape(9, 4)[..., None] * vals)) <= 1e-12
 
 
 def test_admissibility_kernel_box_quadrature_oracle(grid):

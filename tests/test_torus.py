@@ -564,8 +564,9 @@ def test_semi_implicit_step_solves_its_linear_system(N, dt):
 
 def test_spectral_transform_counts(lat2, params2, monkeypatch):
     """One forward transform per field in an evaluation, and one stacked
-    forward/inverse pair per operator; every numpy transform is counted, so
-    switching between complex and real transforms cannot hide calls."""
+    forward/inverse pair per operator; all four TorusLattice transforms are
+    counted, so switching between complex and real transforms cannot hide
+    calls.  A value-only csd skips the gradient's transform pair."""
     calls = []
 
     def counted(transform):
@@ -574,10 +575,10 @@ def test_spectral_transform_counts(lat2, params2, monkeypatch):
             return transform(*args, **kwargs)
         return wrapper
 
-    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(tw.TorusLattice, name, counted(getattr(tw.TorusLattice, name)))
     cfg = tw.random_config(lat2, rng_for(27), amplitude=0.3)
-    for fn, limit in ((tw.evaluate, 8), (tw.grad_csd, 8), (tw.csd, 8)):
+    for fn, limit in ((tw.evaluate, 8), (tw.grad_csd, 8), (tw.csd, 5)):
         calls.clear()
         fn(cfg, params2, "case2")
         assert 0 < len(calls) <= limit, fn.__name__
@@ -587,6 +588,33 @@ def test_spectral_transform_counts(lat2, params2, monkeypatch):
     calls.clear()
     tw.run_flow(cfg, None, "unperturbed", dt=3.0, steps=2, scheme="semi-implicit")
     assert 0 < len(calls) <= 20
+
+
+@pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("stack", [(3,), ()])
+def test_spectral_primitives_match_numpy_fft(N, stack):
+    """The DFT-matrix transforms against numpy's FFT, 1e-13 relative, on
+    stacked and plain lattice fields; rfft keeps the (..., n, n, N+1) layout
+    and, like numpy's, refuses complex input."""
+    lat, axes = tw.TorusLattice(N), (-3, -2, -1)
+    rng = rng_for(31, N, len(stack))
+    x = rng.standard_normal(stack + lat.shape)
+    z = x + 1j * rng.standard_normal(stack + lat.shape)
+    h = np.fft.rfftn(x, axes=axes)
+    for got, want in ((lat.fft(z), np.fft.fftn(z, axes=axes)),
+                      (lat.ifft(z), np.fft.ifftn(z, axes=axes)),
+                      (lat.rfft(x), h),
+                      (lat.irfft(h), np.fft.irfftn(h, s=lat.shape, axes=axes))):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    with pytest.raises(TypeError):
+        lat.rfft(z)
+
+
+@pytest.mark.parametrize("case", tw._CASES)
+def test_value_only_csd_equals_evaluation_value(lat2, params2, case):
+    cfg = tw.random_config(lat2, rng_for(32), amplitude=0.3)
+    assert tw.csd(cfg, params2, case) == tw.evaluate(cfg, params2, case).value
 
 
 @pytest.mark.parametrize("scheme, dt", [("explicit", 5e-3), ("semi-implicit", 3.0)])

@@ -56,8 +56,8 @@ class CarlemanGeometry:
         return cls(Grid1D.uniform(T, n))
 
     @classmethod
-    def annulus(cls, T: float, n_t: int, n_theta: int, r0: float = 1.0) -> "CarlemanGeometry":
-        return cls(AnnulusGrid.uniform(T, n_t, n_theta, r0))
+    def annulus(cls, T: float, n_t: int, n_theta: int) -> "CarlemanGeometry":
+        return cls(AnnulusGrid.uniform(T, n_t, n_theta))
 
     @property
     def T(self) -> float:
@@ -108,11 +108,6 @@ def log_weighted_l2(v: SpinorField, R: float, geom: CarlemanGeometry) -> float:
     terms = b * np.exp(a - a_max)
     terms[at_max] = 0.0
     return float(np.log1p(np.sum(terms) / m) + np.log(m) + a_max)
-
-
-def weighted_l2(v: SpinorField, R: float, geom: CarlemanGeometry) -> float:
-    lg = log_weighted_l2(v, R, geom)
-    return 0.0 if lg == -math.inf else math.exp(lg)
 
 
 @dataclass
@@ -383,7 +378,6 @@ class JTermRecord:
     j_skew_pert: float
     j_sym_pert: float
     j_err: float
-    balance: float = 0.25
 
     @property
     def identity_defect(self) -> float:
@@ -399,11 +393,11 @@ class JTermRecord:
 
 @np.errstate(over="ignore", invalid="ignore")
 def appendix_decomposition(op: DiracOperator, P: Perturbation, v: SpinorField,
-                           R: float, geom: CarlemanGeometry,
-                           balance: float = 0.25) -> JTermRecord:
+                           R: float, geom: CarlemanGeometry) -> JTermRecord:
     """J-terms of the identity |L v0|^2 = J_skew + J_sym + J_mix after the
-    substitution v = exp(-R(T-t)^2/2) v0.  Direct exponentials: intended for
-    moderate R; a J-term that overflows raises PreconditionError."""
+    substitution v = exp(-R(T-t)^2/2) v0, with the error term
+    J_err = int |v0|^2 (R - 4 |P v|^2 / |v|^2).  Direct exponentials: intended
+    for moderate R; a J-term that overflows raises PreconditionError."""
     _check_domain(geom, v)
     _support_check(v, geom)
     w = geom.grid.quad_weights()
@@ -440,10 +434,10 @@ def appendix_decomposition(op: DiracOperator, P: Perturbation, v: SpinorField,
 
     mag2_v, mag2_p = fiber_norm2(v.values), fiber_norm2(pv)
     quot2 = np.divide(mag2_p, mag2_v, out=np.zeros_like(mag2_p), where=mag2_v > 0)
-    j_err = float(np.sum(w * fiber_norm2(v0) * (R - quot2 / balance)))
+    j_err = float(np.sum(w * fiber_norm2(v0) * (R - 4.0 * quot2)))
 
     rec = JTermRecord(R, j0, j1, j_skew, j_sym, j_mix, j3,
-                      j_skew_pert, j_sym_pert, j_err, balance)
+                      j_skew_pert, j_sym_pert, j_err)
     if not all(map(math.isfinite, astuple(rec))):
         raise PreconditionError(
             f"J-terms overflow at R T^2 = {R * geom.T ** 2:.4g}: lower R or T")

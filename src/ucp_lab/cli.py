@@ -102,7 +102,8 @@ PERTURBATIONS = {"none": lambda geom: None, "pointwise": _pointwise_unit,
                  "rank-one": _rank_one_l2}
 # Keys with values no suite can run below a limit: (holds, the range stated).
 _RANGES = {"N": (lambda v: v >= 1, ">= 1"), "n_t": (lambda v: v >= 3, ">= 3"),
-           "dt": (lambda v: v > 0, "> 0"), "r_min": (lambda v: v > 0, "> 0")}
+           "dt": (lambda v: v > 0, "> 0"), "r_min": (lambda v: v > 0, "> 0"),
+           "samples": (lambda v: v >= 1, ">= 1"), "r_points": (lambda v: v >= 1, ">= 1")}
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +317,13 @@ def run_sw_gradcheck(opts: dict, seed: int, out: Path) -> SuiteOutput:
               note=f"sampled C0 {adm.c0} vs witness {record.case1_witness_c0}")
     res.summary["case1_witness_c0"] = record.case1_witness_c0
     res.summary["mixed_coefficient"] = record.mixed_coefficient
+
+    floer = tw.floer_norm(params)
+    rel = floer.remainder_bound / floer.value if 0.0 < floer.value < math.inf else math.nan
+    res.check("floer-norm", rel, 1e-4,
+              note="truncation remainder bound over the finite Floer norm of p1 + p2")
+    res.summary["floer_norm"] = floer.value
+    res.summary["floer_remainder"] = floer.remainder_bound
     return res
 
 
@@ -534,6 +542,10 @@ def run(suite: str, config_file: Optional[str] = None, seed: int = 42,
                 seed = value
             else:
                 opts[key] = value
+        if "r_max" in opts and not opts["r_max"] >= opts["r_min"]:
+            print(f"error: config key 'r_max' takes a value >= r_min = {opts['r_min']!r}, "
+                  f"got {opts['r_max']!r}", file=sys.stderr)
+            return 2
 
     out = Path(out_dir)
     try:

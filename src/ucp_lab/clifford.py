@@ -49,28 +49,6 @@ def frame(dimension: int) -> CliffordFrame:
     return CliffordFrame(dimension, gens)
 
 
-def cl_apply(fr: CliffordFrame, j: int, s: np.ndarray) -> np.ndarray:
-    """Apply the j-th generator to a fiber vector (or batch, fiber axis last)."""
-    g = fr.generator(j)
-    s = np.asarray(s, dtype=complex)
-    if s.shape[-1] != fr.fiber_rank:
-        raise ValueError(f"fiber vector has length {s.shape[-1]}, expected {fr.fiber_rank}")
-    return s @ g.T
-
-
-def cl_form(fr: CliffordFrame, coeffs) -> np.ndarray:
-    """Clifford multiplication by a covector with the given (complex) coefficients.
-
-    coeffs may be scalars (returns a fiber matrix) or fields with leading
-    component axis (returns pointwise fiber matrices, shape coeffs.shape[1:] + (r, r)).
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape[0] != fr.dimension:
-        raise ValueError("one coefficient per generator required")
-    gens = np.stack(fr.generators)
-    return np.tensordot(np.moveaxis(coeffs, 0, -1), gens, axes=([-1], [0]))
-
-
 def fiber_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pointwise Hermitian product over the trailing fiber axis (linear in x)."""
     return np.einsum("...i,...i->...", x, np.conj(y))

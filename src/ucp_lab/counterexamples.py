@@ -63,11 +63,6 @@ class BranchedSolution:
     residual1: float
 
     @property
-    def agreement_sup(self) -> float:
-        mask = self.grid.t <= self.branch_point
-        return float(np.max(np.abs(self.u0[mask] - self.u1[mask])))
-
-    @property
     def separation_sup(self) -> float:
         mask = self.grid.t > self.branch_point
         return float(np.max(np.abs(self.u0[mask] - self.u1[mask])))
@@ -136,41 +131,21 @@ def peano_branches(case: str, c: float, grid: Optional[Grid1D] = None) -> Branch
     return BranchedSolution(grid, u0, u1, c, residual0, residual1)
 
 
-def default_rank_one_profile(x: np.ndarray) -> np.ndarray:
-    """sqrt(2) times the indicator of [1,2], smoothstep-collared at the jump
-    over 2% of the grid's length."""
-    width = 0.02 * (x[-1] - x[0])
-    return math.sqrt(2.0) * smoothstep((x - 1.0) / width) * (x >= 1.0)
+def rank_one_counterexample(grid: Optional[Grid1D] = None) -> tuple:
+    """Nontrivial branch of u' = <u, a> a for a = sqrt(2) times the indicator
+    of [1, 2], smoothstep-collared at the jump over 2% of the grid's length.
 
-
-def rank_one_counterexample(a: Optional[np.ndarray] = None,
-                            grid: Optional[Grid1D] = None,
-                            renormalize: bool = True) -> tuple:
-    """Nontrivial branch of u' = <u, a> a with a supported in [1, 2].
-
-    Returns (BranchedSolution, a) where a has been renormalized so the
-    grid-trapezoid value of int_1^2 a equals sqrt(2) exactly; with
-    renormalize=False a violation beyond 1e-10 raises instead.
+    Returns (BranchedSolution, a) where a has been rescaled so the
+    grid-trapezoid value of int_1^2 a equals sqrt(2) exactly.
     """
     if grid is None:
         grid = Grid1D.uniform(2.0, 131073)
     x = grid.t
     w = grid.quad_weights()
-    if a is None:
-        a = default_rank_one_profile(x)
-    a = np.asarray(a, dtype=float).copy()
-    if a.shape != x.shape:
-        raise ValueError("profile must be sampled on the grid")
-    left = x <= 1.0
-    if np.max(np.abs(a[left])) > 1e-12 * max(np.max(np.abs(a)), 1.0):
-        raise NormalizationError("profile must vanish on [0, 1]")
-
+    a = math.sqrt(2.0) * smoothstep((x - 1.0) / (0.02 * (x[-1] - x[0]))) * (x >= 1.0)
     total = float(np.sum(w * a))
     target = math.sqrt(2.0)
     if abs(total - target) > 1e-10:
-        if not renormalize:
-            raise NormalizationError(
-                f"int_1^2 a = {total:.12f} differs from sqrt(2) by more than 1e-10")
         a *= target / total
 
     # u(x) = int_1^x a by cumulative trapezoid

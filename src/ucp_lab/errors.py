@@ -21,7 +21,7 @@ class NonAdmissibleError(UcpLabError):
 
 
 class NormalizationError(UcpLabError):
-    """Input profile violates a required normalization and renormalizing is off."""
+    """A constructed solution misses a required normalization (pairing or residual)."""
 
 
 class PreconditionError(UcpLabError):

@@ -97,8 +97,9 @@ class AnnulusGrid(_SliceGrid):
         return hash((self.t.size, self.n_theta, self.r0, float(self.t[-1])))
 
     @classmethod
-    def uniform(cls, t_max: float, n_t: int, n_theta: int, r0: float = 1.0) -> "AnnulusGrid":
-        return cls(np.linspace(0.0, t_max, n_t), n_theta, r0)
+    def uniform(cls, t_max: float, n_t: int, n_theta: int) -> "AnnulusGrid":
+        """Uniform annulus with inner radius 1."""
+        return cls(np.linspace(0.0, t_max, n_t), n_theta, 1.0)
 
     @property
     def shape(self) -> tuple:

@@ -11,6 +11,7 @@ adjoint is the plain conjugate transpose and the circle term is Hermitian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -64,12 +65,20 @@ class DiracOperator:
     def apply_C(self, w: np.ndarray) -> np.ndarray:
         return _fiber_apply(self.C, w)
 
-    def apply_B_prime(self, w: np.ndarray) -> np.ndarray:
-        """dB/dt by the time_derivative stencil, on both parts of B."""
+    @cached_property
+    def _B_prime(self) -> tuple:
+        """dB/dt and da/dt by the time_derivative stencil, formed on first use:
+        the stored B and a(t) never change after construction."""
         h = self.grid.spacing
-        out = _fiber_apply(time_derivative(self.B, h), w)
-        if self.angular is not None:
-            out += self._circle(time_derivative(self.angular, h), w)
+        da = None if self.angular is None else time_derivative(self.angular, h)
+        return time_derivative(self.B, h), da
+
+    def apply_B_prime(self, w: np.ndarray) -> np.ndarray:
+        """dB/dt on both parts of B."""
+        dB, da = self._B_prime
+        out = _fiber_apply(dB, w)
+        if da is not None:
+            out += self._circle(da, w)
         return out
 
     def apply_cl_dt(self, w: np.ndarray) -> np.ndarray:
@@ -93,18 +102,6 @@ def dirac_apply(op: DiracOperator, u: SpinorField) -> SpinorField:
     du = time_derivative(u.values, op.grid.spacing)
     w = du + op.apply_B(u.values) + op.apply_C(u.values)
     return SpinorField(u.grid, op.apply_cl_dt(w))
-
-
-def product_decompose(raw_slices: np.ndarray, fr: CliffordFrame, grid,
-                      cl_dt: np.ndarray) -> DiracOperator:
-    """Split raw pointwise tangential operators into self-adjoint and skew parts."""
-    raw_slices = np.asarray(raw_slices, dtype=complex)
-    if raw_slices.shape[-1] != raw_slices.shape[-2]:
-        raise ValueError("slice operators must be square")
-    adj = slice_adjoint(raw_slices)
-    B = 0.5 * (raw_slices + adj)
-    C = 0.5 * (raw_slices - adj)
-    return DiracOperator(fr, grid, cl_dt, B, C)
 
 
 def absorb_homomorphism(op: DiracOperator, R: np.ndarray) -> DiracOperator:

@@ -5,8 +5,8 @@ fiber nor a field map.  Local kinds are a fiber map of a per-point
 coefficient c, P(u)(x) = fiber(c(x), u(x)):
   pointwise   P(u)(x) = <u(x), a(x)> u(x)
   matrix      P(u)(x) = M(x) u(x)      (bundle map of the torus linearization)
-Nonlocal kinds are a whole-field map P(u) = field(u):
-  kernel      P(u)(x) = |int k(x, z) u(z) dz| u(x)
+Nonlocal kinds are a whole-field map P(u) = field(u), built by a
+constructor or given directly as Perturbation(a, field=...):
   rank-one    P(u)(x) = <u, a>_{L2} a(x)
 integrate_zero_data reads the operator's stored B + C and a local kind's
 coefficient at the RK4 stage times, applies local kinds to each stage value
@@ -22,7 +22,7 @@ import numpy as np
 
 from .clifford import fiber_inner
 from .errors import DomainMismatchError
-from .fields import Grid1D, SpinorField, fiber_norm2, l2_inner, same_grid
+from .fields import Grid1D, SpinorField, l2_inner, same_grid
 
 
 @dataclass(eq=False)
@@ -40,18 +40,6 @@ class Perturbation:
     @classmethod
     def pointwise(cls, a: SpinorField) -> "Perturbation":
         return cls(a, a.values, fiber=lambda c, v: fiber_inner(v, c)[..., None] * v)
-
-    @classmethod
-    def kernel_nonlocal(cls, a_grid_field: SpinorField, kernel: np.ndarray) -> "Perturbation":
-        # kernel sampled as k[x, z] on the (flattened) grid of the carrier field
-        kernel = np.asarray(kernel, dtype=complex)
-
-        def field(u: SpinorField) -> np.ndarray:
-            w = np.broadcast_to(u.grid.quad_weights(), u.grid.shape).reshape(-1)
-            integral = kernel @ (w[:, None] * u.values.reshape(-1, u.rank))
-            omega = np.sqrt(fiber_norm2(integral))
-            return omega.reshape(u.values.shape[:-1])[..., None] * u.values
-        return cls(a_grid_field, field=field)
 
     @classmethod
     def rank_one(cls, a: SpinorField) -> "Perturbation":
@@ -83,9 +71,8 @@ class AdmissibilityResult:
         return self.admissible
 
 
-def admissibility_bound(P: Perturbation, u: SpinorField,
-                        region: Optional[np.ndarray] = None) -> AdmissibilityResult:
-    """Smallest sampled C0 with |P(u)(x)| <= C0 |u(x)| on the region.
+def admissibility_bound(P: Perturbation, u: SpinorField) -> AdmissibilityResult:
+    """Smallest sampled C0 with |P(u)(x)| <= C0 |u(x)| on the grid.
 
     Points with u(x) = 0 must have P(u)(x) = 0, otherwise the verdict is
     non-admissible (a verdict, not an error).
@@ -93,16 +80,13 @@ def admissibility_bound(P: Perturbation, u: SpinorField,
     pu = eval_perturbation(P, u)
     mag_u = u.fiber_abs().reshape(-1)
     mag_p = pu.fiber_abs().reshape(-1)
-    if region is not None:
-        region = np.asarray(region, dtype=bool).reshape(-1)
-        mag_u, mag_p = mag_u[region], mag_p[region]
     zero = mag_u == 0.0
     if np.any(mag_p[zero] > 0.0):
         idx = int(np.argmax(mag_p * zero))
         return AdmissibilityResult(False, None,
                                    f"P(u) nonzero at sample {idx} where u vanishes")
     if np.all(zero):
-        return AdmissibilityResult(True, 0.0, "u vanishes on the region")
+        return AdmissibilityResult(True, 0.0, "u vanishes on the grid")
     c0 = float(np.max(mag_p[~zero] / mag_u[~zero]))
     return AdmissibilityResult(True, c0)
 

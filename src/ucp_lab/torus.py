@@ -330,6 +330,7 @@ def eigenspinor_basis(lattice: TorusLattice, count: int):
     return np.stack(fields), np.array(lambdas)
 
 
+# co-closed forms: the harmonic frame forms first, then divergence-free trig forms
 _COCLOSED = [(0, None, None), (1, None, None), (2, None, None),
              (2, 0, np.cos), (0, 1, np.cos), (1, 2, np.cos),
              (2, 0, np.sin), (0, 1, np.sin), (1, 2, np.sin)]
@@ -347,15 +348,6 @@ def _trig_forms(lattice: TorusLattice, specs, count: int) -> np.ndarray:
     return forms
 
 
-def _coclosed_forms(lattice: TorusLattice, count: int) -> np.ndarray:
-    """Harmonic frame forms first, then simple divergence-free trig forms."""
-    return _trig_forms(lattice, _COCLOSED, count)
-
-
-def _generic_forms(lattice: TorusLattice, count: int) -> np.ndarray:
-    return _trig_forms(lattice, _GENERIC, count)
-
-
 def default_epsilons() -> np.ndarray:
     """Floer weights 4^-k / k! for the derivative orders k = 0..6."""
     return np.array([4.0 ** (-k) / math.factorial(k) for k in range(7)])
@@ -367,8 +359,8 @@ def default_params(lattice: TorusLattice, n_tau: int = 5, n_zeta: int = 3,
     translation invariance of p1 enforced by 2pi-periodic dependence on the
     first three slots after rescaling by the measured winding shift."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
-    mus = _coclosed_forms(lattice, n_tau)
-    nus = _generic_forms(lattice, n_zeta)
+    mus = _trig_forms(lattice, _COCLOSED, n_tau)
+    nus = _trig_forms(lattice, _GENERIC, n_zeta)
     basis, lambdas = eigenspinor_basis(lattice, n_eta)
 
     shift = _measure_winding_shift(lattice, mus)
@@ -417,11 +409,6 @@ def sigma_polarized(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Symmetric polarization: (i/2) Im <cl(e_j)psi, phi> (real storage);
     sigma_polarized(psi, psi) is the quadratic term sigma(psi, psi)."""
     return 0.5 * np.imag(np.tensordot(_GEN, psi[None] * np.conj(phi)[:, None], axes=2))
-
-
-def sw_residual(config: SWConfiguration) -> Tuple[float, float]:
-    """L2 norms of the curvature row *F_A - sigma(psi, psi) and the Dirac row."""
-    return evaluate(config).residuals
 
 
 def _dressing(lat: TorusLattice, alpha_hat: np.ndarray) -> np.ndarray:
@@ -510,7 +497,7 @@ _CASES = ("unperturbed", "case1", "case2")
 class Evaluation:
     value: float                        # csd
     gradient: Optional[Tangent]         # grad_csd (None for a value-only csd)
-    residuals: Tuple[float, float]      # sw_residual: unperturbed row norms
+    residuals: Tuple[float, float]      # L2 norms of the unperturbed curvature, Dirac rows
 
 
 def evaluate(config: SWConfiguration, params: Optional[PerturbationParams] = None,
@@ -757,25 +744,7 @@ def gauge_apply(config: SWConfiguration, f: Optional[np.ndarray] = None,
 
 
 # ---------------------------------------------------------------------------
-# flat-torus bound and linearization bookkeeping
-
-
-@dataclass
-class BoundVerdict:
-    status: str                 # "pass" | "fail" | "inconclusive"
-    sup_psi_sq: float
-    residual: float
-
-
-def scalar_bound_check(config: SWConfiguration) -> BoundVerdict:
-    """On the flat torus the curvature-scalar bound forces sup|psi|^2 <= 0,
-    checked to 1e-6 for configurations that solve the equations to 1e-6."""
-    r = max(sw_residual(config))
-    sup_sq = config.sup_psi_sq()
-    if r >= 1e-6:
-        return BoundVerdict("inconclusive", sup_sq, r)
-    status = "pass" if sup_sq <= 1e-6 else "fail"
-    return BoundVerdict(status, sup_sq, r)
+# linearization bookkeeping
 
 
 @dataclass(eq=False)

@@ -88,7 +88,10 @@ def test_unknown_perturbation_exits_2_naming_key(tmp_path, capsys, suite):
 @pytest.mark.parametrize("suite, line, key", [
     ("sw-flow", "N = 0", "N"), ("sw-flow", "dt = 0.0", "dt"), ("sw-flow", "dt = -1", "dt"),
     ("decay", "n_t = 2", "n_t"), ("carleman", "r_min = 0", "r_min"),
-    ("carleman", "r_min = nan", "r_min")])
+    ("carleman", "r_min = nan", "r_min"), ("carleman", "samples = 0", "samples"),
+    ("carleman", "r_points = 0", "r_points"), ("decay", "r_points = 0", "r_points"),
+    ("carleman", "r_max = 5", "r_max"), ("decay", "r_max = 5", "r_max"),
+    ("carleman", "r_max = nan", "r_max")])
 def test_out_of_range_config_value_exits_2_naming_key(tmp_path, capsys, suite, line, key):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(line + "\n")
@@ -278,3 +281,14 @@ def test_seed_changes_sampled_values(tmp_path):
                 "--out", str(out), "--seed", seed)
         vals.append((out / "observables.csv").read_text())
     assert vals[0] != vals[1]
+
+
+def test_default_sw_gradcheck_gates_the_floer_norm(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("run", "--suite", "sw-gradcheck", "--out", str(out)) == 0
+    report = json.loads((out / "report.json").read_text())
+    [gate] = [a for a in report["assertions"] if a["name"] == "floer-norm"]
+    assert gate["passed"] and 0.0 <= gate["value"] <= gate["threshold"] == 1e-4
+    assert math.isfinite(report["summary"]["floer_norm"])
+    assert report["summary"]["floer_norm"] > 0.0
+    assert gate["value"] == report["summary"]["floer_remainder"] / report["summary"]["floer_norm"]

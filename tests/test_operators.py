@@ -7,8 +7,8 @@ from ucp_lab.clifford import frame
 from ucp_lab.errors import DomainMismatchError
 from ucp_lab.fields import AnnulusGrid, Grid1D, SpinorField
 from ucp_lab.operators import (DiracOperator, absorb_homomorphism, annulus_operator,
-                               dirac_apply, model_operator_1d, product_decompose,
-                               slice_adjoint, time_derivative)
+                               dirac_apply, model_operator_1d, slice_adjoint,
+                               time_derivative)
 from ucp_lab.perturbations import Perturbation
 
 
@@ -47,33 +47,41 @@ def test_domain_mismatch_raises():
         dirac_apply(op, other.zeros())
 
 
+def product_decompose(raw, grid):
+    """Split raw pointwise tangential operators into self-adjoint and skew
+    parts: absorb_homomorphism of cl(dt) raw into a zero-coefficient operator."""
+    fr = frame(1)
+    r = raw.shape[-2]
+    cl_dt = np.kron(np.eye(r // 2), fr.generator(0))   # unitary, so cl(dt)^* cl(dt) = I
+    zeros = np.zeros((grid.n, r, r), dtype=complex)
+    return absorb_homomorphism(DiracOperator(fr, grid, cl_dt, zeros, zeros.copy()),
+                               cl_dt @ raw)
+
+
 def test_product_decompose_self_adjoint_and_skew_inputs():
     grid = Grid1D.uniform(1.0, 16)
-    fr = frame(1)
     herm = np.array([[1.0, 2.0 - 1j], [2.0 + 1j, -0.5]])
     raw = np.broadcast_to(herm, (grid.n, 2, 2))
-    op = product_decompose(raw, fr, grid, fr.generator(0))
+    op = product_decompose(raw, grid)
     assert np.max(np.abs(op.C)) < 1e-15
 
     skew = np.array([[1j, 0.3], [-0.3, -2j]])
     raw = np.broadcast_to(skew, (grid.n, 2, 2))
-    op = product_decompose(raw, fr, grid, fr.generator(0))
+    op = product_decompose(raw, grid)
     assert np.max(np.abs(op.B)) < 1e-15
 
 
 def test_product_decompose_rejects_non_square_slices():
     grid = Grid1D.uniform(1.0, 8)
-    fr = frame(1)
-    with pytest.raises(ValueError):
-        product_decompose(np.zeros((grid.n, 2, 3)), fr, grid, fr.generator(0))
+    with pytest.raises(DomainMismatchError):
+        product_decompose(np.zeros((grid.n, 2, 3)), grid)
 
 
 def test_product_decompose_reassembles_random_slices():
     rng = np.random.default_rng(11)
     grid = Grid1D.uniform(1.0, 8)
-    fr = frame(1)
     raw = rng.standard_normal((grid.n, 4, 4)) + 1j * rng.standard_normal((grid.n, 4, 4))
-    op = product_decompose(raw, fr, grid, fr.generator(0))
+    op = product_decompose(raw, grid)
     assert np.max(np.abs((op.B + op.C) - raw)) < 1e-14
     assert np.max(np.abs(op.B - slice_adjoint(op.B))) < 1e-14
     assert np.max(np.abs(op.C + slice_adjoint(op.C))) < 1e-14
@@ -232,7 +240,7 @@ def test_annulus_tangential_parts():
 def test_annulus_jterms_against_dense_slices():
     """J-terms of the structured operator against dense B, B' and [B, C]."""
     rng = np.random.default_rng(5)
-    geom = CarlemanGeometry.annulus(0.1, 33, 12, r0=1.0)
+    geom = CarlemanGeometry.annulus(0.1, 33, 12)
     grid = geom.grid
     R_hom, noise = _random_annulus_fields(rng, grid)
     op = absorb_homomorphism(annulus_operator(grid), 0.5 * R_hom)

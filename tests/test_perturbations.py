@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucp_lab.counterexamples import rank_one_counterexample
-from ucp_lab.fields import AnnulusGrid, Grid1D, SpinorField, l2_inner, trapezoid_weights
+from ucp_lab.fields import Grid1D, SpinorField, fiber_norm2, l2_inner
 from ucp_lab.operators import (absorb_homomorphism, constant_operator_1d,
                                model_operator_1d)
 from ucp_lab.perturbations import (Perturbation, admissibility_bound,
@@ -23,11 +23,15 @@ def bump_field(grid, center, width, rank=2, component=0):
     return SpinorField(grid, vals)
 
 
+def whole_field_rank_one(a):
+    """<u, a>_{L2} a as a generic whole-field map, without the running sum."""
+    return Perturbation(a, field=lambda u: l2_inner(u, a) * a.values)
+
+
 def all_kinds(grid):
     a = bump_field(grid, 1.0, 0.3)
-    k = np.ones((grid.n, grid.n))
-    return [Perturbation.zero(), Perturbation.pointwise(a),
-            Perturbation.kernel_nonlocal(a, k), Perturbation.rank_one(a)]
+    return [Perturbation.zero(), Perturbation.pointwise(a), whole_field_rank_one(a),
+            Perturbation.rank_one(a)]
 
 
 def test_zero_input_maps_to_zero_for_every_kind(grid):
@@ -94,36 +98,12 @@ def test_admissibility_rank_one_fails_where_u_vanishes(grid):
     assert not res.admissible
 
 
-def test_kernel_evaluation_with_box_kernel(grid):
-    u = bump_field(grid, 1.0, 0.2)
-    k = np.ones((grid.n, grid.n))
-    out = eval_perturbation(Perturbation.kernel_nonlocal(u, k), u)
-    # k = 1 makes omega(x) = |int u|, constant across the domain
-    mass = abs(np.trapezoid(u.values[:, 0], grid.t))
-    assert np.max(np.abs(out.values - mass * u.values)) < 1e-10
-
-
-def test_kernel_evaluation_on_annulus_against_dense_weights():
-    """On a 9 x 4 annulus the kernel integrates against the weight of every
-    point, (n_t, 1) broadcast over theta, not against the n_t radial ones."""
-    grid = AnnulusGrid.uniform(0.5, 9, 4)
-    rng = np.random.default_rng(3)
-    vals = rng.standard_normal(grid.shape + (2,)) + 1j * rng.standard_normal(grid.shape + (2,))
-    u = SpinorField(grid, vals)
-    k = rng.standard_normal((36, 36))
-    out = eval_perturbation(Perturbation.kernel_nonlocal(u, k), u)
-    w = np.array([[wt * (grid.r0 + t) * (2.0 * np.pi / 4) for _ in range(4)]
-                  for wt, t in zip(trapezoid_weights(grid.t), grid.t)]).reshape(-1)
-    flat = vals.reshape(36, 2)
-    omega = np.array([np.linalg.norm(sum(k[x, z] * w[z] * flat[z] for z in range(36)))
-                      for x in range(36)])
-    assert np.max(np.abs(out.values - omega.reshape(9, 4)[..., None] * vals)) <= 1e-12
-
-
 def test_admissibility_kernel_box_quadrature_oracle(grid):
     u = bump_field(grid, 1.0, 0.2)
-    k = np.ones((grid.n, grid.n))
-    P = Perturbation.kernel_nonlocal(u, k)
+    w = grid.quad_weights()[:, None]
+    # the kernel k = 1 as a whole-field map: P(v)(x) = |int v| v(x)
+    P = Perturbation(u, field=lambda v: np.sqrt(fiber_norm2(np.sum(w * v.values, axis=0)))
+                     * v.values)
     res = admissibility_bound(P, u)
     oracle = np.trapezoid(u.values[:, 0].real, grid.t)  # int u over the domain
     assert res.admissible
@@ -145,16 +125,6 @@ def test_admissibility_scaling_behaviour(grid):
     for lam in (0.5, 2.0):
         c_scaled = admissibility_bound(P, u * lam).c0
         assert abs(c_scaled - c_base) <= 1e-10 * max(c_base, 1.0)
-
-
-def test_admissibility_region_restriction(grid):
-    a = bump_field(grid, 1.5, 0.1)
-    P = Perturbation.pointwise(a)
-    u = bump_field(grid, 1.5, 0.4)
-    region = grid.t < 1.0
-    res = admissibility_bound(P, u, region=region)
-    full = admissibility_bound(P, u)
-    assert res.admissible and res.c0 < full.c0
 
 
 def test_ucp_condition_plane_wave(grid):
@@ -284,8 +254,7 @@ def test_nonlocal_kind_is_evaluated_once_per_step():
     grid = Grid1D.uniform(1.0, 65)
     a = bump_field(grid, 0.5, 0.2)
     for P, evaluations in ((Perturbation.rank_one(a), 0),
-                           (Perturbation.kernel_nonlocal(a, np.ones((grid.n, grid.n))),
-                            grid.n - 1)):
+                           (whole_field_rank_one(a), grid.n - 1)):
         calls = []
         field = P.field
         P.field = lambda u: calls.append(1) or field(u)
@@ -304,8 +273,7 @@ def test_rank_one_running_sum_matches_whole_field_reevaluation():
             op = model_operator_1d(grid)
             a = SpinorField(grid, bump_field(grid, 0.4 * T, 0.2 * T).values
                             * np.array([3.0, 1.0 - 2.0j]))
-            whole = Perturbation(a, field=lambda u: l2_inner(u, a) * a.values)
-            want = integrate_zero_data(op, whole, u0=u0).values
+            want = integrate_zero_data(op, whole_field_rank_one(a), u0=u0).values
             got = integrate_zero_data(op, Perturbation.rank_one(a), u0=u0).values
             unperturbed = integrate_zero_data(op, Perturbation.zero(), u0=u0).values
             scale = np.max(np.abs(want))

@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -27,7 +27,7 @@ from . import carleman as cl
 from . import counterexamples as cx
 from . import torus as tw
 from .checkpoint import save_checkpoint
-from .errors import FlowInstabilityError, NonAdmissibleError, UcpLabError
+from .errors import FlowInstabilityError, UcpLabError
 from .fields import Grid1D, SpinorField, fiber_norm2
 from .operators import constant_operator_1d, model_operator_1d
 from .perturbations import (Perturbation, admissibility_bound,
@@ -43,10 +43,6 @@ class Assertion:
     value: float
     threshold: float
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": bool(self.passed),
-                "value": self.value, "threshold": self.threshold, "note": self.note}
 
 
 @dataclass
@@ -100,10 +96,13 @@ def _rank_one_l2(geom: cl.CarlemanGeometry) -> Perturbation:
 # values of the `perturbation` config key: geometry -> Perturbation, or None
 PERTURBATIONS = {"none": lambda geom: None, "pointwise": _pointwise_unit,
                  "rank-one": _rank_one_l2}
-# Keys with values no suite can run below a limit: (holds, the range stated).
-_RANGES = {"N": (lambda v: v >= 1, ">= 1"), "n_t": (lambda v: v >= 3, ">= 3"),
-           "dt": (lambda v: v > 0, "> 0"), "r_min": (lambda v: v > 0, "> 0"),
-           "samples": (lambda v: v >= 1, ">= 1"), "r_points": (lambda v: v >= 1, ">= 1")}
+# Keys whose values a suite cannot run outside a range: (holds, the range stated).
+# A count of zero would leave its gates nothing to check, and they would pass.
+_RANGES = {**dict.fromkeys(("N", "samples", "r_points", "configs", "adjoint_pairs",
+                            "trials", "appendix_samples"), (lambda v: v >= 1, ">= 1")),
+           "n_t": (lambda v: v >= 3, ">= 3"), "dt": (lambda v: v > 0, "> 0"),
+           "r_min": (lambda v: v > 0, "> 0"),
+           "perturbation": (PERTURBATIONS.__contains__, "in {" + ", ".join(PERTURBATIONS) + "}")}
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +114,11 @@ def run_carleman(opts: dict, seed: int, out: Path) -> SuiteOutput:
     geom = cl.CarlemanGeometry.interval(opts["T"], opts["n_t"])
     op = model_operator_1d(geom.grid)
     R_grid = np.logspace(math.log10(opts["r_min"]), math.log10(opts["r_max"]),
-                         int(opts["r_points"]))
+                         opts["r_points"])
     pert = PERTURBATIONS[opts["perturbation"]](geom)
     sampler = cl.cutoff_bump_sampler(geom)
 
-    sweep = cl.constant_sweep(op, sampler, R_grid, geom, n_samples=int(opts["samples"]),
+    sweep = cl.constant_sweep(op, sampler, R_grid, geom, n_samples=opts["samples"],
                               perturbation=pert, seed=seed, require_span=False)
     rows = []
     for rep, est in zip(sweep.reports, sweep.estimates):
@@ -139,12 +138,12 @@ def run_carleman(opts: dict, seed: int, out: Path) -> SuiteOutput:
     elif len(concl) >= 3 and concl[-1][0] / concl[0][0] >= 100.0:
         ests = np.array([e for _, e in concl])
         res.check("constant-boundedness-spread", float(np.max(ests) / np.min(ests)),
-                  float(opts["bounded_factor"]),
+                  opts["bounded_factor"],
                   note="max/min of the per-R constant estimate over the sweep")
     else:
         res.inconclusive.append("R grid too short for the boundedness assertion")
     res.summary["spread"] = sweep.spread
-    res.summary["bounded"] = sweep.bounded(float(opts["bounded_factor"]))
+    res.summary["bounded"] = sweep.bounded(opts["bounded_factor"])
     res.summary["degenerate"] = sweep.degenerate
 
     if pert is not None:
@@ -158,7 +157,7 @@ def run_carleman(opts: dict, seed: int, out: Path) -> SuiteOutput:
                   note="reported C0 vs the bound re-sampled on the same fields")
 
     if opts["appendix_checks"]:
-        _carleman_appendix(res, out, seed, int(opts["appendix_samples"]))
+        _carleman_appendix(res, out, seed, opts["appendix_samples"])
     return res
 
 
@@ -202,10 +201,9 @@ def run_decay(opts: dict, seed: int, out: Path) -> SuiteOutput:
     geom = cl.CarlemanGeometry.interval(opts["T"], opts["n_t"])
     op = model_operator_1d(geom.grid)
     pert = PERTURBATIONS[opts["perturbation"]](geom) or Perturbation.zero()
-    delta = float(opts["seed_amplitude"])
-    u = integrate_zero_data(op, pert, u0=np.array([delta, 0.0], dtype=complex))
+    u = integrate_zero_data(op, pert, u0=np.array([opts["seed_amplitude"], 0.0], dtype=complex))
     R_grid = np.logspace(math.log10(opts["r_min"]), math.log10(opts["r_max"]),
-                         int(opts["r_points"]))
+                         opts["r_points"])
     report = cl.ucp_decay_check(op, pert, u, R_grid, geom, seed=seed)
 
     _write_csv(out / "decay.csv", ["R", "log_bound", "conclusive", "passed"],
@@ -219,7 +217,7 @@ def run_decay(opts: dict, seed: int, out: Path) -> SuiteOutput:
     if report.inconclusive:
         res.inconclusive.append("no grid point beyond the admissibility crossover")
         return res
-    res.check("decay-slope-deviation", report.slope_rel_dev, float(opts["slope_tol"]),
+    res.check("decay-slope-deviation", report.slope_rel_dev, opts["slope_tol"],
               note="relative deviation of the fitted log-slope from -21 T^2/100")
     res.check("decay-bound-dominates", 0.0 if report.passed else 1.0, 0.5,
               note="measured inner mass below the bound at every conclusive R")
@@ -232,14 +230,14 @@ def run_counterexample(opts: dict, seed: int, out: Path) -> SuiteOutput:
     plot.mkdir(exist_ok=True)
 
     for case in ("sqrt", "two-thirds"):
-        sol = cx.peano_branches(case, c=float(opts["branch_point"]),
-                                grid=Grid1D.uniform(4.0, int(opts["peano_n"])))
+        sol = cx.peano_branches(case, c=opts["branch_point"],
+                                grid=Grid1D.uniform(4.0, opts["peano_n"]))
         _write_csv(plot / f"peano_{case}.csv", ["x", "u0", "u1"],
                    zip(sol.grid.t, sol.u0, sol.u1))
         res.check(f"peano-{case}-residual", [sol.residual0, sol.residual1], 1e-6)
         res.check(f"peano-{case}-separation", sol.separation_sup, 1e-4, direction="ge")
 
-    sol, a = cx.rank_one_counterexample(grid=Grid1D.uniform(2.0, int(opts["rank_one_n"])))
+    sol, a = cx.rank_one_counterexample(grid=Grid1D.uniform(2.0, opts["rank_one_n"]))
     _write_csv(plot / "rank_one.csv", ["x", "u0", "u1"], zip(sol.grid.t, sol.u0, sol.u1))
     grid = sol.grid
     w = grid.quad_weights()
@@ -267,14 +265,14 @@ def run_counterexample(opts: dict, seed: int, out: Path) -> SuiteOutput:
 
 def run_sw_gradcheck(opts: dict, seed: int, out: Path) -> SuiteOutput:
     res = SuiteOutput()
-    lat = tw.TorusLattice(int(opts["N"]))
+    lat = tw.TorusLattice(opts["N"])
     params = tw.default_params(lat)
     hs = np.array([1e-2, 1e-3, 1e-4])
     rows, orders = [], []
     for case in ("unperturbed", "case1", "case2"):
-        for i in range(int(opts["configs"])):
+        for i in range(opts["configs"]):
             rng = _rng(seed, 11, i)
-            config = tw.random_config(lat, rng, amplitude=float(opts["amplitude"]))
+            config = tw.random_config(lat, rng, amplitude=opts["amplitude"])
             direction = tw.random_tangent(lat, rng)
             grad = tw.grad_csd(config, params, case)
             pair = tw.tangent_inner(grad, direction, lat)
@@ -288,13 +286,13 @@ def run_sw_gradcheck(opts: dict, seed: int, out: Path) -> SuiteOutput:
             for h, e in zip(hs, errs):
                 rows.append([case, i, h, e, order])
     _write_csv(out / "sw_gradcheck.csv", ["case", "config", "h", "rel_err", "order"], rows)
-    res.check("gradient-convergence-order", orders, float(opts["min_order"]),
+    res.check("gradient-convergence-order", orders, opts["min_order"],
               direction="ge", note="worst central-difference order across cases")
 
     config = tw.random_config(lat, _rng(seed, 12), amplitude=0.3)
     lin = tw.linearize(config, params)
     defects = []
-    for i in range(int(opts["adjoint_pairs"])):
+    for i in range(opts["adjoint_pairs"]):
         rng = _rng(seed, 13, i)
         x = tw.random_tangent(lat, rng)
         y = tw.SystemTriple(rng.standard_normal(config.psi.shape[1:]),
@@ -304,7 +302,7 @@ def run_sw_gradcheck(opts: dict, seed: int, out: Path) -> SuiteOutput:
         lhs = lin.pairing_out(lin.apply(x), y)
         rhs = tw.tangent_inner(x, lin.adjoint(y), lat)
         defects.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
-    res.check("adjoint-identity", defects, float(opts["adjoint_tol"]),
+    res.check("adjoint-identity", defects, opts["adjoint_tol"],
               note="relative defect of <Lx, y> = <x, L*y> over random pairs")
 
     record = tw.linearization_ucp_setup(config, params)
@@ -329,27 +327,25 @@ def run_sw_gradcheck(opts: dict, seed: int, out: Path) -> SuiteOutput:
 
 def run_sw_flow(opts: dict, seed: int, out: Path) -> SuiteOutput:
     res = SuiteOutput()
-    lat = tw.TorusLattice(int(opts["N"]))
+    lat = tw.TorusLattice(opts["N"])
     plot = out / "plotdata"
     plot.mkdir(exist_ok=True)
-    target = float(opts["residual_target"])
-    for trial in range(int(opts["trials"])):
-        config = tw.random_config(lat, _rng(seed, 21, trial),
-                                  amplitude=float(opts["amplitude"]))
-        flow = tw.run_flow(config, None, "unperturbed", dt=float(opts["dt"]),
-                           steps=int(opts["max_steps"]), scheme="semi-implicit",
+    target = opts["residual_target"]
+    for trial in range(opts["trials"]):
+        config = tw.random_config(lat, _rng(seed, 21, trial), amplitude=opts["amplitude"])
+        flow = tw.run_flow(config, None, "unperturbed", dt=opts["dt"],
+                           steps=opts["max_steps"], scheme="semi-implicit",
                            residual_target=target)
         _write_csv(plot / f"flow_{trial}.csv", [f.name for f in fields(tw.FlowRecord)],
                    map(astuple, flow.trajectory))
         final_res = max(flow.trajectory[-1].residual_curvature,
                         flow.trajectory[-1].residual_dirac)
         res.check(f"flow-{trial}-residual", final_res, target)
-        res.check(f"flow-{trial}-psi-bound", flow.config.sup_psi_sq(),
-                  float(opts["psi_bound"]))
+        res.check(f"flow-{trial}-psi-bound", flow.config.sup_psi_sq(), opts["psi_bound"])
         if trial == 0:
             save_checkpoint(flow.config, out / "flow_final.ckpt")
 
-    config = tw.random_config(lat, _rng(seed, 22), amplitude=float(opts["amplitude"]))
+    config = tw.random_config(lat, _rng(seed, 22), amplitude=opts["amplitude"])
     current, prev, monotone = config, tw.csd(config), True
     for _ in range(100):
         current = tw.flow_step(current, None, "unperturbed", dt=5e-3, scheme="explicit")
@@ -375,12 +371,12 @@ def run_sw_flow(opts: dict, seed: int, out: Path) -> SuiteOutput:
 
 def run_observables(opts: dict, seed: int, out: Path) -> SuiteOutput:
     res = SuiteOutput()
-    lat = tw.TorusLattice(int(opts["N"]))
+    lat = tw.TorusLattice(opts["N"])
     params = tw.default_params(lat)
     zeta_moves, eta_moves, tau_moves, imag_parts, rows = [], [], [], [], []
-    for trial in range(int(opts["trials"])):
+    for trial in range(opts["trials"]):
         rng = _rng(seed, 41, trial)
-        config = tw.random_config(lat, rng, amplitude=float(opts["amplitude"]))
+        config = tw.random_config(lat, rng, amplitude=opts["amplitude"])
         obs = tw.observables(config, params)
         imag_parts.append(np.abs(np.imag(tw.zeta_pairings(config, params.nus))))
 
@@ -481,101 +477,65 @@ def _coerce(value: str, lineno: int):
     return value
 
 
-def _matches_default_type(value, default) -> bool:
-    """An int default takes a non-bool int >= 0, a float default an int or a
-    float, a bool default a bool and a str default a str."""
-    if isinstance(default, bool) or isinstance(value, bool):
-        return type(value) is type(default)
-    if isinstance(default, int):
-        return isinstance(value, int) and value >= 0
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
+def build_options(suite: str, config: dict, seed: int) -> dict:
+    """The suite's defaults overlaid with the config keys and the seed, as one
+    dict.  Each value must have its default's type (an int default takes a
+    non-bool int >= 0, a float default a finite int or float, a bool or str
+    default only a bool or str) and hold its _RANGES entry; it is stored as
+    its default's type.  A ValueError names the first key that fails."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; see 'ucp-lab list'")
+    named = config.get("suite", suite)
+    if named != suite:
+        raise ValueError(f"config file names suite {named!r}, got {suite!r}")
+    opts = {**SUITES[suite][1], "seed": 0}
+    for key, value in [("seed", seed), *config.items()]:
+        if key == "suite":
+            continue
+        if key not in opts:
+            raise ValueError(f"unknown config key {key!r} for suite {suite}")
+        default = opts[key]
+        if isinstance(default, bool) or isinstance(value, bool):
+            ok = type(value) is type(default)
+        elif isinstance(default, int):
+            ok = isinstance(value, int) and value >= 0
+        elif isinstance(default, float):  # the bound also rejects an int no float holds
+            ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        else:
+            ok = isinstance(value, str)
+        holds, stated = _RANGES.get(key, (lambda v: True, ""))
+        if not (ok and holds(value)):
+            kind = {bool: "true or false", int: "an int", float: "a finite number",
+                    str: "a string"}[type(default)]
+            rule = f"{kind} {stated or ('>= 0' if type(default) is int else '')}".rstrip()
+            raise ValueError(f"config key {key!r} takes {rule}, got {value!r}")
+        opts[key] = type(default)(value)
+    if "r_max" in opts and opts["r_max"] < opts["r_min"]:
+        raise ValueError(f"config key 'r_max' takes a value >= r_min = {opts['r_min']!r}, "
+                         f"got {opts['r_max']!r}")
+    return opts
 
 
 def run(suite: str, config_file: Optional[str] = None, seed: int = 42,
         out_dir: str = "ucp_lab_out") -> int:
-    if suite not in SUITES:
-        print(f"error: unknown suite {suite!r}; see 'ucp-lab list'", file=sys.stderr)
-        return 2
-    if not _matches_default_type(seed, 0):
-        print(f"error: seed takes an int >= 0, got {seed!r}", file=sys.stderr)
-        return 2
-    description, defaults, runner = SUITES[suite]
-    opts = dict(defaults)
-    if config_file is not None:
-        try:
-            text = Path(config_file).read_text()
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 3
-        try:
-            parsed = parse_config_text(text)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for key, value in parsed.items():
-            if key == "suite":
-                if value != suite:
-                    print(f"error: config file names suite {value!r}, got {suite!r}",
-                          file=sys.stderr)
-                    return 2
-                continue
-            if key != "seed" and key not in opts:
-                print(f"error: unknown config key {key!r} for suite {suite}",
-                      file=sys.stderr)
-                return 2
-            default = seed if key == "seed" else opts[key]
-            if not _matches_default_type(value, default):
-                print(f"error: config key {key!r} takes a value like {default!r}, "
-                      f"got {value!r}", file=sys.stderr)
-                return 2
-            if key in _RANGES and not _RANGES[key][0](value):
-                print(f"error: config key {key!r} takes a value {_RANGES[key][1]}, "
-                      f"got {value!r}", file=sys.stderr)
-                return 2
-            if key == "perturbation" and value not in PERTURBATIONS:
-                print(f"error: config key 'perturbation' takes one of "
-                      f"{', '.join(PERTURBATIONS)}, got {value!r}", file=sys.stderr)
-                return 2
-            if key == "seed":
-                seed = value
-            else:
-                opts[key] = value
-        if "r_max" in opts and not opts["r_max"] >= opts["r_min"]:
-            print(f"error: config key 'r_max' takes a value >= r_min = {opts['r_min']!r}, "
-                  f"got {opts['r_max']!r}", file=sys.stderr)
-            return 2
-
-    out = Path(out_dir)
     try:
+        config = {} if config_file is None else parse_config_text(Path(config_file).read_text())
+        opts = build_options(suite, config, seed)
+        seed = opts.pop("seed")
+        out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return 3
-
-    try:
-        result = runner(opts, int(seed), out)
-    except (NonAdmissibleError, UcpLabError, ValueError) as exc:
-        result = SuiteOutput()
-        result.assertions.append(Assertion("suite-error", False, 1.0, 0.5, str(exc)))
-    except OSError as exc:
-        print(f"error: I/O failure: {exc}", file=sys.stderr)
-        return 3
-
-    passed = all(a.passed for a in result.assertions)
-    report = {
-        "suite": suite,
-        "seed": int(seed),
-        "config": {k: opts[k] for k in sorted(opts)},
-        "passed": bool(passed),
-        "assertions": [a.to_dict() for a in result.assertions],
-        "inconclusive": result.inconclusive,
-        "summary": result.summary,
-    }
-    try:
-        (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1)
-                                         + "\n")
+        try:
+            result = SUITES[suite][2](opts, seed, out)
+        except (UcpLabError, ValueError) as exc:
+            result = SuiteOutput([Assertion("suite-error", False, 1.0, 0.5, str(exc))])
+        passed = all(a.passed for a in result.assertions)
+        report = {"suite": suite, "seed": seed, "config": opts, "passed": passed,
+                  "assertions": [asdict(a) for a in result.assertions],
+                  "inconclusive": result.inconclusive, "summary": result.summary}
+        (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 3
@@ -592,7 +552,8 @@ def list_suites() -> int:
         description, defaults, _ = SUITES[name]
         print(f"{name}: {description}")
         for key in sorted(defaults):
-            print(f"    {key} = {defaults[key]!r}")
+            stated = f"  ({_RANGES[key][1]})" if key in _RANGES else ""
+            print(f"    {key} = {defaults[key]!r}{stated}")
     print("common keys: seed (int >= 0), suite (must match --suite)")
     return 0
 

@@ -17,6 +17,7 @@ Storage conventions (see CONVENTIONS.md):
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -120,6 +121,11 @@ class TorusLattice:
 
     def gradient(self, f):
         return self.spectral(f, lambda h: 1j * self.kr * h)
+
+    @functools.cached_property
+    def cl_k(self):
+        """sum_j k_j cl(e_j), the flat Dirac symbol over i, built on first use."""
+        return np.tensordot(_GEN, self.k, axes=(0, 0))
 
     def __eq__(self, other):
         return isinstance(other, TorusLattice) and other.N == self.N
@@ -353,12 +359,13 @@ def default_epsilons() -> np.ndarray:
     return np.array([4.0 ** (-k) / math.factorial(k) for k in range(7)])
 
 
-def default_params(lattice: TorusLattice, n_tau: int = 5, n_zeta: int = 3,
-                   n_eta: int = 4, seed: int = 7) -> PerturbationParams:
-    """Shipped perturbation data: tanh/trig function families with the
-    translation invariance of p1 enforced by 2pi-periodic dependence on the
-    first three slots after rescaling by the measured winding shift."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
+def default_params(lattice: TorusLattice) -> PerturbationParams:
+    """Shipped perturbation data: tanh/trig function families of 5 tau, 3 zeta
+    and 4 eta observables, with the translation invariance of p1 enforced by
+    2pi-periodic dependence on the first three slots after rescaling by the
+    measured winding shift."""
+    n_tau, n_zeta, n_eta = 5, 3, 4
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([7])))
     mus = _trig_forms(lattice, _COCLOSED, n_tau)
     nus = _trig_forms(lattice, _GENERIC, n_zeta)
     basis, lambdas = eigenspinor_basis(lattice, n_eta)
@@ -395,14 +402,19 @@ def _measure_winding_shift(lattice: TorusLattice, mus: np.ndarray) -> float:
 
 def _cl(form: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Clifford multiplication cl(i form) psi = sum_j form_j i cl(e_j) psi."""
-    return 1j * np.einsum("abxyz,bxyz->axyz", np.tensordot(_GEN, form, axes=(0, 0)), psi)
+    return _cl_by(np.tensordot(_GEN, form, axes=(0, 0)), psi)
+
+
+def _cl_by(symbol: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """_cl with the contraction sum_j form_j cl(e_j) already formed."""
+    return 1j * np.einsum("abxyz,bxyz->axyz", symbol, psi)
 
 
 def dirac3(config: SWConfiguration) -> np.ndarray:
     """Twisted Dirac operator sum_j cl(e_j)(d_j + alpha_j i/2) psi, i.e.
     ifft(cl(i k) fft(psi)) + cl(i alpha) psi / 2."""
     lat = config.lattice
-    return lat.ifft(_cl(lat.k, lat.fft(config.psi))) + 0.5 * _cl(config.alpha, config.psi)
+    return lat.ifft(_cl_by(lat.cl_k, lat.fft(config.psi))) + 0.5 * _cl(config.alpha, config.psi)
 
 
 def sigma_polarized(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -613,7 +625,7 @@ def _descend(config: SWConfiguration, ev: Evaluation,
         return par + (h - par - dt * _curl_symbol(kr, h)) / den_a
 
     phi_hat = lat.fft(g.phi)
-    dirac_step = lat.ifft((phi_hat - 2.0 * dt * _cl(lat.k, phi_hat)) / den_p)
+    dirac_step = lat.ifft((phi_hat - 2.0 * dt * _cl_by(lat.cl_k, phi_hat)) / den_p)
     return SWConfiguration(lat, config.alpha - dt * lat.spectral(g.alpha, curl_resolvent),
                            config.psi - dt * dirac_step), None
 

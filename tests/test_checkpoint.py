@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -96,10 +97,10 @@ def test_rejects_mismatched_lattice_size(tmp_path, lat):
 
 
 def test_params_hash_distinguishes_data(lat):
-    p1 = tw.default_params(lat, seed=1)
-    p2 = tw.default_params(lat, seed=2)
+    p1 = tw.default_params(lat)
+    p2 = dataclasses.replace(p1, p3=tw.EtaFunction(p1.p3.coeffs + 0.01))
     assert params_hash(p1) != params_hash(p2)
-    assert params_hash(p1) == params_hash(tw.default_params(lat, seed=1))
+    assert params_hash(p1) == params_hash(tw.default_params(lat))
     assert params_hash(None) == ""
 
 

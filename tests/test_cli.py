@@ -22,6 +22,9 @@ def test_list_prints_all_suites_and_keys(capsys):
             assert key in out
     assert "seed" in out
     assert "jobs" not in out
+    assert "    N = 4  (>= 1)\n" in out
+    assert "    trials = 5  (>= 1)\n" in out
+    assert "    perturbation = 'none'  (in {none, pointwise, rank-one})\n" in out
 
 
 def test_unknown_suite_exits_2(tmp_path):
@@ -39,6 +42,16 @@ def test_config_parse_errors():
         parse_config_text("novalue\n")
     with pytest.raises(ValueError):
         parse_config_text("= 3\n")
+
+
+def test_undecodable_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"N = \xff\n")
+    code = run_cli("run", "--suite", "observables", "--config", str(cfg),
+                   "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "decode" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_config_key_exits_2(tmp_path):
@@ -91,7 +104,14 @@ def test_unknown_perturbation_exits_2_naming_key(tmp_path, capsys, suite):
     ("carleman", "r_min = nan", "r_min"), ("carleman", "samples = 0", "samples"),
     ("carleman", "r_points = 0", "r_points"), ("decay", "r_points = 0", "r_points"),
     ("carleman", "r_max = 5", "r_max"), ("decay", "r_max = 5", "r_max"),
-    ("carleman", "r_max = nan", "r_max")])
+    ("carleman", "r_max = nan", "r_max"), ("carleman", "r_max = inf", "r_max"),
+    ("sw-flow", "amplitude = -inf", "amplitude"),
+    pytest.param("sw-flow", "psi_bound = 1" + "0" * 400, "psi_bound",
+                 id="sw-flow-psi_bound = 10**400-psi_bound"),
+    ("sw-gradcheck", "configs = 0", "configs"),
+    ("sw-gradcheck", "adjoint_pairs = 0", "adjoint_pairs"),
+    ("observables", "trials = 0", "trials"), ("sw-flow", "trials = 0", "trials"),
+    ("carleman", "appendix_samples = 0", "appendix_samples")])
 def test_out_of_range_config_value_exits_2_naming_key(tmp_path, capsys, suite, line, key):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(line + "\n")
@@ -102,12 +122,37 @@ def test_out_of_range_config_value_exits_2_naming_key(tmp_path, capsys, suite, l
     assert not (tmp_path / "out").exists()
 
 
+def test_int_for_float_key_is_stored_as_float(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("N = 2\ntrials = 1\namplitude = 1\n")
+    assert run_cli("run", "--suite", "observables", "--config", str(cfg),
+                   "--out", str(out)) == 0
+    assert '"amplitude": 1.0' in (out / "report.json").read_text()
+
+
+def test_decay_slope_needs_two_distinct_R(tmp_path):
+    """One repeated R carries no slope: the fit is NaN and its gate fails."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_t = 1025\nr_min = 1e6\nr_max = 1e6\n")
+    assert run_cli("run", "--suite", "decay", "--config", str(cfg), "--out", str(out)) == 1
+    report = json.loads((out / "report.json").read_text())
+    [gate] = [a for a in report["assertions"] if a["name"] == "decay-slope-deviation"]
+    assert not gate["passed"] and math.isnan(gate["value"])
+    assert math.isnan(report["summary"]["slope"])
+
+
 def test_negative_seed_flag_exits_2_naming_seed(tmp_path, capsys):
     code = run_cli("run", "--suite", "observables", "--seed", "-1",
                    "--out", str(tmp_path / "out"))
     assert code == 2
     assert "seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("seed = 3\n")
+    assert run_cli("run", "--suite", "observables", "--config", str(cfg), "--seed", "-1",
+                   "--out", str(tmp_path / "out")) == 2
 
 
 def test_overflowing_observables_fail_their_gates(tmp_path):

@@ -219,9 +219,11 @@ class SweepResult:
             return math.nan
         return float(np.max(vals) / np.min(vals))
 
-    def bounded(self, factor: float = 2.0) -> bool:
+    @property
+    def bounded(self) -> bool:
+        """Spread at most 2, the factor of the boundedness clause."""
         s = self.spread
-        return bool(np.isfinite(s) and s <= factor)
+        return bool(np.isfinite(s) and s <= 2.0)
 
 
 def constant_sweep(op: DiracOperator, sampler: Callable, R_grid: Sequence[float],
@@ -291,13 +293,16 @@ class DecayReport:
 
 def ucp_decay_check(op: DiracOperator, P: Perturbation, u: SpinorField,
                     R_grid: Sequence[float], geom: CarlemanGeometry,
-                    constant: Optional[float] = None, seed: int = 0) -> DecayReport:
+                    seed: int = 0) -> DecayReport:
     """Decay bound from the cutoff contradiction argument.
 
-    The bound factor is (R/(R-2CC0)) (2C/R) exp(-21RT^2/100) times the
-    cutoff-collar integral of |cl(dt) phi' u|^2; the measured quantity is
-    the solution mass on [0, T/2].  Both sides are compared in log space;
-    a measured mass below the solver noise floor counts as zero.
+    Absorbing |P v| <= C0 |v| through (a + b)^2 <= 2a^2 + 2b^2 gives
+    (R - 2 C C0^2) ||v||^2 <= 2 C ||(D + P) v||^2, so a row is conclusive
+    past the crossover 2 C C0^2, with the bound factor
+    (2C/(R - 2 C C0^2)) exp(-21RT^2/100) times the cutoff-collar integral
+    of |cl(dt) phi' u|^2; the measured quantity is the solution mass on
+    [0, T/2].  Both sides are compared in log space; a measured mass below
+    the solver noise floor counts as zero.
     """
     _check_domain(geom, u)
     residual = dirac_apply(op, u) + eval_perturbation(P, u)
@@ -309,17 +314,15 @@ def ucp_decay_check(op: DiracOperator, P: Perturbation, u: SpinorField,
         raise PreconditionError(
             f"inner-side data {first_slice:.3e} not vanishing (>= 1e-8)")
 
-    if constant is None:
-        sampler = cutoff_bump_sampler(geom)
-        sweep = constant_sweep(op, sampler, np.logspace(1, 3, 5), geom,
-                               n_samples=8, seed=seed, require_span=False)
-        finite = sweep.estimates[np.isfinite(sweep.estimates)]
-        constant = float(np.max(finite)) if finite.size else 1.0
+    sweep = constant_sweep(op, cutoff_bump_sampler(geom), np.logspace(1, 3, 5), geom,
+                           n_samples=8, seed=seed, require_span=False)
+    finite = sweep.estimates[np.isfinite(sweep.estimates)]
+    constant = float(np.max(finite)) if finite.size else 1.0
     adm = admissibility_bound(P, u)
     if not adm:
         raise NonAdmissibleError(f"perturbation not admissible: {adm.reason}")
     c0 = adm.c0 or 0.0
-    crossover = 2.0 * constant * c0
+    crossover = 2.0 * constant * c0 ** 2
 
     T = geom.T
     t = geom.grid.t

@@ -122,19 +122,17 @@ def absorb_homomorphism(op: DiracOperator, R: np.ndarray) -> DiracOperator:
 # shipped model operators
 
 
-def model_operator_1d(grid: Grid1D, b_amp: float = 1.0, c_amp: float = 0.5) -> DiracOperator:
+def model_operator_1d(grid: Grid1D) -> DiracOperator:
     """1D model operator J(d/dt + B_t + C_t) with smooth slice coefficients
-    B_t = b_amp (0.6 cos(2 pi t/T) sigma_3 + 0.4 sigma_1), C_t = c_amp sin(2 pi t/T) J.
-
-    Operator norms of B_t and C_t stay <= 1 for the default amplitudes.
-    """
+    B_t = 0.6 cos(2 pi t/T) sigma_3 + 0.4 sigma_1, C_t = 0.5 sin(2 pi t/T) J,
+    whose operator norms stay <= 1."""
     fr = frame(1)
     s1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     s3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
     phase = 2.0 * np.pi * grid.t / float(grid.t[-1] - grid.t[0])
-    B = b_amp * (0.6 * np.cos(phase)[:, None, None] * s3 + 0.4 * s1)
-    C = c_amp * np.sin(phase)[:, None, None] * J
+    B = 0.6 * np.cos(phase)[:, None, None] * s3 + 0.4 * s1
+    C = 0.5 * np.sin(phase)[:, None, None] * J
     return DiracOperator(fr, grid, fr.generator(0), B, C)
 
 

@@ -239,10 +239,10 @@ class SeparableFunction:
             g += np.bincount(slot, c * w * kind.df(w * x[slot] + b), self.dim)
         return g
 
-    def deriv_sup(self, k: int, box: Tuple[float, float] = (-3.0, 3.0)) -> float:
-        """Sup of the k-th derivative tensor over the box (max-entry norm;
-        the tensor is slot-diagonal for separable sums)."""
-        lo, hi = box
+    def deriv_sup(self, k: int) -> float:
+        """Sup of the k-th derivative tensor over the box [-3, 3]^dim
+        (max-entry norm; the tensor is slot-diagonal for separable sums)."""
+        lo, hi = -3.0, 3.0
         if k == 0:
             xs = np.linspace(lo, hi, 257)
             total = np.zeros(xs.size)
@@ -476,26 +476,20 @@ class FloerNormResult:
     per_order: np.ndarray
 
 
-def floer_norm(params: PerturbationParams, box: Tuple[float, float] = (-3.0, 3.0),
-               k_max: Optional[int] = None) -> FloerNormResult:
-    """sum_k eps_k (sup|grad^k p1| + sup|grad^k p2|) truncated at k_max, with
-    a closed-form geometric bound on the truncation remainder."""
+def floer_norm(params: PerturbationParams) -> FloerNormResult:
+    """sum_k eps_k (sup|grad^k p1| + sup|grad^k p2|) over [-3, 3]^dim,
+    truncated at the last order of the epsilon sequence, with a closed-form
+    geometric bound on the truncation remainder."""
     eps = params.epsilons
-    if k_max is None:
-        k_max = eps.size - 1
-    if k_max >= eps.size:
-        raise ValueError("epsilon sequence shorter than requested truncation")
-    per_order = np.array([
-        eps[k] * (params.p1.deriv_sup(k, box) + params.p2.deriv_sup(k, box))
-        for k in range(k_max + 1)
-    ])
+    per_order = np.array([eps[k] * (params.p1.deriv_sup(k) + params.p2.deriv_sup(k))
+                          for k in range(eps.size)])
     remainder = 0.0
     for fn in (params.p1, params.p2):
         c_abs, w = fn.tail_coefficients()
         q = w / 4.0
         if np.any(q >= 1.0):
             raise ValueError("tail bound needs term frequency below 4")
-        remainder += float(np.sum(M_TANH * c_abs * q ** (k_max + 1) / (1.0 - q)))
+        remainder += float(np.sum(M_TANH * c_abs * q ** eps.size / (1.0 - q)))
     return FloerNormResult(float(np.sum(per_order)), float(remainder), per_order)
 
 
@@ -771,8 +765,7 @@ class LinearizationUcpRecord:
 
 
 def linearization_ucp_setup(config: SWConfiguration,
-                            params: Optional[PerturbationParams] = None
-                            ) -> LinearizationUcpRecord:
+                            params: PerturbationParams) -> LinearizationUcpRecord:
     """Extract the pure-spinor-block perturbations of the linearized system.
 
     The mixed term phi -> cl(alpha) psi / 2 admits only the inhomogeneous
@@ -782,18 +775,14 @@ def linearization_ucp_setup(config: SWConfiguration,
     machinery with its recorded witness constant.
     """
     lat = config.lattice
-    sup_psi = math.sqrt(config.sup_psi_sq())
-    mixed_coefficient = 0.5 * sup_psi
-
-    M = np.zeros(lat.shape + (2, 2), dtype=complex)
+    mixed_coefficient = 0.5 * math.sqrt(config.sup_psi_sq())
+    sigma = sigma_polarized(config.psi, config.psi)
+    coeffs = params.p2.grad(_zetas(sigma, params.nus, lat))
+    # fiber matrices of -cl(i sum_k c_k nu_k)
+    M = -1j * np.einsum("jab,jxyz->xyzab", _GEN, np.tensordot(coeffs, params.nus, axes=1))
     witness = 0.0
-    if params is not None:
-        sigma = sigma_polarized(config.psi, config.psi)
-        coeffs = params.p2.grad(_zetas(sigma, params.nus, lat))
-        # fiber matrices of -cl(i sum_k c_k nu_k)
-        M = -1j * np.einsum("jab,jxyz->xyzab", _GEN, np.tensordot(coeffs, params.nus, axes=1))
-        for c, nu in zip(coeffs, params.nus):
-            witness += abs(c) * float(np.max(np.sqrt(np.sum(nu ** 2, axis=0))))
+    for c, nu in zip(coeffs, params.nus):
+        witness += abs(c) * float(np.max(np.sqrt(np.sum(nu ** 2, axis=0))))
 
     carrier = SpinorField(lat, np.zeros(lat.shape + (2,), dtype=complex))
     pert = Perturbation.matrix_field(carrier, M)
@@ -813,9 +802,7 @@ def random_config(lattice: TorusLattice, rng: np.random.Generator,
     return SWConfiguration(lattice, alpha, psi)
 
 
-def random_tangent(lattice: TorusLattice, rng: np.random.Generator,
-                   amplitude: float = 1.0) -> Tangent:
+def random_tangent(lattice: TorusLattice, rng: np.random.Generator) -> Tangent:
     n = lattice.n
-    return Tangent(amplitude * rng.standard_normal((3, n, n, n)),
-                   amplitude * (rng.standard_normal((2, n, n, n))
-                                + 1j * rng.standard_normal((2, n, n, n))))
+    return Tangent(rng.standard_normal((3, n, n, n)),
+                   rng.standard_normal((2, n, n, n)) + 1j * rng.standard_normal((2, n, n, n)))

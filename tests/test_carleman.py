@@ -323,13 +323,29 @@ def test_decay_inconclusive_below_crossover():
     geom = interval_geom(n=513)
     op = model_operator_1d(geom.grid)
     u = geom.grid.zeros()
-    rep = ucp_decay_check(op, unit_pointwise(geom), u, [10.0, 20.0, 40.0], geom,
-                          constant=1e9)
-    # crossover = 2 C C0 with C0 = 0 for the zero field keeps rows conclusive;
-    # force inconclusive with a tiny grid entirely below an artificial crossover
+    rep = ucp_decay_check(op, unit_pointwise(geom), u, [10.0, 20.0, 40.0], geom)
+    # crossover = 2 C C0^2 with C0 = 0 for the zero field keeps rows conclusive;
+    # an empty grid leaves no conclusive row
     assert rep.crossover == 0.0
-    rep2 = ucp_decay_check(op, Perturbation.zero(), u, [], geom, constant=1.0)
+    assert all(r.conclusive for r in rep.rows)
+    rep2 = ucp_decay_check(op, Perturbation.zero(), u, [], geom)
     assert rep2.inconclusive
+
+
+def test_decay_crossover_absorbs_c0_squared():
+    """Absorbing |P v| <= c0 |v| through (a + b)^2 <= 2a^2 + 2b^2 gives
+    (R - 2 C c0^2) ||v||^2 <= 2 C ||(D + P) v||^2: a row is conclusive
+    exactly when R > 2 C c0^2."""
+    geom = interval_geom(n=513)
+    op = model_operator_1d(geom.grid)
+    P = Perturbation.matrix_field(geom.grid.zeros(),
+                                  30.0 * np.broadcast_to(np.eye(2), (geom.grid.n, 2, 2)))
+    u = integrate_zero_data(op, P, u0=np.array([1e-12, 0.0], dtype=complex))
+    rep = ucp_decay_check(op, P, u, np.logspace(1, 5, 9), geom, seed=1)
+    assert abs(rep.c0 - 30.0) < 1e-9
+    assert [r.conclusive for r in rep.rows] == [
+        r.R > 2.0 * rep.constant * rep.c0 ** 2 for r in rep.rows]
+    assert not rep.rows[0].conclusive and rep.rows[-1].conclusive
 
 
 # ---------------------------------------------------------------------------

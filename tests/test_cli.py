@@ -106,13 +106,29 @@ def test_unknown_perturbation_exits_2_naming_key(tmp_path, capsys, suite):
     ("carleman", "r_max = 5", "r_max"), ("decay", "r_max = 5", "r_max"),
     ("carleman", "r_max = nan", "r_max"), ("carleman", "r_max = inf", "r_max"),
     ("sw-flow", "amplitude = -inf", "amplitude"),
-    pytest.param("sw-flow", "psi_bound = 1" + "0" * 400, "psi_bound",
-                 id="sw-flow-psi_bound = 10**400-psi_bound"),
+    pytest.param("sw-flow", "amplitude = 1" + "0" * 400, "amplitude",
+                 id="sw-flow-amplitude = 10**400-amplitude"),
     ("sw-gradcheck", "configs = 0", "configs"),
     ("sw-gradcheck", "adjoint_pairs = 0", "adjoint_pairs"),
     ("observables", "trials = 0", "trials"), ("sw-flow", "trials = 0", "trials"),
     ("carleman", "appendix_samples = 0", "appendix_samples")])
 def test_out_of_range_config_value_exits_2_naming_key(tmp_path, capsys, suite, line, key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    code = run_cli("run", "--suite", suite, "--config", str(cfg),
+                   "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("suite, line", [
+    ("carleman", "bounded_factor = 40"), ("decay", "slope_tol = 0.5"),
+    ("sw-gradcheck", "min_order = -5.0"), ("sw-gradcheck", "adjoint_tol = 1e9"),
+    ("sw-flow", "residual_target = 1.0"), ("sw-flow", "psi_bound = 1.0")])
+def test_gate_threshold_is_not_a_config_key(tmp_path, capsys, suite, line):
+    """A gate's threshold is fixed in code: a config key for it exits 2."""
+    key = line.split(" =")[0]
     cfg = tmp_path / "c.cfg"
     cfg.write_text(line + "\n")
     code = run_cli("run", "--suite", suite, "--config", str(cfg),
@@ -153,6 +169,28 @@ def test_negative_seed_flag_exits_2_naming_seed(tmp_path, capsys):
     cfg.write_text("seed = 3\n")
     assert run_cli("run", "--suite", "observables", "--config", str(cfg), "--seed", "-1",
                    "--out", str(tmp_path / "out")) == 2
+
+
+def test_seed_from_flag_or_config_not_both(tmp_path, capsys):
+    """The seed comes from --seed or the config file, else 42; both exit 2."""
+    cfg = tmp_path / "c.cfg"
+    seeds = {}
+    for name, text, flag in (("default", "N = 2\ntrials = 1\n", ()),
+                             ("config", "N = 2\ntrials = 1\nseed = 3\n", ()),
+                             ("flag", "N = 2\ntrials = 1\n", ("--seed", "5"))):
+        cfg.write_text(text)
+        out = tmp_path / name
+        assert run_cli("run", "--suite", "observables", "--config", str(cfg), *flag,
+                       "--out", str(out)) == 0
+        seeds[name] = json.loads((out / "report.json").read_text())["seed"]
+    assert seeds == {"default": 42, "config": 3, "flag": 5}
+    capsys.readouterr()
+    cfg.write_text("N = 2\ntrials = 1\nseed = 3\n")
+    code = run_cli("run", "--suite", "observables", "--config", str(cfg), "--seed", "5",
+                   "--out", str(tmp_path / "both"))
+    assert code == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "both").exists()
 
 
 def test_overflowing_observables_fail_their_gates(tmp_path):

@@ -100,13 +100,13 @@ def test_model_operator_slice_structure():
 def test_model_operator_matches_per_slice_formula():
     # reference: the coefficients evaluated one slice at a time
     grid = Grid1D.uniform(0.1, 33)
-    op = model_operator_1d(grid, b_amp=1.3, c_amp=0.7)
+    op = model_operator_1d(grid)
     s1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     s3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
     T = float(grid.t[-1] - grid.t[0])
-    B = np.stack([1.3 * (0.6 * np.cos(2.0 * np.pi * t / T) * s3 + 0.4 * s1) for t in grid.t])
-    C = np.stack([0.7 * np.sin(2.0 * np.pi * t / T) * J for t in grid.t])
+    B = np.stack([1.0 * (0.6 * np.cos(2.0 * np.pi * t / T) * s3 + 0.4 * s1) for t in grid.t])
+    C = np.stack([0.5 * np.sin(2.0 * np.pi * t / T) * J for t in grid.t])
     assert np.array_equal(op.B, B) and np.array_equal(op.C, C)
 
 

@@ -323,8 +323,7 @@ def test_floer_norm_linear_profile(lat2):
     params = tw.PerturbationParams(params.mus, params.nus, params.spinor_basis,
                                    params.eigenvalues, p1, params.p2, params.p3,
                                    params.epsilons, params.winding_shift)
-    box = (-3.0, 3.0)
-    res = tw.floer_norm(params, box=box)
+    res = tw.floer_norm(params)   # over the fixed box [-3, 3]
     eps = params.epsilons
     expected = eps[0] * (slope * 3.0) + eps[1] * slope
     assert abs(res.value - expected) < 1e-12
@@ -338,28 +337,22 @@ def test_floer_norm_tanh_against_finite_differences(lat2):
     params = tw.PerturbationParams(params.mus, params.nus, params.spinor_basis,
                                    params.eigenvalues, p1, params.p2, params.p3,
                                    params.epsilons, params.winding_shift)
-    box = (-3.0, 3.0)
-    xs = np.linspace(box[0], box[1], 2001)
+    xs = np.linspace(-3.0, 3.0, 2001)   # the fixed box of the Floer norm
     h = 1e-4
     f = lambda x: c * np.tanh(w * x + b)
     fd = {
+        0: np.max(np.abs(f(xs))),
         1: np.max(np.abs((f(xs + h) - f(xs - h)) / (2 * h))),
         2: np.max(np.abs((f(xs + h) - 2 * f(xs) + f(xs - h)) / h ** 2)),
         3: np.max(np.abs((f(xs + 2 * h) - 2 * f(xs + h) + 2 * f(xs - h)
                           - f(xs - 2 * h)) / (2 * h ** 3))),
     }
     for k in (1, 2, 3):
-        analytic = params.p1.deriv_sup(k, box)
+        analytic = params.p1.deriv_sup(k)
         assert abs(analytic - fd[k]) < 0.05 * fd[k]
-    res = tw.floer_norm(params, box=box, k_max=3)
-    oracle = sum(params.epsilons[k] * fd[k] for k in (1, 2, 3))
-    oracle += params.epsilons[0] * np.max(np.abs(f(xs)))
-    assert abs(res.value - oracle) < 0.05 * oracle
-
-
-def test_floer_norm_truncation_errors(lat2, params2):
-    with pytest.raises(ValueError):
-        tw.floer_norm(params2, k_max=100)
+    res = tw.floer_norm(params)
+    oracle = np.array([params.epsilons[k] * fd[k] for k in range(4)])
+    assert np.all(np.abs(res.per_order[:4] - oracle) < 0.05 * oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Print one JSON line of torus kernel timings: the four TorusLattice
 transforms, dirac3, the case2 csd and grad_csd, and one unperturbed
-flow_step per scheme, at N = 4, 8, 16 and 24 (median of repeated calls, in
-milliseconds).  Point it at another source tree to compare two versions:
+flow_step per scheme, at N = 4, 8, 16 and 24 (median of REPS calls after one
+warm-up call, in milliseconds).  A fixed count, not a time budget, keeps the
+slow kernels at N >= 16 from being timed on a handful of calls.  Point it at
+another source tree to compare two versions:
 
     python3 tools/torus_kernels.py [SRC_DIR]
 """
@@ -14,17 +16,16 @@ from pathlib import Path
 import numpy as np
 
 SIZES = (4, 8, 16, 24)
-BUDGET_S, MAX_REPS = 0.4, 200   # per kernel: 3 timed calls, then more until a limit
+REPS = 30   # timed calls per kernel
 
 
 def median_ms(fn):
     fn()  # warm caches and lazily built tables
-    times, spent = [], 0.0
-    while len(times) < 3 or (spent < BUDGET_S and len(times) < MAX_REPS):
+    times = []
+    for _ in range(REPS):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-        spent += times[-1]
     return round(1e3 * statistics.median(times), 4)
 
 

@@ -60,9 +60,6 @@ class Grid1D(_SliceGrid):
     def __eq__(self, other):
         return isinstance(other, Grid1D) and np.array_equal(self.t, other.t)
 
-    def __hash__(self):
-        return hash((self.t.size, float(self.t[0]), float(self.t[-1])))
-
     @classmethod
     def uniform(cls, t_max: float, n: int) -> "Grid1D":
         return cls(np.linspace(0.0, t_max, n))
@@ -92,9 +89,6 @@ class AnnulusGrid(_SliceGrid):
     def __eq__(self, other):
         return (isinstance(other, AnnulusGrid) and self.n_theta == other.n_theta
                 and self.r0 == other.r0 and np.array_equal(self.t, other.t))
-
-    def __hash__(self):
-        return hash((self.t.size, self.n_theta, self.r0, float(self.t[-1])))
 
     @classmethod
     def uniform(cls, t_max: float, n_t: int, n_theta: int) -> "AnnulusGrid":
@@ -129,10 +123,6 @@ class SpinorField:
         if self.values.shape[:-1] != self.grid.shape:
             raise DomainMismatchError(f"value array shape {self.values.shape} does "
                                       f"not match grid shape {self.grid.shape}")
-
-    @property
-    def rank(self) -> int:
-        return self.values.shape[-1]
 
     def fiber_abs(self) -> np.ndarray:
         return np.sqrt(fiber_norm2(self.values))

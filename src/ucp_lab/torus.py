@@ -130,9 +130,6 @@ class TorusLattice:
     def __eq__(self, other):
         return isinstance(other, TorusLattice) and other.N == self.N
 
-    def __hash__(self):
-        return hash(("TorusLattice", self.N))
-
 
 @dataclass(eq=False)
 class SWConfiguration:
@@ -290,7 +287,7 @@ class PerturbationParams:
     p2: SeparableFunction
     p3: EtaFunction
     epsilons: np.ndarray        # Floer weight sequence, index = derivative order
-    winding_shift: float        # measured shift of tau_j under a unit winding
+    winding_shift: float        # shift of tau_j under a unit winding
 
     @property
     def n_tau(self) -> int:
@@ -305,74 +302,50 @@ class PerturbationParams:
         return self.spinor_basis.shape[0]
 
 
-def eigenspinor_basis(lattice: TorusLattice, count: int):
-    """First eigenspinors of the flat Dirac operator, plane waves ordered by
-    |k|^2 then lexicographically; deterministic eigenvector phases."""
-    N = lattice.N
-    ks = [(i, j, l) for i in range(-N, N + 1) for j in range(-N, N + 1)
-          for l in range(-N, N + 1)]
-    ks.sort(key=lambda k: (k[0] ** 2 + k[1] ** 2 + k[2] ** 2, k))
-    fields, lambdas = [], []
-    inv_sqrt_vol = 1.0 / math.sqrt(lattice.volume)
-    for kvec in ks:
-        if len(fields) >= count:
-            break
-        k = np.array(kvec, dtype=float)
-        phase = np.exp(1j * np.tensordot(k, lattice.x, axes=(0, 0)))
-        if np.allclose(k, 0.0):
-            vecs = [np.array([1.0, 0.0], dtype=complex),
-                    np.array([0.0, 1.0], dtype=complex)]
-            vals = [0.0, 0.0]
-        else:
-            symbol = -np.tensordot(k, _SIGMA, axes=(0, 0))
-            vals, vecs_mat = np.linalg.eigh(symbol)
-            vecs = [v * np.exp(-1j * np.angle(v[int(np.argmax(np.abs(v)))]))
-                    for v in vecs_mat.T]
-        for lam, v in zip(vals, vecs):
-            if len(fields) >= count:
-                break
-            fields.append(v[:, None, None, None] * phase[None] * inv_sqrt_vol)
-            lambdas.append(float(lam))
-    return np.stack(fields), np.array(lambdas)
-
-
-# co-closed forms: the harmonic frame forms first, then divergence-free trig forms
-_COCLOSED = [(0, None, None), (1, None, None), (2, None, None),
-             (2, 0, np.cos), (0, 1, np.cos), (1, 2, np.cos),
-             (2, 0, np.sin), (0, 1, np.sin), (1, 2, np.sin)]
-_GENERIC = [(0, None, None), (1, 0, np.cos), (2, 1, np.sin), (0, 2, np.cos),
-            (1, 1, np.cos), (2, 0, np.sin)]
-
-
-def _trig_forms(lattice: TorusLattice, specs, count: int) -> np.ndarray:
-    """The first count forms with one component (comp, axis, fn): 1 or fn(x_axis)."""
-    if count > len(specs):
-        raise ValueError("not enough shipped forms")
-    forms = np.zeros((count, 3) + (lattice.n,) * 3)
-    for form, (comp, axis, fn) in zip(forms, specs):
-        form[comp] = 1.0 if axis is None else fn(lattice.x[axis])
-    return forms
-
-
 def default_epsilons() -> np.ndarray:
     """Floer weights 4^-k / k! for the derivative orders k = 0..6."""
     return np.array([4.0 ** (-k) / math.factorial(k) for k in range(7)])
+
+
+def _eigenspinors(lattice: TorusLattice):
+    """The first four eigenspinors of the flat Dirac operator, plane waves
+    ordered by |k|^2, then k lexicographically: the two constant spinors
+    (eigenvalue 0), then the eigh pair of the mode k = (-1, 0, 0)
+    (eigenvalues -1 and 1), each phase fixed by its largest entry."""
+    k = np.array([-1.0, 0.0, 0.0])
+    vals, vecs = np.linalg.eigh(-np.tensordot(k, _SIGMA, axes=(0, 0)))
+    vecs = np.stack([v * np.exp(-1j * np.angle(v[int(np.argmax(np.abs(v)))]))
+                     for v in vecs.T])
+    wave = np.exp(1j * np.tensordot(k, lattice.x, axes=(0, 0)))
+    inv_sqrt_vol = 1.0 / math.sqrt(lattice.volume)
+    basis = np.zeros((4, 2) + lattice.shape, dtype=complex)
+    basis[0, 0] = basis[1, 1] = inv_sqrt_vol
+    basis[2:] = vecs[:, :, None, None, None] * wave[None, None] * inv_sqrt_vol
+    return basis, np.concatenate([[0.0, 0.0], vals])
 
 
 def default_params(lattice: TorusLattice) -> PerturbationParams:
     """Shipped perturbation data: tanh/trig function families of 5 tau, 3 zeta
     and 4 eta observables, with the translation invariance of p1 enforced by
     2pi-periodic dependence on the first three slots after rescaling by the
-    measured winding shift."""
+    winding shift 2 vol.  The tau forms are co-closed: the harmonic frame
+    forms dx_0, dx_1, dx_2, then cos(x_0) dx_2 and cos(x_1) dx_0; the zeta
+    forms are dx_0, cos(x_0) dx_1 and sin(x_1) dx_2."""
     n_tau, n_zeta, n_eta = 5, 3, 4
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([7])))
-    mus = _trig_forms(lattice, _COCLOSED, n_tau)
-    nus = _trig_forms(lattice, _GENERIC, n_zeta)
-    basis, lambdas = eigenspinor_basis(lattice, n_eta)
+    x = lattice.x
+    mus = np.zeros((n_tau, 3) + lattice.shape)
+    mus[0, 0] = mus[1, 1] = mus[2, 2] = 1.0
+    mus[3, 2], mus[4, 0] = np.cos(x[0]), np.cos(x[1])
+    nus = np.zeros((n_zeta, 3) + lattice.shape)
+    nus[0, 0] = 1.0
+    nus[1, 1], nus[2, 2] = np.cos(x[0]), np.sin(x[1])
+    basis, lambdas = _eigenspinors(lattice)
 
-    shift = _measure_winding_shift(lattice, mus)
+    # the winding (1, 0, 0) moves alpha_0 by -2, so tau_0 = -int alpha_0 dv by 2 vol
+    shift = 2.0 * lattice.volume
     p1_terms = []
-    for slot in range(min(3, n_tau)):
+    for slot in range(3):
         c = float(rng.uniform(0.1, 0.25))
         p1_terms.append(("sin", slot, c, 2.0 * np.pi / shift, float(rng.uniform(0, np.pi))))
     for slot in range(3, n_tau):
@@ -386,14 +359,6 @@ def default_params(lattice: TorusLattice) -> PerturbationParams:
     p3 = EtaFunction(rng.uniform(0.1, 0.3, size=n_eta))
     return PerturbationParams(mus, nus, basis, lambdas, p1, p2, p3,
                               default_epsilons(), shift)
-
-
-def _measure_winding_shift(lattice: TorusLattice, mus: np.ndarray) -> float:
-    base = SWConfiguration.zero(lattice)
-    wound = gauge_apply(base, winding=(1, 0, 0))
-    tau0 = _taus(base, mus)
-    tau1 = _taus(wound, mus)
-    return float(tau1[0] - tau0[0])
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +546,8 @@ def flow_step(config: SWConfiguration, params: Optional[PerturbationParams] = No
         (I + 2 dt S)^-1 = (I - 2 dt S) / (1 - 4 dt^2 |k|^2),
         (I + dt C)^-1 = P_par + (I - dt C) P_perp / (1 - dt^2 |k|^2).
     Its fixed points are exactly the critical points; a dt within
-    RESONANCE_MARGIN of a pole raises FlowInstabilityError.
+    RESONANCE_MARGIN of a pole, or one whose 4 dt^2 |k|^2 overflows, raises
+    FlowInstabilityError.
     """
     return _descend(config, evaluate(config, params, case), params, case, dt, scheme)[0]
 
@@ -605,6 +571,9 @@ def _descend(config: SWConfiguration, ev: Evaluation,
         raise ValueError("scheme must be 'explicit' or 'semi-implicit'")
 
     kr = lat.kr
+    if math.isinf(4.0 * dt * dt * 3 * lat.N ** 2):  # at the largest |k|^2 = 3 N^2
+        raise FlowInstabilityError(f"semi-implicit step dt={dt!r} overflows the "
+                                   f"denominator 1 - 4 dt^2 |k|^2")
     den_a, den_p = 1.0 - dt ** 2 * lat.k2r, 1.0 - 4.0 * dt ** 2 * lat.k2
     for den, k2 in ((den_a, lat.k2r), (den_p, lat.k2)):
         i = int(np.argmin(np.abs(den)))

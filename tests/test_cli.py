@@ -75,10 +75,10 @@ def test_ill_typed_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
 
 
 def test_config_value_types_follow_defaults(tmp_path):
-    """A float key takes an int, a bool key only a bool, a str key only a str."""
+    """A float key takes an int, a str key only a str, and no key a bool."""
     cfg = tmp_path / "c.cfg"
     for text, code in (("amplitude = 1\ntrials = 2\nseed = 0\n", 0),
-                       ("appendix_checks = 1\n", 2), ("perturbation = 3\n", 2),
+                       ("T = abc\n", 2), ("perturbation = 3\n", 2),
                        ("samples = true\n", 2), ("r_min = true\n", 2)):
         cfg.write_text(text)
         suite = "observables" if "trials" in text else "carleman"
@@ -264,13 +264,15 @@ def test_carleman_suite_low_grid_is_inconclusive(tmp_path):
     out = tmp_path / "out"
     cfg = tmp_path / "c.cfg"
     cfg.write_text("r_min = 5.0\nr_max = 5.0\nr_points = 1\nsamples = 3\n"
-                   "n_t = 257\nappendix_checks = false\n")
+                   "n_t = 257\nappendix_samples = 2\n")
     code = run_cli("run", "--suite", "carleman", "--config", str(cfg),
                    "--out", str(out))
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["inconclusive"]
-    assert not report["assertions"]
+    assert "R grid too short for the boundedness assertion" in report["inconclusive"]
+    names = {a["name"] for a in report["assertions"]}
+    assert "constant-boundedness-spread" not in names
+    assert {"appendix-identity-defect", "appendix-mix-order"} <= names
 
 
 def test_carleman_suite_default_spread_fails_honestly(tmp_path):
@@ -278,7 +280,7 @@ def test_carleman_suite_default_spread_fails_honestly(tmp_path):
     # the suite must report the measured spread and exit 1 rather than pass
     out = tmp_path / "out"
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("samples = 6\nn_t = 1025\nappendix_checks = false\n")
+    cfg.write_text("samples = 6\nn_t = 1025\nappendix_samples = 2\n")
     code = run_cli("run", "--suite", "carleman", "--config", str(cfg),
                    "--out", str(out))
     assert code == 1
@@ -288,6 +290,50 @@ def test_carleman_suite_default_spread_fails_honestly(tmp_path):
     assert not spread["passed"]
     assert spread["value"] > 2.0
     assert (out / "carleman.csv").exists()
+
+
+@pytest.mark.parametrize("grid", ["T = 1e6\n", "r_max = 1e9\nr_points = 3\n"])
+def test_carleman_spread_gate_reads_the_summary_spread(tmp_path, grid):
+    """Estimates that underflow to 0 give a nan spread: the gate fails on the
+    same value the summary reports, and no RuntimeWarning is raised."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(grid + "samples = 2\nn_t = 257\nappendix_samples = 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("run", "--suite", "carleman", "--config", str(cfg),
+                       "--out", str(out))
+    assert code == 1
+    report = json.loads((out / "report.json").read_text())
+    [gate] = [a for a in report["assertions"] if a["name"] == "constant-boundedness-spread"]
+    assert not gate["passed"]
+    assert repr(gate["value"]) == repr(report["summary"]["spread"])
+
+
+def test_admissibility_gate_catches_a_wrong_c0(tmp_path, monkeypatch):
+    """The C0 gate compares with the closed form, so a doubled C0 inside
+    admissibility_bound fails it."""
+    from ucp_lab import perturbations
+
+    class Doubled(perturbations.AdmissibilityResult):
+        def __init__(self, admissible, c0, reason=""):
+            super().__init__(admissible, None if c0 is None else 2.0 * c0, reason)
+
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("perturbation = pointwise\nr_points = 1\nsamples = 1\n"
+                   "n_t = 257\nappendix_samples = 1\n")
+    gates = []
+    for doubled in (False, True):
+        if doubled:
+            monkeypatch.setattr(perturbations, "AdmissibilityResult", Doubled)
+        out = tmp_path / f"out{doubled}"
+        run_cli("run", "--suite", "carleman", "--config", str(cfg), "--out", str(out))
+        report = json.loads((out / "report.json").read_text())
+        [gate] = [a for a in report["assertions"]
+                  if a["name"] == "admissibility-constant-consistency"]
+        gates.append(gate)
+    assert gates[0]["passed"] and gates[0]["value"] <= 1e-12
+    assert not gates[1]["passed"] and gates[1]["value"] > 1e-3
 
 
 def test_carleman_suite_large_R_writes_finite_log_masses(tmp_path):
@@ -338,6 +384,19 @@ def test_sw_flow_resonant_dt_is_suite_error(tmp_path):
     [assertion] = report["assertions"]
     assert assertion["name"] == "suite-error"
     assert "resonant at |k| = 2" in assertion["note"]
+
+
+def test_sw_flow_overflowing_dt_is_suite_error(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("N = 2\ntrials = 1\ndt = 1e300\n")
+    code = run_cli("run", "--suite", "sw-flow", "--config", str(cfg),
+                   "--out", str(out), "--seed", "5")
+    assert code == 1
+    report = json.loads((out / "report.json").read_text())
+    [assertion] = report["assertions"]
+    assert assertion["name"] == "suite-error"
+    assert "dt=1e+300 overflows" in assertion["note"]
 
 
 def test_report_bytes_deterministic(tmp_path):

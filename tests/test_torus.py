@@ -26,14 +26,13 @@ def rng_for(*key):
 
 def flat_params(lat, n_tau=2, n_zeta=2, n_eta=2):
     """Perturbation data whose functions vanish with zero gradient at 0."""
-    mus = tw._trig_forms(lat, tw._COCLOSED, n_tau)
-    nus = tw._trig_forms(lat, tw._GENERIC, n_zeta)
-    basis, lambdas = tw.eigenspinor_basis(lat, n_eta)
+    shipped = tw.default_params(lat)
     p1 = tw.SeparableFunction(n_tau, [])
     p2 = tw.SeparableFunction(n_zeta, [])
     p3 = tw.EtaFunction(np.zeros(n_eta))
-    return tw.PerturbationParams(mus, nus, basis, lambdas, p1, p2, p3,
-                                 tw.default_epsilons(), 2.0 * (2 * np.pi) ** 3)
+    return tw.PerturbationParams(shipped.mus[:n_tau], shipped.nus[:n_zeta],
+                                 shipped.spinor_basis[:n_eta], shipped.eigenvalues[:n_eta],
+                                 p1, p2, p3, shipped.epsilons, shipped.winding_shift)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Print the two code-size numbers ROADMAP.md tracks for src/: the line
-count of its Python files and the number of function parameters that have
-a default value, counted with ast.
+"""Print the three code-size numbers ROADMAP.md tracks for src/: the line
+count of its Python files, the number of function parameters that have a
+default value, counted with ast, and the number of config keys over all
+suites of ucp_lab.cli.SUITES.
 
     python3 tools/code_size.py [SRC_DIR]
 """
@@ -21,8 +22,15 @@ def code_size(src: Path):
     return lines, defaulted
 
 
+def config_keys(src: Path) -> int:
+    sys.path.insert(0, str(src.resolve()))
+    from ucp_lab import cli
+    return sum(len(defaults) for _, defaults, _ in cli.SUITES.values())
+
+
 if __name__ == "__main__":
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src"
     lines, defaulted = code_size(root)
     print(f"src lines: {lines}")
     print(f"defaulted parameters: {defaulted}")
+    print(f"config keys: {config_keys(root)}")

@@ -5,7 +5,7 @@ from .carleman import (CarlemanGeometry, CarlemanReport, appendix_decomposition,
                        bump_cutoff, carleman_ratio, constant_sweep,
                        cutoff_bump_sampler, perturbed_carleman_ratio,
                        ucp_decay_check)
-from .clifford import CliffordFrame, frame
+from .clifford import frame
 from .counterexamples import (BranchedSolution, peano_branches,
                               rank_one_counterexample)
 from .fields import AnnulusGrid, Grid1D, SpinorField, l2_inner

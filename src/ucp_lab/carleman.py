@@ -13,10 +13,9 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import (DomainMismatchError, NonAdmissibleError, PreconditionError,
-                     SupportConditionError)
+from .errors import NonAdmissibleError, PreconditionError, SupportConditionError
 from .clifford import fiber_inner
-from .fields import AnnulusGrid, Grid1D, SpinorField, fiber_norm2
+from .fields import AnnulusGrid, Grid1D, SpinorField, fiber_norm2, same_grid
 from .operators import DiracOperator, dirac_apply, time_derivative
 from .perturbations import Perturbation, admissibility_bound, eval_perturbation
 
@@ -86,14 +85,9 @@ def bump_cutoff_derivative(geom: CarlemanGeometry, t):
     return -smoothstep_derivative((t - lo * geom.T) / width) / width
 
 
-def _check_domain(geom: CarlemanGeometry, v: SpinorField):
-    if v.grid != geom.grid:
-        raise DomainMismatchError("field does not live on the Carleman geometry grid")
-
-
 def log_weighted_l2(v: SpinorField, R: float, geom: CarlemanGeometry) -> float:
     """log of int exp(R(T-t)^2) |v|^2 dy dt  (-inf for v = 0)."""
-    _check_domain(geom, v)
+    same_grid(geom.grid, v.grid)
     if R < 0:
         raise ValueError("weight parameter R must be nonnegative")
     dens = geom.grid.quad_weights() * fiber_norm2(v.values)
@@ -148,14 +142,14 @@ def _ratio_report(v: SpinorField, dv: SpinorField, R: float, geom: CarlemanGeome
 
 def carleman_ratio(op: DiracOperator, v: SpinorField, R: float,
                    geom: CarlemanGeometry) -> CarlemanReport:
-    _check_domain(geom, v)
+    same_grid(geom.grid, v.grid)
     _support_check(v, geom)
     return _ratio_report(v, dirac_apply(op, v), R, geom)
 
 
 def perturbed_carleman_ratio(op: DiracOperator, P: Perturbation, v: SpinorField,
                              R: float, geom: CarlemanGeometry) -> CarlemanReport:
-    _check_domain(geom, v)
+    same_grid(geom.grid, v.grid)
     _support_check(v, geom)
     adm = admissibility_bound(P, v)
     if not adm:
@@ -307,7 +301,7 @@ def ucp_decay_check(op: DiracOperator, P: Perturbation, u: SpinorField,
     [0, T/2].  Both sides are compared in log space; a measured mass below
     the solver noise floor counts as zero.
     """
-    _check_domain(geom, u)
+    same_grid(geom.grid, u.grid)
     residual = dirac_apply(op, u) + eval_perturbation(P, u)
     res_sup = residual.sup_norm()
     if res_sup >= 1e-8:
@@ -405,7 +399,7 @@ def appendix_decomposition(op: DiracOperator, P: Perturbation, v: SpinorField,
     substitution v = exp(-R(T-t)^2/2) v0, with the error term
     J_err = int |v0|^2 (R - 4 |P v|^2 / |v|^2).  Direct exponentials: intended
     for moderate R; a J-term that overflows raises PreconditionError."""
-    _check_domain(geom, v)
+    same_grid(geom.grid, v.grid)
     _support_check(v, geom)
     w = geom.grid.quad_weights()
     prof = geom.normal_profile(v.values.ndim)   # T - t

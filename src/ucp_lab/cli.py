@@ -101,6 +101,9 @@ _RANGES = {**dict.fromkeys(("N", "samples", "r_points", "configs", "adjoint_pair
                             "trials", "appendix_samples"), (lambda v: v >= 1, ">= 1")),
            "n_t": (lambda v: v >= 3, ">= 3"), "dt": (lambda v: v > 0, "> 0"),
            "r_min": (lambda v: v > 0, "> 0"),
+           # the smallest sizes whose gates pass: below them every run is a suite-error
+           "peano_n": (lambda v: v >= 17, ">= 17"),
+           "rank_one_n": (lambda v: v >= 65537, ">= 65537"),
            "perturbation": (PERTURBATIONS.__contains__, "in {" + ", ".join(PERTURBATIONS) + "}")}
 
 
@@ -226,8 +229,7 @@ def run_counterexample(opts: dict, seed: int, out: Path) -> SuiteOutput:
     plot.mkdir(exist_ok=True)
 
     for case in ("sqrt", "two-thirds"):
-        sol = cx.peano_branches(case, c=opts["branch_point"],
-                                grid=Grid1D.uniform(4.0, opts["peano_n"]))
+        sol = cx.peano_branches(case, c=1.0, grid=Grid1D.uniform(4.0, opts["peano_n"]))
         _write_csv(plot / f"peano_{case}.csv", ["x", "u0", "u1"],
                    zip(sol.grid.t, sol.u0, sol.u1))
         res.check(f"peano-{case}-residual", [sol.residual0, sol.residual1], 1e-6)
@@ -413,7 +415,7 @@ SUITES: Dict[str, tuple] = {
                "perturbation": "none", "seed_amplitude": 1e-12},
               run_decay),
     "counterexample": ("branching ODE solutions and the rank-one continuation failure",
-                       {"branch_point": 1.0, "peano_n": 4097, "rank_one_n": 131073},
+                       {"peano_n": 4097, "rank_one_n": 131073},
                        run_counterexample),
     "sw-gradcheck": ("functional/gradient consistency, adjoint identity, admissibility",
                      {"N": 4, "configs": 10, "amplitude": 0.3, "adjoint_pairs": 20},
@@ -432,8 +434,8 @@ SUITES: Dict[str, tuple] = {
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat key = value lines; '#' comments; ints, floats, booleans, quoted
-    strings and bare strings."""
+    """Flat key = value lines; '#' comments; ints, floats, quoted strings and
+    bare strings."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -449,8 +451,6 @@ def parse_config_text(text: str) -> dict:
 
 
 def _coerce(value: str, lineno: int):
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
     if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
         return value[1:-1]
     try:
@@ -469,10 +469,10 @@ def _coerce(value: str, lineno: int):
 def build_options(suite: str, config: dict, seed: Optional[int]) -> dict:
     """The suite's defaults and seed 42 overlaid with the config keys and the
     --seed value, as one dict.  Each value must have its default's type (an
-    int default takes a non-bool int >= 0, a float default a finite non-bool
-    int or float, a str default only a str) and hold its _RANGES
-    entry; it is stored as its default's type.  A ValueError names the first
-    key that fails, or the seed when the file and the flag both set it."""
+    int default takes an int >= 0, a float default a finite int or float, a
+    str default only a str) and hold its _RANGES entry; it is stored as its
+    default's type.  A ValueError names the first key that fails, or the seed
+    when the file and the flag both set it."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; see 'ucp-lab list'")
     named = config.get("suite", suite)
@@ -489,9 +489,7 @@ def build_options(suite: str, config: dict, seed: Optional[int]) -> dict:
         if key not in opts:
             raise ValueError(f"unknown config key {key!r} for suite {suite}")
         default = opts[key]
-        if isinstance(value, bool):  # no key takes true or false
-            ok = False
-        elif isinstance(default, int):
+        if isinstance(default, int):
             ok = isinstance(value, int) and value >= 0
         elif isinstance(default, float):  # the bound also rejects an int no float holds
             ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max

@@ -1,16 +1,16 @@
-"""Clifford frames: skew-Hermitian generators acting on a rank-2 spinor fiber.
+"""The package's Clifford convention, stated once: the Pauli matrices SIGMA,
+the real rotation J and the skew-Hermitian generators built from them.
 
 Convention: cl(e_j)^2 = -I and <g s, s'> = -<s, g s'> for the Hermitian
 fiber product.  Fiber inner products throughout the package are linear in
-the first slot, conjugated in the second.
+the first slot, conjugated in the second.  No other module writes these
+matrices out; an operator's fiber rank is that of its cl(dt).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-_SIGMA = np.array(
+SIGMA = np.array(
     [
         [[0, 1], [1, 0]],
         [[0, -1j], [1j, 0]],
@@ -20,33 +20,21 @@ _SIGMA = np.array(
 )
 
 # dim 1 uses the real rotation J; dims 2 and 3 use i*sigma_j.
-_J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+
+# read-only: operators store J itself as their cl(dt)
+SIGMA.setflags(write=False)
+J.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class CliffordFrame:
-    dimension: int
-    generators: tuple
-
-    @property
-    def fiber_rank(self) -> int:
-        return self.generators[0].shape[0]
-
-    def generator(self, j: int) -> np.ndarray:
-        if not 0 <= j < self.dimension:
-            raise IndexError(f"generator index {j} out of range for dimension {self.dimension}")
-        return self.generators[j]
-
-
-def frame(dimension: int) -> CliffordFrame:
-    """Shipped frame for dimension 1, 2 or 3 (fiber rank 2)."""
+def frame(dimension: int) -> np.ndarray:
+    """Shipped generators cl(e_j) for dimension 1, 2 or 3: a (dimension, 2, 2)
+    array."""
     if dimension == 1:
-        gens = (_J.copy(),)
-    elif dimension in (2, 3):
-        gens = tuple(1j * _SIGMA[j] for j in range(dimension))
-    else:
-        raise ValueError(f"no shipped frame for dimension {dimension}")
-    return CliffordFrame(dimension, gens)
+        return J[None].copy()
+    if dimension in (2, 3):
+        return 1j * SIGMA[:dimension]
+    raise ValueError(f"no shipped frame for dimension {dimension}")
 
 
 def fiber_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:

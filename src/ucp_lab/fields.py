@@ -131,7 +131,7 @@ class SpinorField:
         return float(np.sqrt(np.max(fiber_norm2(self.values), initial=0.0)))
 
     def __add__(self, other: "SpinorField") -> "SpinorField":
-        self._check_same(other)
+        same_grid(self.grid, other.grid)
         return SpinorField(self.grid, self.values + other.values)
 
     def __mul__(self, c) -> "SpinorField":
@@ -139,17 +139,16 @@ class SpinorField:
 
     __rmul__ = __mul__
 
-    def _check_same(self, other: "SpinorField"):
-        if self.grid is not other.grid and self.grid != other.grid:
-            raise DomainMismatchError("fields live on different grids")
 
-
-def same_grid(u: SpinorField, v: SpinorField) -> None:
-    u._check_same(v)
+def same_grid(a, b) -> None:
+    """Raise DomainMismatchError unless carriers a and b are the same grid;
+    identity is tested first, so a shared carrier skips the comparison."""
+    if a is not b and a != b:
+        raise DomainMismatchError("field lives on a different grid")
 
 
 def l2_inner(u: SpinorField, v: SpinorField) -> complex:
     """Domain L2 product, linear in u, conjugated in v."""
-    same_grid(u, v)
+    same_grid(u.grid, v.grid)
     w = u.grid.quad_weights()
     return complex(np.sum(w * fiber_inner(u.values, v.values)))

@@ -16,11 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .clifford import CliffordFrame, frame
+from .clifford import J, SIGMA, frame
 from .errors import DomainMismatchError
-from .fields import AnnulusGrid, Grid1D, SpinorField
+from .fields import AnnulusGrid, Grid1D, SpinorField, same_grid
 
-I_SIGMA3 = np.array([1j, -1j])  # diagonal of i sigma_3
+I_SIGMA3 = 1j * np.diagonal(SIGMA[2])  # diagonal of i sigma_3
 
 
 def time_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -39,16 +39,11 @@ def _fiber_apply(M: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class DiracOperator:
-    frame: CliffordFrame
     grid: object
     cl_dt: np.ndarray          # (r, r) on Grid1D, (n_t, n_theta, r, r) on AnnulusGrid
     B: np.ndarray              # (n, r, r) or (n_t, n_theta, r, r), self-adjoint points
     C: np.ndarray              # same shape as B, skew points
     angular: Optional[np.ndarray] = None  # (n_t,) a(t) of the circle term, annulus only
-
-    @property
-    def fiber_rank(self) -> int:
-        return self.frame.fiber_rank
 
     def _circle(self, a: np.ndarray, w: np.ndarray) -> np.ndarray:
         """a(t) D_theta (x) i sigma_3 applied to annulus values w (..., n_t, n_theta, 2)."""
@@ -97,8 +92,7 @@ def slice_adjoint(M: np.ndarray) -> np.ndarray:
 
 def dirac_apply(op: DiracOperator, u: SpinorField) -> SpinorField:
     """cl(dt)(d/dt + B_t + C_t) u with the 2nd-order time stencil."""
-    if u.grid != op.grid:
-        raise DomainMismatchError("field grid does not match operator grid")
+    same_grid(op.grid, u.grid)
     du = time_derivative(u.values, op.grid.spacing)
     w = du + op.apply_B(u.values) + op.apply_C(u.values)
     return SpinorField(u.grid, op.apply_cl_dt(w))
@@ -114,7 +108,7 @@ def absorb_homomorphism(op: DiracOperator, R: np.ndarray) -> DiracOperator:
         raise DomainMismatchError(f"homomorphism shape {R.shape} mismatch")
     S = np.einsum("...ji,...jk->...ik", np.conj(op.cl_dt), R)
     adj = slice_adjoint(S)
-    return DiracOperator(op.frame, op.grid, op.cl_dt, op.B + 0.5 * (S + adj),
+    return DiracOperator(op.grid, op.cl_dt, op.B + 0.5 * (S + adj),
                          op.C + 0.5 * (S - adj), op.angular)
 
 
@@ -126,21 +120,16 @@ def model_operator_1d(grid: Grid1D) -> DiracOperator:
     """1D model operator J(d/dt + B_t + C_t) with smooth slice coefficients
     B_t = 0.6 cos(2 pi t/T) sigma_3 + 0.4 sigma_1, C_t = 0.5 sin(2 pi t/T) J,
     whose operator norms stay <= 1."""
-    fr = frame(1)
-    s1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    s3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
     phase = 2.0 * np.pi * grid.t / float(grid.t[-1] - grid.t[0])
-    B = 0.6 * np.cos(phase)[:, None, None] * s3 + 0.4 * s1
+    B = 0.6 * np.cos(phase)[:, None, None] * SIGMA[2] + 0.4 * SIGMA[0]
     C = 0.5 * np.sin(phase)[:, None, None] * J
-    return DiracOperator(fr, grid, fr.generator(0), B, C)
+    return DiracOperator(grid, J, B, C)
 
 
 def constant_operator_1d(grid: Grid1D) -> DiracOperator:
     """Constant-coefficient 1D operator with C = 0 (appendix reference case)."""
-    fr = frame(1)
     B = np.tile(np.array([[0.7, 0.2], [0.2, -0.5]], dtype=complex), (grid.n, 1, 1))
-    return DiracOperator(fr, grid, fr.generator(0), B, np.zeros_like(B))
+    return DiracOperator(grid, J, B, np.zeros_like(B))
 
 
 def annulus_operator(grid: AnnulusGrid) -> DiracOperator:
@@ -151,11 +140,10 @@ def annulus_operator(grid: AnnulusGrid) -> DiracOperator:
     metric this is the Hermitian circle term (1/r) D_theta (x) i sigma_3,
     with no pointwise part.
     """
-    fr = frame(2)
-    g1, g2 = fr.generators
+    g1, g2 = frame(2)
     theta = grid.theta
     cl_dr = (np.cos(theta)[:, None, None] * g1 + np.sin(theta)[:, None, None] * g2)
     # stored at full shape: a contiguous operand keeps the fiber einsum fast
     cl_dr = np.broadcast_to(cl_dr, (grid.n,) + cl_dr.shape).copy()
     zeros = np.zeros(grid.shape + (2, 2), dtype=complex)
-    return DiracOperator(fr, grid, cl_dr, zeros, zeros.copy(), angular=1.0 / grid.radii())
+    return DiracOperator(grid, cl_dr, zeros, zeros.copy(), angular=1.0 / grid.radii())

@@ -53,7 +53,7 @@ class Perturbation:
 
 def eval_perturbation(P: Perturbation, u: SpinorField) -> SpinorField:
     if P.a is not None:
-        same_grid(P.a, u)
+        same_grid(P.a.grid, u.grid)
     if P.field is not None:
         return SpinorField(u.grid, P.field(u))
     if P.fiber is None:
@@ -106,7 +106,7 @@ def ucp_condition_check(a: SpinorField, u: SpinorField) -> UcpConditionResult:
     (ii) |a(x)| <= C0 |u(x)| everywhere on the grid,
     else neither.
     """
-    same_grid(a, u)
+    same_grid(a.grid, u.grid)
     mag_a = a.fiber_abs().reshape(-1)
     mag_u = u.fiber_abs().reshape(-1)
 
@@ -140,9 +140,9 @@ def integrate_zero_data(op, P: Perturbation, u0: Optional[np.ndarray] = None) ->
     grid: Grid1D = op.grid
     if not isinstance(grid, Grid1D):
         raise DomainMismatchError("initial-value integration is 1D only")
-    values = np.zeros((grid.n, op.fiber_rank), dtype=complex)
     if P.a is not None:
-        same_grid(P.a, SpinorField(grid, values))
+        same_grid(P.a.grid, grid)
+    values = np.zeros((grid.n, op.cl_dt.shape[-1]), dtype=complex)
     if u0 is not None:
         values[0] = np.asarray(u0, dtype=complex)
     cl_inv = -op.cl_dt  # cl(dt)^{-1}

@@ -24,14 +24,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .clifford import frame
+from .clifford import SIGMA
 from .errors import DomainMismatchError, FlowInstabilityError
 from .fields import SpinorField
 from .perturbations import Perturbation
 
-_FRAME3 = frame(3)
-_GEN = np.stack(_FRAME3.generators)          # (3, 2, 2), g_j = i sigma_j
-_SIGMA = np.stack([-1j * g for g in _GEN])   # recover sigma_j
+_GEN = 1j * SIGMA  # (3, 2, 2), g_j = cl(e_j) = i sigma_j
 
 M_TANH = 1.6  # sup |tanh| on the unit strip around the real axis (Cauchy bound)
 
@@ -313,7 +311,7 @@ def _eigenspinors(lattice: TorusLattice):
     (eigenvalue 0), then the eigh pair of the mode k = (-1, 0, 0)
     (eigenvalues -1 and 1), each phase fixed by its largest entry."""
     k = np.array([-1.0, 0.0, 0.0])
-    vals, vecs = np.linalg.eigh(-np.tensordot(k, _SIGMA, axes=(0, 0)))
+    vals, vecs = np.linalg.eigh(-np.tensordot(k, SIGMA, axes=(0, 0)))
     vecs = np.stack([v * np.exp(-1j * np.angle(v[int(np.argmax(np.abs(v)))]))
                      for v in vecs.T])
     wave = np.exp(1j * np.tensordot(k, lattice.x, axes=(0, 0)))

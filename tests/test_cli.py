@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ucp_lab.cli import SUITES, main, parse_config_text
+from ucp_lab.cli import SUITES, build_options, main, parse_config_text
 
 
 def run_cli(*args):
@@ -34,7 +34,7 @@ def test_unknown_suite_exits_2(tmp_path):
 def test_config_parsing_types():
     parsed = parse_config_text(
         "a = 1\nb = 2.5\nc = true\nd = hello\ne = 'quoted'\n# note\n")
-    assert parsed == {"a": 1, "b": 2.5, "c": True, "d": "hello", "e": "quoted"}
+    assert parsed == {"a": 1, "b": 2.5, "c": "true", "d": "hello", "e": "quoted"}
 
 
 def test_config_parse_errors():
@@ -74,8 +74,9 @@ def test_ill_typed_config_value_exits_2_naming_key(tmp_path, capsys, line, key):
     assert not (tmp_path / "out").exists()
 
 
-def test_config_value_types_follow_defaults(tmp_path):
-    """A float key takes an int, a str key only a str, and no key a bool."""
+def test_config_value_types_follow_defaults(tmp_path, capsys):
+    """A float key takes an int, a str key only a str, and a number key no
+    bare string such as true."""
     cfg = tmp_path / "c.cfg"
     for text, code in (("amplitude = 1\ntrials = 2\nseed = 0\n", 0),
                        ("T = abc\n", 2), ("perturbation = 3\n", 2),
@@ -84,6 +85,8 @@ def test_config_value_types_follow_defaults(tmp_path):
         suite = "observables" if "trials" in text else "carleman"
         assert run_cli("run", "--suite", suite, "--config", str(cfg),
                        "--out", str(tmp_path / "out")) == code, text
+        if "true" in text:
+            assert "got 'true'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", ["carleman", "decay"])
@@ -244,6 +247,20 @@ def test_decay_suite_passes_for_each_perturbation(tmp_path, perturbation):
     report = json.loads((out / "report.json").read_text())
     assert report["passed"]
     assert report["config"]["perturbation"] == perturbation
+
+
+@pytest.mark.parametrize("line, key", [("peano_n = 16", "peano_n"),
+                                       ("rank_one_n = 32769", "rank_one_n")])
+def test_counterexample_size_that_cannot_pass_exits_2(tmp_path, capsys, line, key):
+    """Below these sizes every run ends in a suite-error, so the key is rejected."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    code = run_cli("run", "--suite", "counterexample", "--config", str(cfg),
+                   "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    build_options("counterexample", {"peano_n": 17, "rank_one_n": 65537}, None)
 
 
 def test_counterexample_suite_passes(tmp_path):

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from ucp_lab.clifford import fiber_inner, frame
-from ucp_lab.fields import fiber_norm2
+from ucp_lab import operators, torus
+from ucp_lab.clifford import J, SIGMA, fiber_inner, frame
+from ucp_lab.fields import Grid1D, fiber_norm2
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_clifford_relations(dim):
     fr = frame(dim)
-    eye = np.eye(fr.fiber_rank)
+    eye = np.eye(fr.shape[-1])
     for j in range(dim):
-        gj = fr.generator(j)
+        gj = fr[j]
         for k in range(dim):
-            gk = fr.generator(k)
+            gk = fr[k]
             anti = gj @ gk + gk @ gj
             target = -2.0 * eye if j == k else 0.0 * eye
             assert np.max(np.abs(anti - target)) < 1e-14
@@ -25,8 +26,8 @@ def test_skew_symmetry_against_fiber_metric(dim):
     for j in range(dim):
         s = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         sp = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        gs = fr.generator(j) @ s
-        gsp = fr.generator(j) @ sp
+        gs = fr[j] @ s
+        gsp = fr[j] @ sp
         assert abs(fiber_inner(gs, sp) + fiber_inner(s, gsp)) < 1e-14
         # <g s, s> + <s, g s> = 0
         assert abs(fiber_inner(gs, s) + fiber_inner(s, gs)) < 1e-14
@@ -36,13 +37,12 @@ def test_generator_squares_to_minus_identity_on_vectors():
     fr = frame(2)
     rng = np.random.default_rng(5)
     s = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    g = fr.generator(0)
+    g = fr[0]
     assert np.allclose(g @ (g @ s), -s, atol=1e-14)
 
 
 def test_dim3_generators_anticommute_by_explicit_product():
-    fr = frame(3)
-    g1, g2 = fr.generator(0), fr.generator(1)
+    g1, g2, _ = frame(3)
     # direct 2x2 matrix-product oracle
     prod12 = np.array([[sum(g1[i, k] * g2[k, j] for k in range(2)) for j in range(2)]
                        for i in range(2)])
@@ -51,12 +51,16 @@ def test_dim3_generators_anticommute_by_explicit_product():
     assert np.max(np.abs(prod12 + prod21)) < 1e-15
 
 
-def test_generator_index_out_of_range():
-    fr = frame(2)
-    with pytest.raises(IndexError):
-        fr.generator(2)
-    with pytest.raises(IndexError):
-        fr.generator(-1)
+def test_convention_is_read_from_the_clifford_module():
+    """The torus generators, the 1-D cl(dt) and the annulus circle term are the
+    clifford matrices, which no caller can overwrite."""
+    assert np.array_equal(torus._GEN, 1j * SIGMA)
+    assert np.array_equal(frame(3), 1j * SIGMA)
+    assert np.array_equal(operators.model_operator_1d(Grid1D.uniform(1.0, 8)).cl_dt, J)
+    assert np.array_equal(np.diag(operators.I_SIGMA3), 1j * SIGMA[2])
+    for matrix in (SIGMA, J):
+        with pytest.raises(ValueError):
+            matrix[..., 0, 0] = 0.0
 
 
 def _complex(rng, shape):

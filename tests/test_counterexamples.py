@@ -72,8 +72,10 @@ def test_rank_one_perturbation_fails_continuation_conditions():
 def test_branch_csv_round_trip(tmp_path):
     """The counterexample suite writes the sqrt branches to plotdata/peano_sqrt.csv."""
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("peano_n = 1025\nrank_one_n = 4097\n")
-    main(["run", "--suite", "counterexample", "--config", str(cfg), "--out", str(tmp_path)])
+    cfg.write_text("peano_n = 1025\nrank_one_n = 65537\n")
+    code = main(["run", "--suite", "counterexample", "--config", str(cfg),
+                 "--out", str(tmp_path)])
+    assert code == 0
     sol = peano_branches("sqrt", c=1.0, grid=Grid1D.uniform(4.0, 1025))
     rows = (tmp_path / "plotdata" / "peano_sqrt.csv").read_text().strip().splitlines()
     assert rows[0] == "x,u0,u1"

@@ -13,9 +13,8 @@ from ucp_lab.perturbations import Perturbation
 
 
 def free_operator_1d(grid):
-    fr = frame(1)
     zeros = np.zeros((grid.n, 2, 2), dtype=complex)
-    return DiracOperator(fr, grid, fr.generator(0), zeros.copy(), zeros.copy())
+    return DiracOperator(grid, frame(1)[0], zeros.copy(), zeros.copy())
 
 
 def test_apply_zero_field():
@@ -50,11 +49,10 @@ def test_domain_mismatch_raises():
 def product_decompose(raw, grid):
     """Split raw pointwise tangential operators into self-adjoint and skew
     parts: absorb_homomorphism of cl(dt) raw into a zero-coefficient operator."""
-    fr = frame(1)
     r = raw.shape[-2]
-    cl_dt = np.kron(np.eye(r // 2), fr.generator(0))   # unitary, so cl(dt)^* cl(dt) = I
+    cl_dt = np.kron(np.eye(r // 2), frame(1)[0])   # unitary, so cl(dt)^* cl(dt) = I
     zeros = np.zeros((grid.n, r, r), dtype=complex)
-    return absorb_homomorphism(DiracOperator(fr, grid, cl_dt, zeros, zeros.copy()),
+    return absorb_homomorphism(DiracOperator(grid, cl_dt, zeros, zeros.copy()),
                                cl_dt @ raw)
 
 
@@ -166,8 +164,7 @@ def _dense_annulus_matrix(grid):
 
     Dtheta = _periodic_derivative_matrix(n_o, 2 * np.pi / n_o)
     isigma3 = np.array([[1j, 0], [0, -1j]])
-    fr = frame(2)
-    g1, g2 = fr.generators
+    g1, g2 = frame(2)
     theta = grid.theta
 
     m = n_t * n_o * 2

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucp_lab.clifford import frame
 from ucp_lab.counterexamples import rank_one_counterexample
 from ucp_lab.fields import Grid1D, SpinorField, fiber_norm2, l2_inner
-from ucp_lab.operators import (absorb_homomorphism, constant_operator_1d,
-                               model_operator_1d)
+from ucp_lab.operators import (DiracOperator, absorb_homomorphism,
+                               constant_operator_1d, model_operator_1d)
 from ucp_lab.perturbations import (Perturbation, admissibility_bound,
                                    eval_perturbation, integrate_zero_data,
                                    ucp_condition_check)
@@ -216,12 +217,12 @@ def test_zero_march_matches_zero_pointwise_carrier():
     assert skipped.sup_norm() > 0.0
 
 
-def march_orders(make_op, make_P, ns, T):
+def march_orders(make_op, make_P, ns, T, u0=(0.6, 0.3 + 0.2j)):
     """Observed orders of the march's end value over successive grid halvings."""
     ends = []
     for n in ns:
         grid = Grid1D.uniform(T, n)
-        u = integrate_zero_data(make_op(grid), make_P(grid), u0=np.array([0.6, 0.3 + 0.2j]))
+        u = integrate_zero_data(make_op(grid), make_P(grid), u0=np.array(u0))
         ends.append(u.values[-1])
     diffs = [np.linalg.norm(ends[i] - ends[i + 1]) for i in range(len(ns) - 1)]
     return [np.log2(diffs[i] / diffs[i + 1]) for i in range(len(diffs) - 1)]
@@ -247,6 +248,20 @@ def test_unperturbed_march_is_fourth_order_for_any_stored_operator():
         orders = march_orders(make_op, lambda grid: Perturbation.zero(),
                               (33, 65, 129, 257), 2.0)
         assert min(orders) >= 3.9, orders
+
+
+def test_march_reads_the_fiber_rank_from_cl_dt():
+    """A rank-4 operator, two copies of the 1-D fiber, marches rank-4 data."""
+    def rank_four(grid):
+        cl_dt = np.kron(np.eye(2), frame(1)[0])
+        zeros = np.zeros((grid.n, 4, 4), dtype=complex)
+        R = np.exp(1j * grid.t)[:, None, None] * np.kron(
+            np.array([[0.3, 0.5], [-0.2, 0.4j]]), np.array([[1.0, 0.2j], [0.1, -0.6]]))
+        return absorb_homomorphism(DiracOperator(grid, cl_dt, zeros, zeros.copy()), R)
+
+    orders = march_orders(rank_four, lambda grid: Perturbation.zero(), (65, 129, 257, 513),
+                          2.0, u0=(0.6, 0.3 + 0.2j, -0.4j, 0.1))
+    assert min(orders) >= 3.9, orders
 
 
 def test_nonlocal_kind_is_evaluated_once_per_step():

@@ -1,7 +1,8 @@
 """Print a sha256 for every output file and for the stdout of the six
-default suites, each run at seed 42 into a temporary directory.  Run it on
-two source trees and diff the two listings to check that a change leaves
-every suite output byte-identical:
+default suites, each run at seed 42 into a temporary directory, and one for
+the first items of each benchmark workload at a fixed seed.  Run it on two
+source trees and diff the two listings to check that a change leaves every
+suite output and every benchmark item bit-identical:
 
     python3 tools/suite_digest.py [SRC_DIR]
 """
@@ -13,6 +14,8 @@ import tempfile
 from pathlib import Path
 
 SEED = "42"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCH_SEED, BENCH_ITEMS = 3, 4
 
 
 def suite_digests(cli, root: Path):
@@ -29,10 +32,35 @@ def suite_digests(cli, root: Path):
                    hashlib.sha256(path.read_bytes()).hexdigest())
 
 
+def bench_digests(root: Path):
+    """(name, sha256) per benchmark workload over its first BENCH_ITEMS items
+    at BENCH_SEED: each item's failed checks and the float.hex of every
+    reference scalar, so equal digests mean bit-identical items.  The
+    workloads are imported without writing bytecode next to them, and the
+    torus items write their checkpoint under root."""
+    sys.dont_write_bytecode = True
+    sys.path.append(str(BENCH))
+    import spans
+    import workloads as wl
+    tracer = spans.NullTracer()
+    for workload, (setup, item) in wl.WORKLOADS.items():
+        state = setup(tracer, wl.SIZES[workload], root)
+        digest = hashlib.sha256()
+        for i in range(BENCH_ITEMS):
+            rng, k = wl.item_stream(BENCH_SEED, i)
+            res = item(tracer, state, rng, k)
+            scalars = {group: [float(v).hex() for v in values]
+                       for group, values in sorted(res.scalars.items())}
+            digest.update(repr((res.failures, scalars)).encode())
+        yield f"bench {workload}", digest.hexdigest()
+
+
 if __name__ == "__main__":
     src = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src"
     sys.path.insert(0, str(src.resolve()))
     from ucp_lab import cli
     with tempfile.TemporaryDirectory() as tmp:
         for name, digest in suite_digests(cli, Path(tmp)):
+            print(f"{digest}  {name}")
+        for name, digest in bench_digests(Path(tmp)):
             print(f"{digest}  {name}")

@@ -411,15 +411,26 @@ def appendix_decomposition(op: DiracOperator, P: Perturbation, v: SpinorField,
     def wip(x, y) -> float:
         return float(np.sum(w * fiber_inner(x, y).real))
 
-    pv = eval_perturbation(P, v).values
-    q = op.apply_cl_dt_inverse(pv)          # reduced perturbation for d/dt + Bcal
-    pert = E * q
-
-    Cv0 = op.apply_C(v0)
-    Bv0 = op.apply_B(v0)
-    skew = time_derivative(v0, h) + Cv0
-    symB = Bv0 + R * prof * v0
-    sym = symB + pert
+    symB = op.apply_B(v0)  # B v0 until J3 is formed, then B v0 + R (T - t) v0
+    skew = time_derivative(v0, h)
+    j3_vec = -op.apply_B_prime(v0)
+    if op.nonzero_parts[1] is not None:  # [B, C] = 0 when C = 0
+        Cv0 = op.apply_C(v0)
+        skew += Cv0
+        j3_vec += op.apply_B(Cv0)
+        j3_vec -= op.apply_C(symB)
+    j3 = wip(v0, j3_vec)
+    del j3_vec  # one full-size array fewer at the peak below
+    symB += R * prof * v0
+    sym, j_skew_pert, j_sym_pert, quot2 = symB, 0.0, 0.0, 0.0
+    if P.fiber is not None or P.field is not None:  # the zero kind adds no term
+        pv = eval_perturbation(P, v).values
+        pert = E * op.apply_cl_dt_inverse(pv)   # reduced perturbation for d/dt + Bcal
+        sym = symB + pert
+        j_skew_pert = 2.0 * wip(skew, pert)
+        j_sym_pert = 2.0 * wip(symB, pert)
+        mag2_v, mag2_p = fiber_norm2(v.values), fiber_norm2(pv)
+        quot2 = np.divide(mag2_p, mag2_v, out=np.zeros_like(mag2_p), where=mag2_v > 0)
 
     j_skew = wip(skew, skew)
     j_sym = wip(sym, sym)
@@ -427,14 +438,6 @@ def appendix_decomposition(op: DiracOperator, P: Perturbation, v: SpinorField,
     total = skew + sym
     j1 = wip(total, total)
     j0 = wip(v0, v0)
-
-    j3 = wip(v0, -op.apply_B_prime(v0) + op.apply_B(Cv0) - op.apply_C(Bv0))
-
-    j_skew_pert = 2.0 * wip(skew, pert)
-    j_sym_pert = 2.0 * wip(symB, pert)
-
-    mag2_v, mag2_p = fiber_norm2(v.values), fiber_norm2(pv)
-    quot2 = np.divide(mag2_p, mag2_v, out=np.zeros_like(mag2_p), where=mag2_v > 0)
     j_err = float(np.sum(w * fiber_norm2(v0) * (R - 4.0 * quot2)))
 
     rec = JTermRecord(R, j0, j1, j_skew, j_sym, j_mix, j3,

@@ -66,13 +66,16 @@ def _rng(*key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(key))))
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, header, columns):
+    """One column per header name, each formatted once: str and int cells as
+    they are, others as repr(float); an array column as its Python values."""
+    cells = [list(map(repr, col.tolist())) if isinstance(col, np.ndarray)
+             else [x if isinstance(x, (str, int)) else repr(float(x)) for x in col]
+             for col in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([x if isinstance(x, (str, int)) else repr(float(x))
-                             for x in row])
+        writer.writerows(zip(*cells))
 
 
 def _pointwise_unit(geom: cl.CarlemanGeometry) -> Perturbation:
@@ -131,7 +134,7 @@ def run_carleman(opts: dict, seed: int, out: Path) -> SuiteOutput:
             res.inconclusive.append(f"R={rep.R:g} below the large-parameter regime")
     _write_csv(out / "carleman.csv",
                ["R", "T", "log_lhs", "log_rhs", "ratio", "constant_estimate", "status"],
-               rows)
+               zip(*rows))
 
     R_concl = sweep.R_grid[sweep.conclusive]
     if sweep.degenerate:
@@ -176,7 +179,7 @@ def _carleman_appendix(res: SuiteOutput, out: Path, seed: int, n_samples: int):
                      rec.identity_defect, rec.mix_residual])
     _write_csv(out / "appendix.csv",
                ["R", "J0", "J1", "J_skew", "J_sym", "J_mix", "identity_defect",
-                "mix_residual"], rows)
+                "mix_residual"], zip(*rows))
     res.check("appendix-identity-defect", defects, 1e-10,
               note=f"worst relative defect of J1 = Jskew+Jsym+Jmix over {n_samples} inputs")
 
@@ -206,8 +209,8 @@ def run_decay(opts: dict, seed: int, out: Path) -> SuiteOutput:
     report = cl.ucp_decay_check(op, pert, u, R_grid, geom, seed=seed)
 
     _write_csv(out / "decay.csv", ["R", "log_bound", "conclusive", "passed"],
-               [[r.R, r.log_bound if np.isfinite(r.log_bound) else "-inf",
-                 str(r.conclusive), str(r.passed)] for r in report.rows])
+               zip(*[[r.R, r.log_bound if np.isfinite(r.log_bound) else "-inf",
+                      str(r.conclusive), str(r.passed)] for r in report.rows]))
     res.summary.update({
         "constant": report.constant, "c0": report.c0, "crossover": report.crossover,
         "measured": report.measured, "cutoff_integral": report.cutoff_integral,
@@ -231,12 +234,12 @@ def run_counterexample(opts: dict, seed: int, out: Path) -> SuiteOutput:
     for case in ("sqrt", "two-thirds"):
         sol = cx.peano_branches(case, c=1.0, grid=Grid1D.uniform(4.0, opts["peano_n"]))
         _write_csv(plot / f"peano_{case}.csv", ["x", "u0", "u1"],
-                   zip(sol.grid.t, sol.u0, sol.u1))
+                   [sol.grid.t, sol.u0, sol.u1])
         res.check(f"peano-{case}-residual", [sol.residual0, sol.residual1], 1e-6)
         res.check(f"peano-{case}-separation", sol.separation_sup, 1e-4, direction="ge")
 
     sol, a = cx.rank_one_counterexample(grid=Grid1D.uniform(2.0, opts["rank_one_n"]))
-    _write_csv(plot / "rank_one.csv", ["x", "u0", "u1"], zip(sol.grid.t, sol.u0, sol.u1))
+    _write_csv(plot / "rank_one.csv", ["x", "u0", "u1"], [sol.grid.t, sol.u0, sol.u1])
     grid = sol.grid
     w = grid.quad_weights()
     pairing = float(np.sum(w * sol.u1 * a))
@@ -283,7 +286,8 @@ def run_sw_gradcheck(opts: dict, seed: int, out: Path) -> SuiteOutput:
             orders.append(order)
             for h, e in zip(hs, errs):
                 rows.append([case, i, h, e, order])
-    _write_csv(out / "sw_gradcheck.csv", ["case", "config", "h", "rel_err", "order"], rows)
+    _write_csv(out / "sw_gradcheck.csv", ["case", "config", "h", "rel_err", "order"],
+               zip(*rows))
     res.check("gradient-convergence-order", orders, 1.9,
               direction="ge", note="worst central-difference order across cases")
 
@@ -334,7 +338,7 @@ def run_sw_flow(opts: dict, seed: int, out: Path) -> SuiteOutput:
                            steps=opts["max_steps"], scheme="semi-implicit",
                            residual_target=1e-6)
         _write_csv(plot / f"flow_{trial}.csv", [f.name for f in fields(tw.FlowRecord)],
-                   map(astuple, flow.trajectory))
+                   zip(*map(astuple, flow.trajectory)))
         final_res = max(flow.trajectory[-1].residual_curvature,
                         flow.trajectory[-1].residual_dirac)
         res.check(f"flow-{trial}-residual", final_res, 1e-6)
@@ -396,7 +400,7 @@ def run_observables(opts: dict, seed: int, out: Path) -> SuiteOutput:
     header = (["trial"] + [f"tau{j}" for j in range(params.n_tau)]
               + [f"zeta{j}" for j in range(params.n_zeta)]
               + [f"abs_eta{j}" for j in range(params.n_eta)])
-    _write_csv(out / "observables.csv", header, rows)
+    _write_csv(out / "observables.csv", header, zip(*rows))
     res.check("zeta-gauge-invariance", zeta_moves, 1e-10)
     res.check("zeta-real-valued", imag_parts, 1e-12)
     res.check("eta-mean-zero-invariance", eta_moves, 1e-8)

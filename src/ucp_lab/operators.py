@@ -2,9 +2,10 @@
 
 B_t is the self-adjoint tangential part, C_t the skew part.  Both are stored
 as pointwise fiber fields, (n, r, r) on Grid1D and (n_t, n_theta, r, r) on
-AnnulusGrid.  An annulus operator may also carry an angular coefficient
-a(t): B_t then gains the circle term a(t) D_theta (x) i sigma_3, with
-D_theta the periodic centered difference applied as a stencil along theta.
+AnnulusGrid; one that is identically zero is never multiplied.  An annulus
+operator may also carry an angular coefficient a(t): B_t then gains the
+circle term a(t) D_theta (x) i sigma_3, with D_theta the periodic centered
+difference applied as a stencil along theta.
 Slice inner products use the (uniform) arc-length weights, so the slice
 adjoint is the plain conjugate transpose and the circle term is Hermitian.
 """
@@ -20,15 +21,15 @@ from .clifford import J, SIGMA, frame
 from .errors import DomainMismatchError
 from .fields import AnnulusGrid, Grid1D, SpinorField, same_grid
 
-I_SIGMA3 = 1j * np.diagonal(SIGMA[2])  # diagonal of i sigma_3
-
 
 def time_derivative(values: np.ndarray, h: float) -> np.ndarray:
     """2nd-order d/dt along axis 0: centered interior, one-sided at the ends."""
+    scale = 1.0 / (2.0 * h)
     out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+    np.subtract(values[2:], values[:-2], out=out[1:-1])
+    out[1:-1] *= scale
+    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) * scale
+    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) * scale
     return out
 
 
@@ -45,36 +46,53 @@ class DiracOperator:
     C: np.ndarray              # same shape as B, skew points
     angular: Optional[np.ndarray] = None  # (n_t,) a(t) of the circle term, annulus only
 
+    @cached_property
+    def nonzero_parts(self) -> tuple:
+        """(B, C), None for a part that is identically zero: found on first use,
+        as the stored parts never change, so a zero part is never multiplied."""
+        return tuple(M if M.any() else None for M in (self.B, self.C))
+
     def _circle(self, a: np.ndarray, w: np.ndarray) -> np.ndarray:
         """a(t) D_theta (x) i sigma_3 applied to annulus values w (..., n_t, n_theta, 2)."""
         h = 2.0 * np.pi / self.grid.n_theta
-        d_theta = (np.roll(w, -1, axis=-2) - np.roll(w, 1, axis=-2)) / (2.0 * h)
-        return a[:, None, None] * I_SIGMA3 * d_theta
-
-    def apply_B(self, w: np.ndarray) -> np.ndarray:
-        out = _fiber_apply(self.B, w)
-        if self.angular is not None:
-            out += self._circle(self.angular, w)
+        out = np.empty(w.shape, dtype=complex)
+        # w[o+1] - w[o-1] on the flat values (2 per point), then the wrap-around
+        flat, w_flat = out.reshape(-1), w.reshape(-1)
+        np.subtract(w_flat[4:], w_flat[:-4], out=flat[2:-2])
+        np.subtract(w[..., 1, :], w[..., -1, :], out=out[..., 0, :])
+        np.subtract(w[..., 0, :], w[..., -2, :], out=out[..., -1, :])
+        out *= 1j * (1.0 / (2.0 * h))
+        rows = out.reshape(out.shape[:-2] + (-1,))
+        rows *= a[:, None]
+        np.negative(out[..., 1], out=out[..., 1])  # i sigma_3 = diag(i, -i)
         return out
 
+    def _tangential(self, M, a, w: np.ndarray):
+        """M w + a(t) D_theta (x) i sigma_3 w, leaving out a part that is None."""
+        if a is None:
+            return np.zeros_like(w) if M is None else _fiber_apply(M, w)
+        out = self._circle(a, w)
+        if M is not None:
+            out += _fiber_apply(M, w)
+        return out
+
+    def apply_B(self, w: np.ndarray) -> np.ndarray:
+        return self._tangential(self.nonzero_parts[0], self.angular, w)
+
     def apply_C(self, w: np.ndarray) -> np.ndarray:
-        return _fiber_apply(self.C, w)
+        return self._tangential(self.nonzero_parts[1], None, w)
 
     @cached_property
     def _B_prime(self) -> tuple:
-        """dB/dt and da/dt by the time_derivative stencil, formed on first use:
-        the stored B and a(t) never change after construction."""
+        """dB/dt and da/dt by the time_derivative stencil (None for a zero B or
+        no a), formed on first use: the stored B and a(t) never change."""
         h = self.grid.spacing
-        da = None if self.angular is None else time_derivative(self.angular, h)
-        return time_derivative(self.B, h), da
+        return tuple(None if c is None else time_derivative(c, h)
+                     for c in (self.nonzero_parts[0], self.angular))
 
     def apply_B_prime(self, w: np.ndarray) -> np.ndarray:
         """dB/dt on both parts of B."""
-        dB, da = self._B_prime
-        out = _fiber_apply(dB, w)
-        if da is not None:
-            out += self._circle(da, w)
-        return out
+        return self._tangential(*self._B_prime, w)
 
     def apply_cl_dt(self, w: np.ndarray) -> np.ndarray:
         """Pointwise Clifford multiplication by the normal covector."""
@@ -93,8 +111,12 @@ def slice_adjoint(M: np.ndarray) -> np.ndarray:
 def dirac_apply(op: DiracOperator, u: SpinorField) -> SpinorField:
     """cl(dt)(d/dt + B_t + C_t) u with the 2nd-order time stencil."""
     same_grid(op.grid, u.grid)
-    du = time_derivative(u.values, op.grid.spacing)
-    w = du + op.apply_B(u.values) + op.apply_C(u.values)
+    B, C = op.nonzero_parts
+    w = time_derivative(u.values, op.grid.spacing)
+    if B is not None or op.angular is not None:
+        w += op.apply_B(u.values)
+    if C is not None:
+        w += op.apply_C(u.values)
     return SpinorField(u.grid, op.apply_cl_dt(w))
 
 
@@ -145,5 +167,5 @@ def annulus_operator(grid: AnnulusGrid) -> DiracOperator:
     cl_dr = (np.cos(theta)[:, None, None] * g1 + np.sin(theta)[:, None, None] * g2)
     # stored at full shape: a contiguous operand keeps the fiber einsum fast
     cl_dr = np.broadcast_to(cl_dr, (grid.n,) + cl_dr.shape).copy()
-    zeros = np.zeros(grid.shape + (2, 2), dtype=complex)
-    return DiracOperator(grid, cl_dr, zeros, zeros.copy(), angular=1.0 / grid.radii())
+    B, C = (np.zeros(grid.shape + (2, 2), dtype=complex) for _ in range(2))
+    return DiracOperator(grid, cl_dr, B, C, angular=1.0 / grid.radii())

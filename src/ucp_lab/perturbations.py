@@ -142,8 +142,11 @@ def integrate_zero_data(op, P: Perturbation, u0: Optional[np.ndarray] = None) ->
         raise DomainMismatchError("initial-value integration is 1D only")
     if P.a is not None:
         same_grid(P.a.grid, grid)
-    values = np.zeros((grid.n, op.cl_dt.shape[-1]), dtype=complex)
+    rank = op.cl_dt.shape[-1]
+    values = np.zeros((grid.n, rank), dtype=complex)
     if u0 is not None:
+        if np.shape(u0) != (rank,):
+            raise DomainMismatchError(f"slice data of shape {np.shape(u0)}, expected ({rank},)")
         values[0] = np.asarray(u0, dtype=complex)
     cl_inv = -op.cl_dt  # cl(dt)^{-1}
     h = grid.spacing

@@ -3,7 +3,7 @@ import pytest
 
 from ucp_lab import operators, torus
 from ucp_lab.clifford import J, SIGMA, fiber_inner, frame
-from ucp_lab.fields import Grid1D, fiber_norm2
+from ucp_lab.fields import AnnulusGrid, Grid1D, fiber_norm2
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -57,7 +57,11 @@ def test_convention_is_read_from_the_clifford_module():
     assert np.array_equal(torus._GEN, 1j * SIGMA)
     assert np.array_equal(frame(3), 1j * SIGMA)
     assert np.array_equal(operators.model_operator_1d(Grid1D.uniform(1.0, 8)).cl_dt, J)
-    assert np.array_equal(np.diag(operators.I_SIGMA3), 1j * SIGMA[2])
+    grid = AnnulusGrid.uniform(1.0, 3, 8)
+    w = _complex(np.random.default_rng(2), grid.shape + (2,))
+    d_theta = (np.roll(w, -1, axis=-2) - np.roll(w, 1, axis=-2)) / (2.0 * 2.0 * np.pi / 8)
+    circle = operators.annulus_operator(grid)._circle(np.ones(grid.n), w)
+    assert np.array_equal(circle, np.einsum("ij,...j->...i", 1j * SIGMA[2], d_theta))
     for matrix in (SIGMA, J):
         with pytest.raises(ValueError):
             matrix[..., 0, 0] = 0.0

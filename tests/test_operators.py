@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from ucp_lab import operators
 from ucp_lab.carleman import (CarlemanGeometry, appendix_decomposition, bump_cutoff,
-                              smoothstep)
-from ucp_lab.clifford import frame
+                              cutoff_bump_sampler, smoothstep)
+from ucp_lab.clifford import SIGMA, frame
 from ucp_lab.errors import DomainMismatchError
 from ucp_lab.fields import AnnulusGrid, Grid1D, SpinorField
 from ucp_lab.operators import (DiracOperator, absorb_homomorphism, annulus_operator,
@@ -281,6 +282,59 @@ def test_annulus_jterms_against_dense_slices():
     assert abs(want["j3"]) > 1e-6 * scale  # the commutator and B' terms are exercised
     for name, value in want.items():
         assert abs(getattr(rec, name) - value) <= 1e-12 * scale, name
+
+
+def test_zero_parts_and_the_zero_perturbation_form_no_fiber_product(monkeypatch):
+    """The flat annulus multiplies only by cl(dr); an absorbed homomorphism
+    brings its B and C products back."""
+    products = []
+
+    def counting(M, w):
+        products.append(M)
+        return np.einsum("...ij,...j->...i", M, w)
+
+    monkeypatch.setattr(operators, "_fiber_apply", counting)
+    geom = CarlemanGeometry.annulus(0.1, 33, 12)
+    grid = geom.grid
+    v = cutoff_bump_sampler(geom)(np.random.default_rng(4))
+    op = annulus_operator(grid)
+    dirac_apply(op, v)
+    assert len(products) == 1 and products[0] is op.cl_dt
+    products.clear()
+    appendix_decomposition(op, Perturbation.zero(), v, 50.0, geom)
+    assert products == []
+
+    R_hom, _ = _random_annulus_fields(np.random.default_rng(5), grid)
+    absorbed = absorb_homomorphism(op, 0.5 * R_hom)
+    dirac_apply(absorbed, v)
+    assert [id(M) for M in products] == [id(absorbed.B), id(absorbed.C), id(absorbed.cl_dt)]
+    products.clear()
+    appendix_decomposition(absorbed, Perturbation.zero(), v, 50.0, geom)
+    assert any(M is absorbed.B for M in products)
+    assert any(M is absorbed.C for M in products)
+
+
+@pytest.mark.parametrize("n_theta", [7, 12, 64])
+def test_reciprocal_scaling_and_slice_stencil_match_division_and_roll(n_theta):
+    """time_derivative and the circle term equal the division and np.roll forms
+    bit for bit, at spacings that are not powers of two."""
+    rng = np.random.default_rng(n_theta)
+    grid = AnnulusGrid.uniform(0.1, 9, n_theta)
+    w = (rng.standard_normal((3,) + grid.shape + (2,))
+         + 1j * rng.standard_normal((3,) + grid.shape + (2,)))
+    for h in (grid.spacing, 1.0 / 3.0, 2.0 * np.pi / n_theta):
+        old = np.empty_like(w[0])
+        old[1:-1] = (w[0, 2:] - w[0, :-2]) / (2.0 * h)
+        old[0] = (-3.0 * w[0, 0] + 4.0 * w[0, 1] - w[0, 2]) / (2.0 * h)
+        old[-1] = (3.0 * w[0, -1] - 4.0 * w[0, -2] + w[0, -3]) / (2.0 * h)
+        assert np.array_equal(time_derivative(w[0], h).view(np.uint64), old.view(np.uint64))
+
+    a = rng.uniform(0.5, 3.0, grid.n)
+    h = 2.0 * np.pi / n_theta
+    d_theta = (np.roll(w, -1, axis=-2) - np.roll(w, 1, axis=-2)) / (2.0 * h)
+    old = a[:, None, None] * (1j * np.diagonal(SIGMA[2])) * d_theta
+    new = annulus_operator(grid)._circle(a, w)  # with a leading batch axis
+    assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
 
 
 def test_annulus_symmetric_principal_part():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ucp_lab.clifford import frame
 from ucp_lab.counterexamples import rank_one_counterexample
+from ucp_lab.errors import DomainMismatchError
 from ucp_lab.fields import Grid1D, SpinorField, fiber_norm2, l2_inner
 from ucp_lab.operators import (DiracOperator, absorb_homomorphism,
                                constant_operator_1d, model_operator_1d)
@@ -262,6 +263,12 @@ def test_march_reads_the_fiber_rank_from_cl_dt():
     orders = march_orders(rank_four, lambda grid: Perturbation.zero(), (65, 129, 257, 513),
                           2.0, u0=(0.6, 0.3 + 0.2j, -0.4j, 0.1))
     assert min(orders) >= 3.9, orders
+
+
+def test_march_rejects_slice_data_of_another_rank():
+    op = model_operator_1d(Grid1D.uniform(1.0, 9))
+    with pytest.raises(DomainMismatchError, match=r"expected \(2,\)"):
+        integrate_zero_data(op, Perturbation.zero(), u0=np.ones(3))
 
 
 def test_nonlocal_kind_is_evaluated_once_per_step():

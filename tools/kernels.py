@@ -1,0 +1,100 @@
+"""Print one JSON line of kernel timings in milliseconds:
+- torus, at N = 4, 8, 16 and 24: the four TorusLattice transforms, dirac3,
+  the case2 csd and grad_csd, and one unperturbed flow_step per scheme;
+- annulus, at 129 x 64 and 257 x 128 (T = 0.5): the annulus_operator build,
+  dirac_apply, and appendix_decomposition with the zero perturbation at
+  R = 20.
+Each kernel is timed as the median of REPS calls after one warm-up call, in
+each of FRESH fresh child processes, and reported as the median over those
+processes, so one slow process cannot decide a kernel.  A fixed count, not
+a time budget, keeps the slow kernels at N >= 16 from being timed on a
+handful of calls.  Point it at another source tree to compare two versions:
+
+    python3 tools/kernels.py [SRC_DIR]
+"""
+import json
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+TORUS_SIZES = (4, 8, 16, 24)
+ANNULUS_SIZES = ((129, 64), (257, 128))
+REPS = 30   # timed calls per kernel and process
+FRESH = 3   # child processes per tree
+
+
+def median_ms(fn):
+    fn()  # warm caches and lazily built tables
+    times = []
+    for _ in range(REPS):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times)
+
+
+def torus_kernels(tw, N):
+    lat = tw.TorusLattice(N)
+    params = tw.default_params(lat)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([N])))
+    cfg = tw.random_config(lat, rng, amplitude=0.3)
+    small = tw.random_config(lat, rng, amplitude=1e-4)
+    half = lat.rfft(cfg.alpha)
+    return {
+        "fft": lambda: lat.fft(cfg.psi),
+        "ifft": lambda: lat.ifft(cfg.psi),
+        "rfft": lambda: lat.rfft(cfg.alpha),
+        "irfft": lambda: lat.irfft(half),
+        "dirac3": lambda: tw.dirac3(cfg),
+        "csd_case2": lambda: tw.csd(cfg, params, "case2"),
+        "grad_csd_case2": lambda: tw.grad_csd(cfg, params, "case2"),
+        "flow_step_explicit": lambda: tw.flow_step(small, None, "unperturbed", dt=1e-3),
+        "flow_step_semi_implicit": lambda: tw.flow_step(
+            small, None, "unperturbed", dt=3.0, scheme="semi-implicit"),
+    }
+
+
+def annulus_kernels(cl, ops, pt, n_t, n_theta):
+    geom = cl.CarlemanGeometry.annulus(0.5, n_t, n_theta)
+    op = ops.annulus_operator(geom.grid)
+    v = cl.cutoff_bump_sampler(geom)(np.random.Generator(np.random.Philox(n_t)))
+    zero = pt.Perturbation.zero()
+    return {
+        "annulus_operator": lambda: ops.annulus_operator(geom.grid),
+        "dirac_apply": lambda: ops.dirac_apply(op, v),
+        "appendix_decomposition_zero": lambda: cl.appendix_decomposition(op, zero, v, 20.0, geom),
+    }
+
+
+def child(src: Path):
+    """Per-process medians of every kernel, one JSON line."""
+    sys.path.insert(0, str(src.resolve()))
+    from ucp_lab import carleman, operators, perturbations, torus
+    out = {"torus": {str(N): {name: median_ms(fn) for name, fn in torus_kernels(torus, N).items()}
+                     for N in TORUS_SIZES},
+           "annulus": {f"{n_t}x{n_theta}": {
+               name: median_ms(fn)
+               for name, fn in annulus_kernels(carleman, operators, perturbations,
+                                               n_t, n_theta).items()}
+               for n_t, n_theta in ANNULUS_SIZES}}
+    print(json.dumps(out))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        child(Path(sys.argv[2]))
+        sys.exit(0)
+    src = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src"
+    runs = [json.loads(subprocess.run([sys.executable, __file__, "--child", str(src)],
+                                      capture_output=True, text=True, check=True).stdout)
+            for _ in range(FRESH)]
+    median = {layer: {size: {name: round(statistics.median(r[layer][size][name] for r in runs), 4)
+                             for name in kernels}
+                      for size, kernels in sizes.items()}
+              for layer, sizes in runs[0].items()}
+    print(json.dumps({"src": str(src), "numpy": np.__version__, "unit": "ms",
+                      "processes": FRESH, "median_ms": median}))

@@ -27,23 +27,19 @@ def params_hash(params: Optional[PerturbationParams]) -> str:
     for arr in (params.mus, params.nus, params.spinor_basis, params.eigenvalues,
                 params.epsilons):
         h.update(np.ascontiguousarray(arr).tobytes())
-    h.update(repr(params.p1.terms).encode())
-    h.update(repr(params.p2.terms).encode())
-    h.update(np.ascontiguousarray(params.p3.coeffs).tobytes())
+    for fn in (params.p1, params.p2, params.p3):
+        h.update(repr(fn.terms).encode())
     h.update(repr(params.winding_shift).encode())
     return h.hexdigest()
 
 
 def _pack(arr_hat: np.ndarray) -> bytes:
-    # (comp, n, n, n) complex -> (n, n, n, comp, 2) little-endian f64 bytes
-    moved = np.moveaxis(arr_hat, 0, -1)
-    interleaved = np.stack([moved.real, moved.imag], axis=-1)
-    return np.ascontiguousarray(interleaved, dtype="<f8").tobytes()
+    # (comp, n, n, n) complex -> (n, n, n, comp) little-endian complex128, i.e. (re, im) f64
+    return np.ascontiguousarray(np.moveaxis(arr_hat, 0, -1), dtype="<c16").tobytes()
 
 
 def _unpack(raw: bytes, n: int, comps: int) -> np.ndarray:
-    flat = np.frombuffer(raw, dtype="<f8").reshape(n, n, n, comps, 2)
-    return np.moveaxis(flat[..., 0] + 1j * flat[..., 1], -1, 0)
+    return np.moveaxis(np.frombuffer(raw, dtype="<c16").reshape(n, n, n, comps), -1, 0)
 
 
 def save_checkpoint(config: SWConfiguration, path, case: str = "unperturbed",
@@ -69,15 +65,19 @@ def save_checkpoint(config: SWConfiguration, path, case: str = "unperturbed",
 
 def load_checkpoint(path) -> Tuple[SWConfiguration, dict]:
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        payload = fh.read()
-    if header.get("format") != _MAGIC:
+        line, payload = fh.readline(), fh.read()
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        header = None
+    if not isinstance(header, dict) or header.get("format") != _MAGIC:
         raise CheckpointError("not a checkpoint file")
-    n, N = int(header["lattice_n"]), int(header["lattice_N"])
-    if n != 2 * N + 1:
-        raise CheckpointError(f"lattice_n = {n} is not 2 * lattice_N + 1 = {2 * N + 1}")
-    size_a = n ** 3 * 3 * 2 * 8
-    expected = size_a + n ** 3 * 2 * 2 * 8
+    n, N = header.get("lattice_n"), header.get("lattice_N")
+    if not (type(n) is type(N) is int and N >= 1 and n == 2 * N + 1):
+        raise CheckpointError(f"lattice_n = {n!r} is not 2 * lattice_N + 1 for an int "
+                              f"lattice_N = {N!r} >= 1")
+    size_a = n ** 3 * 3 * 16
+    expected = size_a + n ** 3 * 2 * 16
     if len(payload) != expected:
         raise CheckpointError(f"payload has {len(payload)} bytes, expected {expected}")
     a_hat = _unpack(payload[:size_a], n, 3)

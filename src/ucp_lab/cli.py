@@ -98,8 +98,9 @@ def _rank_one_l2(geom: cl.CarlemanGeometry) -> Perturbation:
 # values of the `perturbation` config key: geometry -> Perturbation, or None
 PERTURBATIONS = {"none": lambda geom: None, "pointwise": _pointwise_unit,
                  "rank-one": _rank_one_l2}
-# Keys whose values a suite cannot run outside a range: (holds, the range stated).
-# A count of zero would leave its gates nothing to check, and they would pass.
+# Keys whose values a suite cannot run outside a range: (holds, the range stated),
+# under the key or, for one suite alone, under (suite, key).  A count of zero
+# would leave its gates nothing to check, and they would pass.
 _RANGES = {**dict.fromkeys(("N", "samples", "r_points", "configs", "adjoint_pairs",
                             "trials", "appendix_samples"), (lambda v: v >= 1, ">= 1")),
            "n_t": (lambda v: v >= 3, ">= 3"), "dt": (lambda v: v > 0, "> 0"),
@@ -107,7 +108,13 @@ _RANGES = {**dict.fromkeys(("N", "samples", "r_points", "configs", "adjoint_pair
            # the smallest sizes whose gates pass: below them every run is a suite-error
            "peano_n": (lambda v: v >= 17, ">= 17"),
            "rank_one_n": (lambda v: v >= 65537, ">= 65537"),
-           "perturbation": (PERTURBATIONS.__contains__, "in {" + ", ".join(PERTURBATIONS) + "}")}
+           "perturbation": (PERTURBATIONS.__contains__, "in {" + ", ".join(PERTURBATIONS) + "}"),
+           # rank-one: P(u) != 0 at t = 0, where every sampler field u vanishes
+           ("carleman", "perturbation"): (("none", "pointwise").__contains__, "in {none, pointwise}")}
+
+
+def _range(suite: str, key: str) -> tuple:
+    return _RANGES.get((suite, key)) or _RANGES.get(key, (lambda v: True, ""))
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +216,8 @@ def run_decay(opts: dict, seed: int, out: Path) -> SuiteOutput:
     report = cl.ucp_decay_check(op, pert, u, R_grid, geom, seed=seed)
 
     _write_csv(out / "decay.csv", ["R", "log_bound", "conclusive", "passed"],
-               zip(*[[r.R, r.log_bound if np.isfinite(r.log_bound) else "-inf",
-                      str(r.conclusive), str(r.passed)] for r in report.rows]))
+               zip(*[[r.R, r.log_bound, str(r.conclusive), str(r.passed)]
+                     for r in report.rows]))
     res.summary.update({
         "constant": report.constant, "c0": report.c0, "crossover": report.crossover,
         "measured": report.measured, "cutoff_integral": report.cutoff_integral,
@@ -499,7 +506,7 @@ def build_options(suite: str, config: dict, seed: Optional[int]) -> dict:
             ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
         else:
             ok = isinstance(value, str)
-        holds, stated = _RANGES.get(key, (lambda v: True, ""))
+        holds, stated = _range(suite, key)
         if not (ok and holds(value)):
             kind = {int: "an int", float: "a finite number", str: "a string"}[type(default)]
             rule = f"{kind} {stated or ('>= 0' if type(default) is int else '')}".rstrip()
@@ -547,8 +554,8 @@ def list_suites() -> int:
         description, defaults, _ = SUITES[name]
         print(f"{name}: {description}")
         for key in sorted(defaults):
-            stated = f"  ({_RANGES[key][1]})" if key in _RANGES else ""
-            print(f"    {key} = {defaults[key]!r}{stated}")
+            stated = _range(name, key)[1]
+            print(f"    {key} = {defaults[key]!r}{f'  ({stated})' if stated else ''}")
     print("common keys: seed (int >= 0, default 42, or --seed), suite (must match --suite)")
     return 0
 

@@ -92,7 +92,7 @@ _PEANO_CASES = {
 }
 
 
-def peano_branches(case: str, c: float, grid: Optional[Grid1D] = None) -> BranchedSolution:
+def peano_branches(case: str, c: float, grid: Grid1D) -> BranchedSolution:
     """Zero branch and the analytic branch leaving u = 0 at x = c.
 
     case 'sqrt':        u' = 2 sqrt|u|,   u1 = (x-c)^2 past c;
@@ -104,8 +104,6 @@ def peano_branches(case: str, c: float, grid: Optional[Grid1D] = None) -> Branch
     if case not in _PEANO_CASES:
         raise ValueError(f"unknown case {case!r}")
     rhs, branch = _PEANO_CASES[case]
-    if grid is None:
-        grid = Grid1D.uniform(max(4.0, c + 3.0), 4097)
     x = grid.t
     if not x[0] < c < x[-1]:
         raise ValueError("branch point must lie inside the grid")

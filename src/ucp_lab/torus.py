@@ -149,7 +149,7 @@ class SWConfiguration:
         n = lattice.n
         return cls(lattice, np.zeros((3, n, n, n)), np.zeros((2, n, n, n), dtype=complex))
 
-    def shifted(self, tangent: "Tangent", scale: float = 1.0) -> "SWConfiguration":
+    def shifted(self, tangent: "Tangent", scale: float) -> "SWConfiguration":
         return SWConfiguration(self.lattice,
                                self.alpha + scale * tangent.alpha,
                                self.psi + scale * tangent.phi)
@@ -257,20 +257,6 @@ class SeparableFunction:
         return [np.concatenate(col) for col in zip(*tails)] or [np.zeros(0)] * 2
 
 
-@dataclass(eq=False)
-class EtaFunction:
-    """p3(eta) = sum_l c_l tanh(|eta_l|^2); invariant under phase rotations."""
-
-    coeffs: np.ndarray
-
-    def value(self, eta: np.ndarray) -> float:
-        return float(np.sum(self.coeffs * np.tanh(np.abs(eta) ** 2)))
-
-    def wirtinger(self, eta: np.ndarray) -> np.ndarray:
-        sech2 = 1.0 - np.tanh(np.abs(eta) ** 2) ** 2
-        return self.coeffs * sech2 * np.conj(eta)
-
-
 # ---------------------------------------------------------------------------
 # perturbation parameter data
 
@@ -281,9 +267,9 @@ class PerturbationParams:
     nus: np.ndarray             # (K, 3, n, n, n)
     spinor_basis: np.ndarray    # (L, 2, n, n, n) eigenspinors of the base Dirac operator
     eigenvalues: np.ndarray     # (L,)
-    p1: SeparableFunction
-    p2: SeparableFunction
-    p3: EtaFunction
+    p1: SeparableFunction       # of tau
+    p2: SeparableFunction       # of zeta
+    p3: SeparableFunction       # of s_l = |eta_l|^2, so invariant under phase rotations
     epsilons: np.ndarray        # Floer weight sequence, index = derivative order
     winding_shift: float        # shift of tau_j under a unit winding
 
@@ -298,11 +284,6 @@ class PerturbationParams:
     @property
     def n_eta(self) -> int:
         return self.spinor_basis.shape[0]
-
-
-def default_epsilons() -> np.ndarray:
-    """Floer weights 4^-k / k! for the derivative orders k = 0..6."""
-    return np.array([4.0 ** (-k) / math.factorial(k) for k in range(7)])
 
 
 def _eigenspinors(lattice: TorusLattice):
@@ -354,9 +335,10 @@ def default_params(lattice: TorusLattice) -> PerturbationParams:
                 for slot in range(n_zeta)]
     p2 = SeparableFunction(n_zeta, p2_terms)
 
-    p3 = EtaFunction(rng.uniform(0.1, 0.3, size=n_eta))
-    return PerturbationParams(mus, nus, basis, lambdas, p1, p2, p3,
-                              default_epsilons(), shift)
+    p3 = SeparableFunction(n_eta, [("tanh", slot, float(c), 1.0, 0.0)
+                                   for slot, c in enumerate(rng.uniform(0.1, 0.3, size=n_eta))])
+    epsilons = np.array([4.0 ** (-k) / math.factorial(k) for k in range(7)])  # 4^-k / k!, k <= 6
+    return PerturbationParams(mus, nus, basis, lambdas, p1, p2, p3, epsilons, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +394,9 @@ def _zetas(sigma: np.ndarray, nus: np.ndarray, lattice: TorusLattice) -> np.ndar
 
 
 def _etas(config: SWConfiguration, params: PerturbationParams,
-          dressing: Optional[np.ndarray] = None) -> np.ndarray:
-    lat = config.lattice
-    X = _dressing(lat, lat.rfft(config.alpha)) if dressing is None else dressing
-    return (np.tensordot(params.spinor_basis, X[None] * np.conj(config.psi), axes=4)
-            * lat.volume_element)
+          dressing: np.ndarray) -> np.ndarray:
+    return (np.tensordot(params.spinor_basis, dressing[None] * np.conj(config.psi), axes=4)
+            * config.lattice.volume_element)
 
 
 @dataclass(eq=False)
@@ -427,9 +407,10 @@ class Observables:
 
 
 def observables(config: SWConfiguration, params: PerturbationParams) -> Observables:
+    lat = config.lattice
     sigma = sigma_polarized(config.psi, config.psi)
-    return Observables(_taus(config, params.mus), _zetas(sigma, params.nus, config.lattice),
-                       _etas(config, params))
+    return Observables(_taus(config, params.mus), _zetas(sigma, params.nus, lat),
+                       _etas(config, params, _dressing(lat, lat.rfft(config.alpha))))
 
 
 @dataclass(eq=False)
@@ -502,15 +483,17 @@ def _evaluate(config: SWConfiguration, params, case: str, with_gradient: bool) -
         value += params.p2.value(zeta)
     if case == "case2":
         X = _dressing(lat, alpha_hat)
-        eta = _etas(config, params, dressing=X)
-        value += params.p3.value(eta)
+        eta = _etas(config, params, X)
+        s = np.abs(eta) ** 2    # p3 is a function of s_l = |eta_l|^2
+        value += params.p3.value(s)
     if not with_gradient:
         return Evaluation(value, None, residuals)
     if case != "unperturbed":
         ga -= np.tensordot(params.p1.grad(tau), params.mus, axes=1)
         gp += 2.0 * _cl(np.tensordot(params.p2.grad(zeta), params.nus, axes=1), psi)
     if case == "case2":
-        dressed = X[None] * np.tensordot(params.p3.wirtinger(eta), params.spinor_basis, axes=1)
+        wirtinger = params.p3.grad(s) * np.conj(eta)    # dp3/deta_l = dp3/ds_l conj(eta_l)
+        dressed = X[None] * np.tensordot(wirtinger, params.spinor_basis, axes=1)
         gp += 2.0 * dressed
         W = np.imag(np.sum(dressed * np.conj(psi), axis=0))
         ga += lat.spectral(W, lambda h: 1j * lat.kr * (lat.green_r * h))
@@ -700,20 +683,16 @@ def linearize(config: SWConfiguration,
 # gauge action
 
 
-def gauge_apply(config: SWConfiguration, f: Optional[np.ndarray] = None,
+def gauge_apply(config: SWConfiguration, f: np.ndarray,
                 winding: Sequence[int] = (0, 0, 0)) -> SWConfiguration:
     """Gauge transformation u = exp(i(f + w.x)): a -> a - 2i d(f + w.x),
     psi -> u psi.  Integer winding keeps u single-valued."""
     lat = config.lattice
-    w = np.asarray(winding, dtype=int)
-    phase = np.tensordot(w.astype(float), lat.x, axes=(0, 0))
-    shift = 2.0 * w.astype(float)[:, None, None, None] * np.ones_like(config.alpha)
-    if f is not None:
-        f = np.asarray(f, dtype=float)
-        phase = phase + f
-        shift = shift + 2.0 * lat.gradient(f)
-    u = np.exp(1j * phase)
-    return SWConfiguration(lat, config.alpha - shift, u[None] * config.psi)
+    w = np.asarray(winding, dtype=int).astype(float)
+    f = np.asarray(f, dtype=float)
+    phase = np.tensordot(w, lat.x, axes=(0, 0)) + f
+    shift = 2.0 * w[:, None, None, None] * np.ones_like(config.alpha) + 2.0 * lat.gradient(f)
+    return SWConfiguration(lat, config.alpha - shift, np.exp(1j * phase)[None] * config.psi)
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +740,7 @@ def linearization_ucp_setup(config: SWConfiguration,
 
 
 def random_config(lattice: TorusLattice, rng: np.random.Generator,
-                  amplitude: float = 1e-4) -> SWConfiguration:
+                  amplitude: float) -> SWConfiguration:
     n = lattice.n
     alpha = amplitude * rng.standard_normal((3, n, n, n))
     psi = amplitude * (rng.standard_normal((2, n, n, n))

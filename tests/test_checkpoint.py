@@ -96,9 +96,40 @@ def test_rejects_mismatched_lattice_size(tmp_path, lat):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("line", [
+    b'{"format": "ucp-lab-checkpoint", "lattice_N": 2}',
+    b'["ucp-lab-checkpoint", 5, 2]',
+    b'\xff\xfe{"format": "ucp-lab-checkpoint"}',
+    b'ucp-lab-checkpoint lattice_n=5',
+    b'{"format": "ucp-lab-checkpoint", "lattice_n": "x", "lattice_N": 2}',
+], ids=["no-lattice_n", "json-list", "not-utf8", "not-json", "lattice_n-not-int"])
+def test_malformed_header_raises_checkpoint_error(tmp_path, lat, line):
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(tw.SWConfiguration.zero(lat), path)
+    payload = path.read_bytes().split(b"\n", 1)[1]
+    path.write_bytes(line + b"\n" + payload)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_payload_is_re_im_f64_pairs_components_innermost(tmp_path, lat):
+    """The payload is the layout the module states: spectra of a = i alpha,
+    then psi, (n, n, n, comp) row-major, each entry as little-endian (re, im)."""
+    cfg = tw.random_config(lat, np.random.default_rng(3), amplitude=0.7)
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(cfg, path)
+    payload = path.read_bytes().split(b"\n", 1)[1]
+    want = b"".join(np.stack([m.real, m.imag], axis=-1).astype("<f8").tobytes()
+                    for m in (np.moveaxis(lat.fft(1j * cfg.alpha), 0, -1),
+                              np.moveaxis(lat.fft(cfg.psi), 0, -1)))
+    assert payload == want
+
+
 def test_params_hash_distinguishes_data(lat):
     p1 = tw.default_params(lat)
-    p2 = dataclasses.replace(p1, p3=tw.EtaFunction(p1.p3.coeffs + 0.01))
+    kind, slot, c, w, b = p1.p3.terms[0]
+    moved = tw.SeparableFunction(p1.n_eta, [(kind, slot, c + 0.01, w, b)] + p1.p3.terms[1:])
+    p2 = dataclasses.replace(p1, p3=moved)
     assert params_hash(p1) != params_hash(p2)
     assert params_hash(p1) == params_hash(tw.default_params(lat))
     assert params_hash(None) == ""

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ucp_lab.cli import SUITES, build_options, main, parse_config_text
+from ucp_lab.cli import SUITES, _write_csv, build_options, main, parse_config_text
 
 
 def run_cli(*args):
@@ -275,6 +275,41 @@ def test_counterexample_suite_passes(tmp_path):
     names = {a["name"] for a in report["assertions"]}
     assert "rank-one-pairing" in names
     assert (out / "plotdata" / "rank_one.csv").exists()
+
+
+def test_carleman_rank_one_perturbation_exits_2(tmp_path, capsys):
+    """Every sampler field vanishes at t = 0, where the rank-one carrier does
+    not, so no carleman run with it is admissible: the value is a config
+    error there, listed as such, while decay keeps all three values."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("perturbation = rank-one\nn_t = 257\nsamples = 2\nappendix_samples = 1\n")
+    code = run_cli("run", "--suite", "carleman", "--config", str(cfg),
+                   "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "'perturbation'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert build_options("decay", {"perturbation": "rank-one"}, None)["perturbation"] == "rank-one"
+    assert run_cli("list") == 0
+    out = capsys.readouterr().out
+    carleman = out[out.index("carleman:"):out.index("decay:")]
+    assert "    perturbation = 'none'  (in {none, pointwise})\n" in carleman
+
+
+def test_decay_csv_writes_an_undefined_bound_as_nan(tmp_path):
+    """A row below the admissibility crossover (2.5e-25 here) has no bound:
+    decay.csv writes nan there, not -inf, which would claim the mass must
+    vanish; a true -inf is still written as -inf."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_t = 257\nr_min = 1e-30\nr_max = 1e5\nr_points = 4\n"
+                   "perturbation = pointwise\n")
+    run_cli("run", "--suite", "decay", "--config", str(cfg), "--out", str(out))
+    with open(out / "decay.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert (rows[0]["conclusive"], rows[0]["log_bound"]) == ("False", "nan")
+    assert all(math.isfinite(float(r["log_bound"])) for r in rows[1:])
+    _write_csv(tmp_path / "b.csv", ["log_bound"], [[-math.inf, math.nan]])
+    assert (tmp_path / "b.csv").read_text().split() == ["log_bound", "-inf", "nan"]
 
 
 def test_carleman_suite_low_grid_is_inconclusive(tmp_path):

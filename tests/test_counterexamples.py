@@ -45,7 +45,7 @@ def test_branches_agree_then_separate(case):
 
 def test_peano_unknown_case_and_exterior_branch_point():
     with pytest.raises(ValueError):
-        peano_branches("cubic", c=1.0)
+        peano_branches("cubic", c=1.0, grid=Grid1D.uniform(4.0, 1025))
     with pytest.raises(ValueError):
         peano_branches("sqrt", c=10.0, grid=Grid1D.uniform(4.0, 1025))
 

@@ -29,7 +29,7 @@ def flat_params(lat, n_tau=2, n_zeta=2, n_eta=2):
     shipped = tw.default_params(lat)
     p1 = tw.SeparableFunction(n_tau, [])
     p2 = tw.SeparableFunction(n_zeta, [])
-    p3 = tw.EtaFunction(np.zeros(n_eta))
+    p3 = tw.SeparableFunction(n_eta, [])
     return tw.PerturbationParams(shipped.mus[:n_tau], shipped.nus[:n_zeta],
                                  shipped.spinor_basis[:n_eta], shipped.eigenvalues[:n_eta],
                                  p1, p2, p3, shipped.epsilons, shipped.winding_shift)
@@ -145,7 +145,7 @@ def test_zeta_real_valued(lat2, params2):
 
 def test_gauge_identity(lat2):
     cfg = tw.random_config(lat2, rng_for(4), amplitude=0.5)
-    same = tw.gauge_apply(cfg)
+    same = tw.gauge_apply(cfg, np.zeros(lat2.shape))
     assert np.array_equal(same.alpha, cfg.alpha)
     assert np.array_equal(same.psi, cfg.psi)
 
@@ -294,6 +294,27 @@ def test_eigenspinor_basis_invariants(lat2, params2):
                            * np.conj(params2.spinor_basis[j])) * lat2.volume_element
             target = 1.0 if i == j else 0.0
             assert abs(inner - target) < 1e-12
+
+
+def test_shipped_p3_is_tanh_of_eta_modulus_squared(params2):
+    """p3 is the separable sum_l c_l tanh(s_l) of s_l = |eta_l|^2, its
+    coefficients the stream draw that followed p1 and p2, and its Wirtinger
+    derivative by the chain rule dp3/ds_l conj(eta_l) equals the closed form
+    c_l sech^2(|eta_l|^2) conj(eta_l) bit for bit (sech^2 = 1 - tanh^2)."""
+    p3 = params2.p3
+    assert [t[:2] + t[3:] for t in p3.terms] == [("tanh", l, 1.0, 0.0) for l in range(4)]
+    stream = np.random.Generator(np.random.Philox(np.random.SeedSequence([7])))
+    stream.uniform(size=14)     # the draws of p1 (8) and p2 (6) before it
+    c = np.array([t[2] for t in p3.terms])
+    assert np.array_equal(c, stream.uniform(0.1, 0.3, size=4))
+    rng = rng_for(33)
+    for scale in (0.1, 1.0, 3.0):
+        eta = scale * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        s = np.abs(eta) ** 2
+        assert p3.value(s) == float(np.sum(c * np.tanh(s)))
+        want = c * (1.0 - np.tanh(s) ** 2) * np.conj(eta)
+        got = p3.grad(s) * np.conj(eta)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_p1_periodic_under_measured_winding_shift(lat2, params2):

@@ -1,8 +1,9 @@
 """Print a sha256 for every output file and for the stdout of the six
-default suites, each run at seed 42 into a temporary directory, and one for
-the first items of each benchmark workload at a fixed seed.  Run it on two
-source trees and diff the two listings to check that a change leaves every
-suite output and every benchmark item bit-identical:
+default suites, each run at seed 42 into a temporary directory, one for the
+sw-flow checkpoint as load_checkpoint reads it back, and one for the first
+items of each benchmark workload at a fixed seed.  Run it on two source
+trees and diff the two listings to check that a change leaves every suite
+output, the checkpoint load and every benchmark item bit-identical:
 
     python3 tools/suite_digest.py [SRC_DIR]
 """
@@ -30,6 +31,15 @@ def suite_digests(cli, root: Path):
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             yield (f"{suite} {path.relative_to(out).as_posix()}",
                    hashlib.sha256(path.read_bytes()).hexdigest())
+
+
+def checkpoint_digest(root: Path):
+    """(name, sha256) of the alpha and psi bytes that load_checkpoint reads
+    back from the sw-flow suite's flow_final.ckpt under root."""
+    from ucp_lab.checkpoint import load_checkpoint
+    config, _ = load_checkpoint(root / "sw-flow" / "flow_final.ckpt")
+    digest = hashlib.sha256(config.alpha.tobytes() + config.psi.tobytes()).hexdigest()
+    return "sw-flow flow_final.ckpt read back", digest
 
 
 def bench_digests(root: Path):
@@ -62,5 +72,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, digest in suite_digests(cli, Path(tmp)):
             print(f"{digest}  {name}")
+        name, digest = checkpoint_digest(Path(tmp))
+        print(f"{digest}  {name}")
         for name, digest in bench_digests(Path(tmp)):
             print(f"{digest}  {name}")

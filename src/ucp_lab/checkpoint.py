@@ -82,6 +82,9 @@ def load_checkpoint(path) -> Tuple[SWConfiguration, dict]:
         raise CheckpointError(f"payload has {len(payload)} bytes, expected {expected}")
     a_hat = _unpack(payload[:size_a], n, 3)
     psi_hat = _unpack(payload[size_a:], n, 2)
+    for name, arr in (("a_hat", a_hat), ("psi_hat", psi_hat)):
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"payload array {name} holds non-finite values")
     lat = TorusLattice(N)
     alpha = np.imag(lat.ifft(a_hat))
     psi = lat.ifft(psi_hat)

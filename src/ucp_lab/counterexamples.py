@@ -71,7 +71,10 @@ class BranchedSolution:
 def _rk4_track(f: Callable, x0: float, y0: float, x1: float, h: float,
                reference: Callable) -> float:
     """Integrate y' = f(x, y) from (x0, y0) to x1 with fixed step h, returning
-    the max deviation from the reference solution at the step points."""
+    the max deviation from the reference solution at the step points.
+
+    Pass Python floats: numpy scalars give the same bits, but every stage
+    then runs the slower numpy-scalar arithmetic."""
     x, y = x0, y0
     worst = abs(y - reference(x))
     while x < x1 - 1e-12:
@@ -119,9 +122,9 @@ def peano_branches(case: str, c: float, grid: Grid1D) -> BranchedSolution:
     residual0 = 0.0  # u0 = 0 solves exactly
 
     # independent shooting check from (c + eps, u1(c + eps)), fixed step domain/4096
-    eps = max(0.1 * (x[-1] - c), 8.0 * grid.spacing)
-    h_rk4 = (x[-1] - x[0]) / 4096
-    deviation = _rk4_track(rhs, c + eps, branch(eps), float(x[-1]), h_rk4,
+    eps = float(max(0.1 * (x[-1] - c), 8.0 * grid.spacing))
+    h_rk4 = float((x[-1] - x[0]) / 4096)
+    deviation = _rk4_track(rhs, float(c + eps), branch(eps), float(x[-1]), h_rk4,
                            lambda xi: branch(xi - c))
     if deviation > 1e-6:
         raise ValueError(f"RK4 re-integration deviates by {deviation:.3e}")

@@ -9,9 +9,10 @@ Nonlocal kinds are a whole-field map P(u) = field(u), built by a
 constructor or given directly as Perturbation(a, field=...):
   rank-one    P(u)(x) = <u, a>_{L2} a(x)
 integrate_zero_data reads the operator's stored B + C and a local kind's
-coefficient at the RK4 stage times, applies local kinds to each stage value
-(order 4), freezes nonlocal kinds once per step, zero ahead of the front
-(rank-one from a running <u, a>), and adds no term for the zero kind.
+coefficient at the RK4 stage times and applies local kinds to each stage
+value (order 4); the zero kind adds no term.  Nonlocal kinds, frozen once
+per step (zero ahead of the front, rank-one from a running <u, a>), march
+by RK4 step matrices built for all steps at once.
 """
 from __future__ import annotations
 
@@ -127,15 +128,18 @@ def ucp_condition_check(a: SpinorField, u: SpinorField) -> UcpConditionResult:
     return UcpConditionResult("neither", False, False, None)
 
 
-def integrate_zero_data(op, P: Perturbation, u0: Optional[np.ndarray] = None) -> SpinorField:
+def integrate_zero_data(op, P: Perturbation, u0: np.ndarray) -> SpinorField:
     """March D u + P(u) = 0 on the operator grid by RK4 from slice data u0.
 
     The tangential part B + C and a local kind's coefficient are read from
     their stored arrays at the stage offsets 0, 1/2 and 1 of each step, the
-    midpoint by the 4-point rule, so the march keeps order 4.  A local kind
-    acts on each stage value.  A nonlocal kind is evaluated once per step on
-    the marched state (zero ahead of the front, exact for zero data) and
-    interpolated linearly to the stage times.  The zero kind adds no term.
+    midpoint by the 4-point rule.  The zero and local kinds march stage by
+    stage, at order 4; a local kind acts on each stage value.  A nonlocal
+    kind is evaluated once per step on the marched state (zero ahead of the
+    front, exact for zero data) and interpolated linearly to the stage
+    times, which makes its march second order.  Each such step is affine in
+    the state and the two frozen rows, u_{i+1} = M_i u_i + N0_i f_i +
+    N1_i f_{i+1}, so it marches by those step matrices, built at once.
     """
     grid: Grid1D = op.grid
     if not isinstance(grid, Grid1D):
@@ -143,29 +147,34 @@ def integrate_zero_data(op, P: Perturbation, u0: Optional[np.ndarray] = None) ->
     if P.a is not None:
         same_grid(P.a.grid, grid)
     rank = op.cl_dt.shape[-1]
+    if np.shape(u0) != (rank,):
+        raise DomainMismatchError(f"slice data of shape {np.shape(u0)}, expected ({rank},)")
     values = np.zeros((grid.n, rank), dtype=complex)
-    if u0 is not None:
-        if np.shape(u0) != (rank,):
-            raise DomainMismatchError(f"slice data of shape {np.shape(u0)}, expected ({rank},)")
-        values[0] = np.asarray(u0, dtype=complex)
+    values[0] = np.asarray(u0, dtype=complex)
     cl_inv = -op.cl_dt  # cl(dt)^{-1}
     h = grid.spacing
     tangential = _stages(op.B + op.C)
+    if P.field is not None:
+        M, N0, N1 = _step_matrices(tangential, cl_inv, h)
+        if P.l2_pairing:  # the frozen rows S_i a_i, S_i a_{i+1} fold into S_i b_i
+            a = P.a.values
+            b = (N0 @ a[:-1, :, None] + N1 @ a[1:, :, None])[..., 0]
+            wa, pairing = grid.quad_weights()[:, None] * np.conj(a), 0.0
+        for i in range(grid.n - 1):
+            if P.l2_pairing:  # S_i = sum_{j<=i} w_j <u_j, a_j>, one row per step
+                pairing = pairing + wa[i] @ values[i]
+                values[i + 1] = M[i] @ values[i] + pairing * b[i]
+            else:
+                f = P.field(SpinorField(grid, values))
+                values[i + 1] = M[i] @ values[i] + N0[i] @ f[i] + N1[i] @ f[i + 1]
+        return SpinorField(grid, values)
     if P.fiber is not None:
         coeff_at = _stages(np.broadcast_to(P.coeff, (grid.n,) + np.shape(P.coeff)[1:]))
-    w, pairing = grid.quad_weights(), 0.0
     for i in range(grid.n - 1):
         y = values[i]
-        if P.l2_pairing:  # <values, a>_{L2} over the marched rows, one row per step
-            pairing = pairing + w[i] * fiber_inner(y, P.a.values[i])
-            frozen = pairing * P.a.values[i:i + 2]
-        elif P.field is not None:
-            frozen = P.field(SpinorField(grid, values))[i:i + 2]
 
         def rhs(s, y):
             dy = -tangential[s][i] @ y
-            if P.field is not None:
-                return dy - cl_inv @ ((1.0 - s) * frozen[0] + s * frozen[1])
             if P.fiber is not None:
                 return dy - cl_inv @ P.fiber(coeff_at[s][i], y)
             return dy
@@ -176,6 +185,27 @@ def integrate_zero_data(op, P: Perturbation, u0: Optional[np.ndarray] = None) ->
         k4 = rhs(1.0, y + h * k3)
         values[i + 1] = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return SpinorField(grid, values)
+
+
+def _step_matrices(tangential: dict, cl_inv: np.ndarray, h: float) -> list:
+    """M, N0 and N1 of every RK4 step of u' = -(B + C) u - cl_inv f, with f
+    linear between the frozen rows f_i and f_{i+1}: the stage recursion
+    applied to the coefficients of (u_i, f_i, f_{i+1}) instead of a state."""
+    r = cl_inv.shape[0]
+    start = np.zeros((len(tangential[0.0]), r, 3 * r), dtype=complex)
+    start[:, :, :r] = np.eye(r)
+
+    def k(s, z):
+        dz = -tangential[s] @ z
+        dz[:, :, r:2 * r] -= (1.0 - s) * cl_inv
+        dz[:, :, 2 * r:] -= s * cl_inv
+        return dz
+
+    k1 = k(0.0, start)
+    k2 = k(0.5, start + 0.5 * h * k1)
+    k3 = k(0.5, start + 0.5 * h * k2)
+    k4 = k(1.0, start + h * k3)
+    return np.split(start + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), 3, axis=-1)
 
 
 def _stages(c: np.ndarray) -> dict:

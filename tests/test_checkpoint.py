@@ -85,6 +85,21 @@ def test_rejects_truncated_and_padded_payload(tmp_path, lat):
             load_checkpoint(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["a_hat", "psi_hat"])
+def test_rejects_non_finite_payload(tmp_path, lat, name, bad):
+    """One non-finite f64 in either array is refused by name, not spread by
+    the inverse transform over the whole configuration."""
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(tw.SWConfiguration.zero(lat), path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    at = 0 if name == "a_hat" else lat.n ** 3 * 3 * 16
+    payload = payload[:at] + np.array([bad], dtype="<f8").tobytes() + payload[at + 8:]
+    path.write_bytes(header + b"\n" + payload)
+    with pytest.raises(CheckpointError, match=name):
+        load_checkpoint(path)
+
+
 def test_rejects_mismatched_lattice_size(tmp_path, lat):
     path = tmp_path / "state.ckpt"
     save_checkpoint(tw.SWConfiguration.zero(lat), path)

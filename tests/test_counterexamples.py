@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ucp_lab import counterexamples
 from ucp_lab.cli import main
 from ucp_lab.counterexamples import derivative_5pt, peano_branches, rank_one_counterexample
 from ucp_lab.fields import Grid1D, SpinorField
@@ -82,3 +83,19 @@ def test_branch_csv_round_trip(tmp_path):
     assert len(rows) == sol.grid.n + 1
     last = rows[-1].split(",")
     assert abs(float(last[2]) - sol.u1[-1]) < 1e-15
+
+
+def test_peano_cross_check_runs_on_floats(monkeypatch):
+    """peano_branches hands _rk4_track Python floats, and the deviation is
+    the one numpy-scalar inputs give, bit for bit."""
+    track, calls = counterexamples._rk4_track, []
+    monkeypatch.setattr(counterexamples, "_rk4_track",
+                        lambda *args: calls.append(args) or track(*args))
+    for case in ("sqrt", "two-thirds"):
+        peano_branches(case, c=1.0, grid=Grid1D.uniform(4.0, 4097))
+    assert len(calls) == 2
+    for f, x0, y0, x1, h, reference in calls:
+        assert all(type(v) is float for v in (x0, y0, x1, h))
+        deviation = track(f, x0, y0, x1, h, reference)
+        assert type(deviation) is float
+        assert deviation == track(f, *map(np.float64, (x0, y0, x1, h)), reference)

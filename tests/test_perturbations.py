@@ -9,7 +9,7 @@ from ucp_lab.errors import DomainMismatchError
 from ucp_lab.fields import Grid1D, SpinorField, fiber_norm2, l2_inner
 from ucp_lab.operators import (DiracOperator, absorb_homomorphism,
                                constant_operator_1d, model_operator_1d)
-from ucp_lab.perturbations import (Perturbation, admissibility_bound,
+from ucp_lab.perturbations import (Perturbation, _stages, admissibility_bound,
                                    eval_perturbation, integrate_zero_data,
                                    ucp_condition_check)
 
@@ -202,7 +202,7 @@ def test_zero_data_integration_stays_zero():
     op = model_operator_1d(grid)
     a = bump_field(grid, 0.5, 0.2)
     for P in (Perturbation.zero(), Perturbation.pointwise(a), Perturbation.rank_one(a)):
-        u = integrate_zero_data(op, P)
+        u = integrate_zero_data(op, P, u0=np.zeros(2))
         assert u.sup_norm() < 1e-12
 
 
@@ -301,6 +301,57 @@ def test_rank_one_running_sum_matches_whole_field_reevaluation():
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, (T, n)
             assert np.max(np.abs(unperturbed - want)) > 1e-3 * scale  # the term acts
+
+
+def test_rank_one_march_converges_at_second_order():
+    """The frozen rank-one term is held at S_i over a step and taken linear
+    between its two rows, so the march is second order, not the fourth of
+    the stage-by-stage kinds; a step-matrix march must keep that order."""
+    def rank_one(grid):
+        return Perturbation.rank_one(bump_field(grid, 0.5, 0.2))
+
+    orders = march_orders(model_operator_1d, rank_one, (129, 257, 513, 1025), 1.0)
+    assert 1.9 <= min(orders) and max(orders) <= 2.1, orders
+
+
+def stage_rk4(op, P, u0):
+    """Oracle: the nonlocal march stage by stage, one rhs call per RK4 stage,
+    with the frozen rows taken linear in the stage time."""
+    grid, h, cl_inv = op.grid, op.grid.spacing, -op.cl_dt
+    tangential = _stages(op.B + op.C)
+    values = np.zeros((grid.n, len(u0)), dtype=complex)
+    values[0] = u0
+    w, pairing = grid.quad_weights(), 0.0
+    for i in range(grid.n - 1):
+        y = values[i]
+        if P.l2_pairing:
+            pairing = pairing + w[i] * np.vdot(P.a.values[i], y)
+            frozen = pairing * P.a.values[i:i + 2]
+        else:
+            frozen = P.field(SpinorField(grid, values))[i:i + 2]
+
+        def rhs(s, y):
+            return -tangential[s][i] @ y - cl_inv @ ((1.0 - s) * frozen[0] + s * frozen[1])
+
+        k1 = rhs(0.0, y)
+        k2 = rhs(0.5, y + 0.5 * h * k1)
+        k3 = rhs(0.5, y + 0.5 * h * k2)
+        k4 = rhs(1.0, y + h * k3)
+        values[i + 1] = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return values
+
+
+def test_affine_step_matches_stage_rk4():
+    u0 = np.array([0.6, 0.3 + 0.2j])
+    for n in (3, 4, 65, 1025):
+        grid = Grid1D.uniform(2.0, n)
+        R = np.exp(1j * grid.t)[:, None, None] * np.array([[0.3, 0.5], [-0.2, 0.4j]])
+        a = SpinorField(grid, bump_field(grid, 0.8, 0.4).values * np.array([3.0, 1.0 - 2.0j]))
+        for op in (model_operator_1d(grid), absorb_homomorphism(model_operator_1d(grid), R)):
+            for P in (Perturbation.rank_one(a), whole_field_rank_one(a)):
+                want = stage_rk4(op, P, u0)
+                got = integrate_zero_data(op, P, u0=u0).values
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), n
 
 
 def test_three_point_grid_integrates_every_kind():

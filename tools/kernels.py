@@ -3,7 +3,12 @@
   the case2 csd and grad_csd, and one unperturbed flow_step per scheme;
 - annulus, at 129 x 64 and 257 x 128 (T = 0.5): the annulus_operator build,
   dirac_apply, and appendix_decomposition with the zero perturbation at
-  R = 20.
+  R = 20;
+- interval: integrate_zero_data at T = 0.1 for each perturbation of the
+  decay suite (none, pointwise, rank-one) at n_t = 257 and 4097;
+  peano_branches("sqrt") at 4097 points and rank_one_counterexample at
+  131073, as the counterexample suite runs them; and constant_sweep at
+  n_t = 2049 with 7 R values and 4 samples, as an interval benchmark item.
 Each kernel is timed as the median of REPS calls after one warm-up call, in
 each of FRESH fresh child processes, and reported as the median over those
 processes, so one slow process cannot decide a kernel.  A fixed count, not
@@ -23,6 +28,7 @@ import numpy as np
 
 TORUS_SIZES = (4, 8, 16, 24)
 ANNULUS_SIZES = ((129, 64), (257, 128))
+MARCH_SIZES = (257, 4097)
 REPS = 30   # timed calls per kernel and process
 FRESH = 3   # child processes per tree
 
@@ -70,17 +76,39 @@ def annulus_kernels(cl, ops, pt, n_t, n_theta):
     }
 
 
+def interval_kernels(cl, ops, pt, cx, cli):
+    out = {}
+    for n_t in MARCH_SIZES:
+        geom = cl.CarlemanGeometry.interval(0.1, n_t)
+        op = ops.model_operator_1d(geom.grid)
+        for kind, make in cli.PERTURBATIONS.items():
+            P = make(geom) or pt.Perturbation.zero()
+            out[f"integrate_zero_data_{kind}_{n_t}"] = (
+                lambda op=op, P=P: pt.integrate_zero_data(op, P, u0=np.array([1e-12, 0.0j])))
+    peano_grid = cl.CarlemanGeometry.interval(4.0, 4097).grid
+    rank_one_grid = cl.CarlemanGeometry.interval(2.0, 131073).grid
+    geom = cl.CarlemanGeometry.interval(0.1, 2049)
+    op, sampler = ops.model_operator_1d(geom.grid), cl.cutoff_bump_sampler(geom)
+    return {**out,
+            "peano_branches_sqrt_4097": lambda: cx.peano_branches("sqrt", 1.0, peano_grid),
+            "rank_one_counterexample_131073": lambda: cx.rank_one_counterexample(rank_one_grid),
+            "constant_sweep_2049": lambda: cl.constant_sweep(op, sampler, np.logspace(1, 3, 7),
+                                                             geom, n_samples=4, seed=1)}
+
+
 def child(src: Path):
     """Per-process medians of every kernel, one JSON line."""
     sys.path.insert(0, str(src.resolve()))
-    from ucp_lab import carleman, operators, perturbations, torus
+    from ucp_lab import carleman, cli, counterexamples, operators, perturbations, torus
     out = {"torus": {str(N): {name: median_ms(fn) for name, fn in torus_kernels(torus, N).items()}
                      for N in TORUS_SIZES},
            "annulus": {f"{n_t}x{n_theta}": {
                name: median_ms(fn)
                for name, fn in annulus_kernels(carleman, operators, perturbations,
                                                n_t, n_theta).items()}
-               for n_t, n_theta in ANNULUS_SIZES}}
+               for n_t, n_theta in ANNULUS_SIZES},
+           "interval": {"1d": {name: median_ms(fn) for name, fn in interval_kernels(
+               carleman, operators, perturbations, counterexamples, cli).items()}}}
     print(json.dumps(out))
 
 

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .errors import NonAdmissibleError, PreconditionError, SupportConditionError
-from .clifford import fiber_inner
+from .clifford import fiber_inner_real
 from .fields import AnnulusGrid, Grid1D, SpinorField, fiber_norm2, same_grid
 from .operators import DiracOperator, dirac_apply, time_derivative
 from .perturbations import Perturbation, admissibility_bound, eval_perturbation
@@ -50,6 +50,8 @@ class CarlemanGeometry:
     def __post_init__(self):
         if self.T <= 0:
             raise ValueError("horizon T must be positive")
+        object.__setattr__(self, "_profile_sq", (self.T - self.grid.t) ** 2)  # exponent / R
+        object.__setattr__(self, "_tail", self.grid.t > 0.95 * self.T)  # last 5% of slices
 
     @classmethod
     def interval(cls, T: float, n: int) -> "CarlemanGeometry":
@@ -88,15 +90,19 @@ def bump_cutoff_derivative(geom: CarlemanGeometry, t):
 def log_weighted_l2(v: SpinorField, R: float, geom: CarlemanGeometry) -> float:
     """log of int exp(R(T-t)^2) |v|^2 dy dt  (-inf for v = 0)."""
     same_grid(geom.grid, v.grid)
+    return _log_weighted_mass(fiber_norm2(v.values), R, geom)
+
+
+def _log_weighted_mass(mag2: np.ndarray, R: float, geom: CarlemanGeometry) -> float:
     if R < 0:
         raise ValueError("weight parameter R must be nonnegative")
-    dens = geom.grid.quad_weights() * fiber_norm2(v.values)
+    dens = geom.grid.quad_weights() * mag2
     # the weight depends on t only: log-sum-exp of slice masses (scipy's arithmetic)
     mass = np.sum(dens, axis=tuple(range(1, dens.ndim)))
     mask = mass > 0.0
     if not mask.any():
         return -math.inf
-    a, b = R * (geom.T - geom.grid.t[mask]) ** 2, mass[mask]
+    a, b = R * geom._profile_sq[mask], mass[mask]
     a_max = np.max(a)
     at_max = a == a_max
     m = np.sum(b * at_max)
@@ -115,23 +121,20 @@ class CarlemanReport:
     violation: bool = False      # rhs = 0 with lhs > 0
 
 
-def _support_check(v: SpinorField, geom: CarlemanGeometry):
-    """|v| must vanish (to tolerance) on the last 5% of slices."""
-    mag = v.fiber_abs()
-    sup = float(np.max(mag, initial=0.0))
-    if sup == 0.0:
-        return
-    tail_sup = float(np.max(mag[geom.grid.t > 0.95 * geom.T], initial=0.0))
-    if tail_sup >= SUPPORT_TOL * sup:
-        raise SupportConditionError(
-            f"field magnitude {tail_sup:.3e} on the last 5% of slices exceeds "
-            f"{SUPPORT_TOL:.0e} x sup|v|"
-        )
+def _support_check(v: SpinorField, geom: CarlemanGeometry) -> np.ndarray:
+    """|v|^2, once |v| is seen to vanish (to tolerance) on the last 5% of slices."""
+    mag2 = fiber_norm2(v.values)
+    sup = math.sqrt(np.max(mag2, initial=0.0))
+    tail_sup = math.sqrt(np.max(mag2[geom._tail], initial=0.0))
+    if sup > 0.0 and tail_sup >= SUPPORT_TOL * sup:
+        raise SupportConditionError(f"field magnitude {tail_sup:.3e} on the last 5% of "
+                                    f"slices exceeds {SUPPORT_TOL:.0e} x sup|v|")
+    return mag2
 
 
-def _ratio_report(v: SpinorField, dv: SpinorField, R: float, geom: CarlemanGeometry,
+def _ratio_report(mag2: np.ndarray, dv: SpinorField, R: float, geom: CarlemanGeometry,
                   c0: Optional[float] = None) -> CarlemanReport:
-    log_lhs = log_weighted_l2(v, R, geom)
+    log_lhs = _log_weighted_mass(mag2, R, geom)
     log_rhs = log_weighted_l2(dv, R, geom)
     if log_rhs == -math.inf:
         if log_lhs == -math.inf:
@@ -143,19 +146,19 @@ def _ratio_report(v: SpinorField, dv: SpinorField, R: float, geom: CarlemanGeome
 def carleman_ratio(op: DiracOperator, v: SpinorField, R: float,
                    geom: CarlemanGeometry) -> CarlemanReport:
     same_grid(geom.grid, v.grid)
-    _support_check(v, geom)
-    return _ratio_report(v, dirac_apply(op, v), R, geom)
+    mag2 = _support_check(v, geom)
+    return _ratio_report(mag2, dirac_apply(op, v), R, geom)
 
 
 def perturbed_carleman_ratio(op: DiracOperator, P: Perturbation, v: SpinorField,
                              R: float, geom: CarlemanGeometry) -> CarlemanReport:
     same_grid(geom.grid, v.grid)
-    _support_check(v, geom)
+    mag2 = _support_check(v, geom)
     adm = admissibility_bound(P, v)
     if not adm:
         raise NonAdmissibleError(f"perturbation not admissible on the region: {adm.reason}")
     dv = dirac_apply(op, v) + eval_perturbation(P, v)
-    return _ratio_report(v, dv, R, geom, c0=adm.c0)
+    return _ratio_report(mag2, dv, R, geom, c0=adm.c0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +172,7 @@ def cutoff_bump_sampler(geom: CarlemanGeometry) -> Callable:
     grid = geom.grid
     T = geom.T
     t = grid.t
-    phi = bump_cutoff(geom, t)
-    collar = smoothstep(t / (0.15 * T))
+    envelope = bump_cutoff(geom, t) * smoothstep(t / (0.15 * T))  # cutoff times collar
 
     def sample(rng: np.random.Generator) -> SpinorField:
         profile = np.zeros(grid.n)
@@ -178,7 +180,7 @@ def cutoff_bump_sampler(geom: CarlemanGeometry) -> Callable:
             mu = rng.uniform(0.25 * T, 0.65 * T)
             sig = rng.uniform(T / 14.0, T / 7.0)
             profile += rng.uniform(0.3, 1.0) * np.exp(-((t - mu) ** 2) / (2.0 * sig ** 2))
-        profile *= phi * collar
+        profile *= envelope
         direction = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         direction /= np.linalg.norm(direction)
         if isinstance(grid, AnnulusGrid):
@@ -400,16 +402,16 @@ def appendix_decomposition(op: DiracOperator, P: Perturbation, v: SpinorField,
     J_err = int |v0|^2 (R - 4 |P v|^2 / |v|^2).  Direct exponentials: intended
     for moderate R; a J-term that overflows raises PreconditionError."""
     same_grid(geom.grid, v.grid)
-    _support_check(v, geom)
+    mag2_v = _support_check(v, geom)
     w = geom.grid.quad_weights()
     prof = geom.normal_profile(v.values.ndim)   # T - t
-    E = np.exp(0.5 * R * prof ** 2)
+    E = np.exp(0.5 * R * geom._profile_sq.reshape(prof.shape))
 
     v0 = E * v.values
     h = geom.grid.spacing
 
     def wip(x, y) -> float:
-        return float(np.sum(w * fiber_inner(x, y).real))
+        return float(np.sum(w * fiber_inner_real(x, y)))
 
     symB = op.apply_B(v0)  # B v0 until J3 is formed, then B v0 + R (T - t) v0
     skew = time_derivative(v0, h)
@@ -423,13 +425,13 @@ def appendix_decomposition(op: DiracOperator, P: Perturbation, v: SpinorField,
     del j3_vec  # one full-size array fewer at the peak below
     symB += R * prof * v0
     sym, j_skew_pert, j_sym_pert, quot2 = symB, 0.0, 0.0, 0.0
-    if P.fiber is not None or P.field is not None:  # the zero kind adds no term
+    if P.fiber_pairing or P.matrix is not None or P.field is not None:  # zero adds no term
         pv = eval_perturbation(P, v).values
-        pert = E * op.apply_cl_dt_inverse(pv)   # reduced perturbation for d/dt + Bcal
+        pert = -E * op.apply_cl_dt(pv)   # cl(dt)^-1 P v, reduced for d/dt + Bcal
         sym = symB + pert
         j_skew_pert = 2.0 * wip(skew, pert)
         j_sym_pert = 2.0 * wip(symB, pert)
-        mag2_v, mag2_p = fiber_norm2(v.values), fiber_norm2(pv)
+        mag2_p = fiber_norm2(pv)
         quot2 = np.divide(mag2_p, mag2_v, out=np.zeros_like(mag2_p), where=mag2_v > 0)
 
     j_skew = wip(skew, skew)
@@ -437,8 +439,9 @@ def appendix_decomposition(op: DiracOperator, P: Perturbation, v: SpinorField,
     j_mix = 2.0 * wip(skew, sym)
     total = skew + sym
     j1 = wip(total, total)
-    j0 = wip(v0, v0)
-    j_err = float(np.sum(w * fiber_norm2(v0) * (R - 4.0 * quot2)))
+    mag2_v0 = fiber_norm2(v0)
+    j0 = float(np.sum(w * mag2_v0))
+    j_err = float(np.sum(w * mag2_v0 * (R - 4.0 * quot2)))
 
     rec = JTermRecord(R, j0, j1, j_skew, j_sym, j_mix, j3,
                       j_skew_pert, j_sym_pert, j_err)

@@ -8,6 +8,8 @@ matrices out; an operator's fiber rank is that of its cl(dt).
 """
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 SIGMA = np.array(
@@ -40,3 +42,10 @@ def frame(dimension: int) -> np.ndarray:
 def fiber_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pointwise Hermitian product over the trailing fiber axis (linear in x)."""
     return np.einsum("...i,...i->...", x, np.conj(y))
+
+
+def fiber_inner_real(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re fiber_inner(x, y) bit for bit, from (re, im) pairs: no conjugated copy."""
+    p = (np.ascontiguousarray(x, dtype=complex).view(float)
+         * np.ascontiguousarray(y, dtype=complex).view(float))
+    return reduce(np.add, (p[..., j] + p[..., j + 1] for j in range(0, p.shape[-1], 2)), 0.0)

@@ -9,13 +9,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import fiber_inner
+from .clifford import fiber_inner, fiber_inner_real
 from .errors import DomainMismatchError
 
 
 def fiber_norm2(x: np.ndarray) -> np.ndarray:
     """Pointwise |x|^2 over the trailing fiber axis."""
-    return fiber_inner(x, x).real
+    return fiber_inner_real(x, x)
 
 
 def trapezoid_weights(t: np.ndarray) -> np.ndarray:
@@ -52,6 +52,13 @@ class _SliceGrid:
     def zeros(self) -> "SpinorField":
         return SpinorField(self, np.zeros(self.shape + (2,), dtype=complex))
 
+    def quad_weights(self) -> np.ndarray:
+        """Quadrature weights, formed on first use; read-only, as callers share them."""
+        if "_w" not in self.__dict__:
+            object.__setattr__(self, "_w", self._weights())
+            self._w.setflags(write=False)
+        return self._w
+
 
 @dataclass(frozen=True, eq=False)
 class Grid1D(_SliceGrid):
@@ -68,7 +75,7 @@ class Grid1D(_SliceGrid):
     def shape(self) -> tuple:
         return (self.n,)
 
-    def quad_weights(self) -> np.ndarray:
+    def _weights(self) -> np.ndarray:
         return trapezoid_weights(self.t)
 
 
@@ -106,7 +113,7 @@ class AnnulusGrid(_SliceGrid):
     def radii(self) -> np.ndarray:
         return self.r0 + self.t
 
-    def quad_weights(self) -> np.ndarray:
+    def _weights(self) -> np.ndarray:
         wt = trapezoid_weights(self.t)
         return wt[:, None] * (self.radii()[:, None] * (2.0 * np.pi / self.n_theta))
 

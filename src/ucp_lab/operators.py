@@ -98,10 +98,6 @@ class DiracOperator:
         """Pointwise Clifford multiplication by the normal covector."""
         return _fiber_apply(self.cl_dt, w)
 
-    def apply_cl_dt_inverse(self, w: np.ndarray) -> np.ndarray:
-        # cl(dt)^2 = -I, so the inverse is -cl(dt)
-        return -self.apply_cl_dt(w)
-
 
 def slice_adjoint(M: np.ndarray) -> np.ndarray:
     """Adjoint of per-slice matrices under the uniform slice weights."""

@@ -1,23 +1,20 @@
 """Zeroth-order perturbations P(u) and the pointwise admissibility criterion.
 
-Shipped kinds all satisfy P(0) = 0 exactly.  The zero kind has neither a
-fiber nor a field map.  Local kinds are a fiber map of a per-point
-coefficient c, P(u)(x) = fiber(c(x), u(x)):
-  pointwise   P(u)(x) = <u(x), a(x)> u(x)
-  matrix      P(u)(x) = M(x) u(x)      (bundle map of the torus linearization)
-Nonlocal kinds are a whole-field map P(u) = field(u), built by a
-constructor or given directly as Perturbation(a, field=...):
-  rank-one    P(u)(x) = <u, a>_{L2} a(x)
-integrate_zero_data reads the operator's stored B + C and a local kind's
-coefficient at the RK4 stage times and applies local kinds to each stage
-value (order 4); the zero kind adds no term.  Nonlocal kinds, frozen once
-per step (zero ahead of the front, rank-one from a running <u, a>), march
-by RK4 step matrices built for all steps at once.
+Shipped kinds all satisfy P(0) = 0 exactly; each is data on its carrier a,
+and the zero kind has none:
+  pointwise   P(u)(x) = <u(x), a(x)> u(x)   fiber_pairing
+  matrix      P(u)(x) = M(x) u(x)           matrix (torus linearization)
+  rank-one    P(u)(x) = <u, a>_{L2} a(x)    l2_pairing, and its field map
+Other nonlocal kinds are a whole-field map, Perturbation(a, field=...).
+integrate_zero_data marches the zero and local kinds by one RK4 stage loop
+on Python scalars (order 4), with M folded into the generator; nonlocal
+kinds, frozen once per step (zero ahead of the front, rank-one from a
+running <u, a>), march by RK4 step matrices built for all steps at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,8 +26,8 @@ from .fields import Grid1D, SpinorField, l2_inner, same_grid
 @dataclass(eq=False)
 class Perturbation:
     a: Optional[SpinorField] = None    # carrier field: the grid P lives on
-    coeff: Any = 0.0                   # local kinds: per-point coefficient (or scalar)
-    fiber: Optional[Callable] = None   # local kinds: (coeff, values) -> values
+    fiber_pairing: bool = False        # pointwise: P(u)(x) = <u(x), a(x)> u(x)
+    matrix: Optional[np.ndarray] = None  # matrix kind: P(u)(x) = M(x) u(x)
     field: Optional[Callable] = None   # nonlocal kinds: SpinorField -> values
     l2_pairing: bool = False           # nonlocal: field(u) = <u, a>_{L2} a
 
@@ -40,7 +37,7 @@ class Perturbation:
 
     @classmethod
     def pointwise(cls, a: SpinorField) -> "Perturbation":
-        return cls(a, a.values, fiber=lambda c, v: fiber_inner(v, c)[..., None] * v)
+        return cls(a, fiber_pairing=True)
 
     @classmethod
     def rank_one(cls, a: SpinorField) -> "Perturbation":
@@ -48,8 +45,7 @@ class Perturbation:
 
     @classmethod
     def matrix_field(cls, carrier: SpinorField, matrix: np.ndarray) -> "Perturbation":
-        return cls(carrier, np.asarray(matrix, dtype=complex),
-                   fiber=lambda c, v: np.einsum("...ij,...j->...i", c, v))
+        return cls(carrier, matrix=np.asarray(matrix, dtype=complex))
 
 
 def eval_perturbation(P: Perturbation, u: SpinorField) -> SpinorField:
@@ -57,9 +53,11 @@ def eval_perturbation(P: Perturbation, u: SpinorField) -> SpinorField:
         same_grid(P.a.grid, u.grid)
     if P.field is not None:
         return SpinorField(u.grid, P.field(u))
-    if P.fiber is None:
-        return SpinorField(u.grid, np.zeros_like(u.values))
-    return SpinorField(u.grid, P.fiber(P.coeff, u.values))
+    if P.fiber_pairing:
+        return SpinorField(u.grid, fiber_inner(u.values, P.a.values)[..., None] * u.values)
+    if P.matrix is not None:
+        return SpinorField(u.grid, np.einsum("...ij,...j->...i", P.matrix, u.values))
+    return SpinorField(u.grid, np.zeros_like(u.values))
 
 
 @dataclass
@@ -131,15 +129,14 @@ def ucp_condition_check(a: SpinorField, u: SpinorField) -> UcpConditionResult:
 def integrate_zero_data(op, P: Perturbation, u0: np.ndarray) -> SpinorField:
     """March D u + P(u) = 0 on the operator grid by RK4 from slice data u0.
 
-    The tangential part B + C and a local kind's coefficient are read from
-    their stored arrays at the stage offsets 0, 1/2 and 1 of each step, the
+    The generator B + C (+ cl(dt)^-1 M for the matrix kind) and the pointwise
+    carrier are read at the stage offsets 0, 1/2 and 1 of each step, the
     midpoint by the 4-point rule.  The zero and local kinds march stage by
-    stage, at order 4; a local kind acts on each stage value.  A nonlocal
-    kind is evaluated once per step on the marched state (zero ahead of the
-    front, exact for zero data) and interpolated linearly to the stage
-    times, which makes its march second order.  Each such step is affine in
-    the state and the two frozen rows, u_{i+1} = M_i u_i + N0_i f_i +
-    N1_i f_{i+1}, so it marches by those step matrices, built at once.
+    stage at order 4, on Python complex scalars with no numpy call in a
+    step.  A nonlocal kind is evaluated once per step on the marched state
+    (zero ahead of the front, exact for zero data) and taken linear between
+    the stage times, at order 2; such a step is affine, u_{i+1} = M_i u_i +
+    N0_i f_i + N1_i f_{i+1}, so it marches by those step matrices.
     """
     grid: Grid1D = op.grid
     if not isinstance(grid, Grid1D):
@@ -153,7 +150,8 @@ def integrate_zero_data(op, P: Perturbation, u0: np.ndarray) -> SpinorField:
     values[0] = np.asarray(u0, dtype=complex)
     cl_inv = -op.cl_dt  # cl(dt)^{-1}
     h = grid.spacing
-    tangential = _stages(op.B + op.C)
+    generator = op.B + op.C  # D + M = cl(dt)(d/dt + B + C + cl(dt)^-1 M): M folds in
+    tangential = _stages(generator if P.matrix is None else generator + cl_inv @ P.matrix)
     if P.field is not None:
         M, N0, N1 = _step_matrices(tangential, cl_inv, h)
         if P.l2_pairing:  # the frozen rows S_i a_i, S_i a_{i+1} fold into S_i b_i
@@ -168,23 +166,35 @@ def integrate_zero_data(op, P: Perturbation, u0: np.ndarray) -> SpinorField:
                 f = P.field(SpinorField(grid, values))
                 values[i + 1] = M[i] @ values[i] + N0[i] @ f[i] + N1[i] @ f[i + 1]
         return SpinorField(grid, values)
-    if P.fiber is not None:
-        coeff_at = _stages(np.broadcast_to(P.coeff, (grid.n,) + np.shape(P.coeff)[1:]))
-    for i in range(grid.n - 1):
-        y = values[i]
+    gen = [(-g).tolist() for g in tangential.values()]  # stage values as lists
+    car = ([np.conj(c).tolist() for c in _stages(P.a.values).values()]  # z pairs conj(a)
+           if P.fiber_pairing else [[None] * (grid.n - 1)] * 3)
+    cl, components = cl_inv.tolist(), range(rank)
 
-        def rhs(s, y):
-            dy = -tangential[s][i] @ y
-            if P.fiber is not None:
-                return dy - cl_inv @ P.fiber(coeff_at[s][i], y)
-            return dy
+    def dot(x, y):
+        acc = 0j
+        for j in components:
+            acc += x[j] * y[j]
+        return acc
 
-        k1 = rhs(0.0, y)
-        k2 = rhs(0.5, y + 0.5 * h * k1)
-        k3 = rhs(0.5, y + 0.5 * h * k2)
-        k4 = rhs(1.0, y + h * k3)
-        values[i + 1] = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return SpinorField(grid, values)
+    def rhs(g, c, z):  # -(generator) z, less cl(dt)^-1 <z, a> z when pointwise
+        if c is None:
+            return [dot(row, z) for row in g]
+        p = dot(z, c)
+        pz = [p * x for x in z]
+        return [dot(row, z) - dot(row_cl, pz) for row, row_cl in zip(g, cl)]
+
+    y = values[0].tolist()
+    out = [y]
+    for g0, gm, g1, c0, cm, c1 in zip(*gen, *car):
+        k1 = rhs(g0, c0, y)
+        k2 = rhs(gm, cm, [a + 0.5 * h * b for a, b in zip(y, k1)])
+        k3 = rhs(gm, cm, [a + 0.5 * h * b for a, b in zip(y, k2)])
+        k4 = rhs(g1, c1, [a + h * b for a, b in zip(y, k3)])
+        y = [a + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        out.append(y)
+    return SpinorField(grid, np.array(out))
 
 
 def _step_matrices(tangential: dict, cl_inv: np.ndarray, h: float) -> list:

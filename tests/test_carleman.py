@@ -183,7 +183,7 @@ def test_ratio_invariant_under_unit_modulus_scaling():
 def test_violation_flagged_never_silently_passed():
     geom = interval_geom()
     v = cutoff_bump_sampler(geom)(np.random.default_rng(4))
-    rep = _ratio_report(v, geom.grid.zeros(), 10.0, geom)
+    rep = _ratio_report(fiber_norm2(v.values), geom.grid.zeros(), 10.0, geom)
     assert rep.violation and rep.ratio == math.inf
 
 

@@ -25,6 +25,7 @@ def test_list_prints_all_suites_and_keys(capsys):
     assert "    N = 4  (>= 1)\n" in out
     assert "    trials = 5  (>= 1)\n" in out
     assert "    perturbation = 'none'  (in {none, pointwise, rank-one})\n" in out
+    assert "    T = 0.1  (> 0)\n" in out
 
 
 def test_unknown_suite_exits_2(tmp_path):
@@ -114,7 +115,9 @@ def test_unknown_perturbation_exits_2_naming_key(tmp_path, capsys, suite):
     ("sw-gradcheck", "configs = 0", "configs"),
     ("sw-gradcheck", "adjoint_pairs = 0", "adjoint_pairs"),
     ("observables", "trials = 0", "trials"), ("sw-flow", "trials = 0", "trials"),
-    ("carleman", "appendix_samples = 0", "appendix_samples")])
+    ("carleman", "appendix_samples = 0", "appendix_samples"),
+    ("carleman", "T = 0", "T"), ("carleman", "T = -1", "T"),
+    ("decay", "T = 0", "T"), ("decay", "T = -1", "T")])
 def test_out_of_range_config_value_exits_2_naming_key(tmp_path, capsys, suite, line, key):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(line + "\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ucp_lab import operators, torus
-from ucp_lab.clifford import J, SIGMA, fiber_inner, frame
+from ucp_lab.clifford import J, SIGMA, fiber_inner, fiber_inner_real, frame
 from ucp_lab.fields import AnnulusGrid, Grid1D, fiber_norm2
 
 
@@ -92,3 +92,21 @@ def test_fiber_kernels_match_reductions_over_the_fiber_axis():
         norm2 = fiber_norm2(x)
         assert norm2.dtype == float
         assert np.max(np.abs(norm2 - np.sum(np.abs(x) ** 2, -1))) <= 1e-15 * np.max(norm2)
+
+
+def test_real_fiber_product_is_the_real_part_bit_for_bit():
+    """fiber_inner_real reads Re <x, y> from the (re, im) pairs; it adds the
+    same products in the same order as the einsum, so the bits agree, signed
+    zeros included, for every fiber rank and memory layout."""
+    rng = np.random.default_rng(12)
+    values = _complex(rng, (129, 64, 2))
+    cases = [(values, _complex(rng, (129, 64, 2))), (values, values),
+             (values[:-1:2], values[1::2]), (values[:, ::-1], values.transpose(1, 0, 2).copy().transpose(1, 0, 2)),
+             (values, _complex(rng, 2)), (1e-160 * values, values), (-0.0 * values, values),
+             (np.real(values), values)]
+    cases += [(_complex(rng, (33, r)), _complex(rng, (33, r))) for r in range(1, 10)]
+    for x, y in cases:
+        want = fiber_inner(x, y).real
+        got = fiber_inner_real(x, y)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))

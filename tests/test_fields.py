@@ -44,3 +44,11 @@ def test_fields_take_the_declared_shape():
         assert np.broadcast_shapes(grid.quad_weights().shape, grid.shape) == grid.shape
     with pytest.raises(DomainMismatchError):
         SpinorField(annulus, np.zeros((9, 2)))
+
+
+def test_quad_weights_are_formed_once_and_read_only():
+    for grid in (Grid1D.uniform(1.0, 5), AnnulusGrid.uniform(0.5, 9, 4)):
+        w = grid.quad_weights()
+        assert grid.quad_weights() is w and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0

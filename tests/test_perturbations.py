@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucp_lab.clifford import frame
+from ucp_lab.clifford import fiber_inner, frame
 from ucp_lab.counterexamples import rank_one_counterexample
 from ucp_lab.errors import DomainMismatchError
 from ucp_lab.fields import Grid1D, SpinorField, fiber_norm2, l2_inner
@@ -239,6 +239,17 @@ def test_pointwise_integration_is_fourth_order():
         assert min(orders) >= 3.9, orders
 
 
+def test_matrix_kind_march_is_fourth_order():
+    """The matrix kind's M folds into the generator B + C + cl(dt)^-1 M,
+    which the march reads at the stage offsets like B + C."""
+    def matrix(grid):
+        M = np.exp(-1j * grid.t)[:, None, None] * np.array([[0.2, -0.4j], [0.3, 0.1]])
+        return Perturbation.matrix_field(grid.zeros(), M)
+
+    orders = march_orders(model_operator_1d, matrix, (129, 257, 513, 1025), 1.0)
+    assert min(orders) >= 3.9, orders
+
+
 def test_unperturbed_march_is_fourth_order_for_any_stored_operator():
     # operators without a closed-form coefficient source march from B and C
     def absorbed(grid):
@@ -251,18 +262,92 @@ def test_unperturbed_march_is_fourth_order_for_any_stored_operator():
         assert min(orders) >= 3.9, orders
 
 
+def rank_four(grid):
+    """A rank-4 operator: two copies of the 1-D fiber, coupled by a bundle map."""
+    cl_dt = np.kron(np.eye(2), frame(1)[0])
+    zeros = np.zeros((grid.n, 4, 4), dtype=complex)
+    R = np.exp(1j * grid.t)[:, None, None] * np.kron(
+        np.array([[0.3, 0.5], [-0.2, 0.4j]]), np.array([[1.0, 0.2j], [0.1, -0.6]]))
+    return absorb_homomorphism(DiracOperator(grid, cl_dt, zeros, zeros.copy()), R)
+
+
 def test_march_reads_the_fiber_rank_from_cl_dt():
     """A rank-4 operator, two copies of the 1-D fiber, marches rank-4 data."""
-    def rank_four(grid):
-        cl_dt = np.kron(np.eye(2), frame(1)[0])
-        zeros = np.zeros((grid.n, 4, 4), dtype=complex)
-        R = np.exp(1j * grid.t)[:, None, None] * np.kron(
-            np.array([[0.3, 0.5], [-0.2, 0.4j]]), np.array([[1.0, 0.2j], [0.1, -0.6]]))
-        return absorb_homomorphism(DiracOperator(grid, cl_dt, zeros, zeros.copy()), R)
-
     orders = march_orders(rank_four, lambda grid: Perturbation.zero(), (65, 129, 257, 513),
                           2.0, u0=(0.6, 0.3 + 0.2j, -0.4j, 0.1))
     assert min(orders) >= 3.9, orders
+
+
+def test_rank_four_pointwise_march_is_fourth_order():
+    """The scalar stage loop pairs rank-4 stage values with a rank-4 carrier."""
+    def pointwise(grid):
+        a = np.stack([np.cos(np.pi * grid.t), 1j * np.sin(np.pi * grid.t),
+                      0.5 * np.exp(1j * grid.t), 0.3 - 0.2 * grid.t], axis=1)
+        return Perturbation.pointwise(SpinorField(grid, a))
+
+    orders = march_orders(rank_four, pointwise, (65, 129, 257, 513), 2.0,
+                          u0=(0.6, 0.3 + 0.2j, -0.4j, 0.1))
+    assert min(orders) >= 3.9, orders
+    grid = Grid1D.uniform(2.0, 129)
+    op, P, u0 = rank_four(grid), pointwise(grid), np.array([0.6, 0.3 + 0.2j, -0.4j, 0.1])
+    want = numpy_stage_march(op, P, u0)
+    got = integrate_zero_data(op, P, u0=u0).values
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def numpy_stage_march(op, P, u0):
+    """Oracle: the zero and local kinds marched on numpy arrays, one rhs call
+    per RK4 stage, a local kind applied to each stage value as a fiber map of
+    its coefficient (the carrier or M) read at the stage offsets."""
+    grid, h, cl_inv = op.grid, op.grid.spacing, -op.cl_dt
+    tangential = _stages(op.B + op.C)
+    fiber = None
+    if P.fiber_pairing:
+        coeff_at, fiber = _stages(P.a.values), lambda c, v: fiber_inner(v, c)[..., None] * v
+    elif P.matrix is not None:
+        coeff_at, fiber = _stages(P.matrix), lambda c, v: np.einsum("...ij,...j->...i", c, v)
+    values = np.zeros((grid.n, len(u0)), dtype=complex)
+    values[0] = u0
+    for i in range(grid.n - 1):
+        y = values[i]
+
+        def rhs(s, y):
+            dy = -tangential[s][i] @ y
+            if fiber is not None:
+                return dy - cl_inv @ fiber(coeff_at[s][i], y)
+            return dy
+
+        k1 = rhs(0.0, y)
+        k2 = rhs(0.5, y + 0.5 * h * k1)
+        k3 = rhs(0.5, y + 0.5 * h * k2)
+        k4 = rhs(1.0, y + h * k3)
+        values[i + 1] = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return values
+
+
+def test_scalar_march_matches_numpy_stages():
+    """On the real generator of model_operator_1d the scalar loop forms the
+    same products and sums, in the same order, as numpy, so the zero and
+    pointwise marches at the suites' 1e-12 data are bit-identical.  numpy's
+    matmul fuses multiply-adds for a complex generator, and the matrix kind
+    folds M into the generator, so there the two agree to rounding."""
+    for n in (3, 4, 65, 1025):
+        grid = Grid1D.uniform(2.0, n)
+        R = np.exp(1j * grid.t)[:, None, None] * np.array([[0.3, 0.5], [-0.2, 0.4j]])
+        a = SpinorField(grid, np.stack([np.cos(np.pi * grid.t), 1j * np.sin(np.pi * grid.t)],
+                                       axis=1))
+        M = np.exp(-1j * grid.t)[:, None, None] * np.array([[0.2, -0.4j], [0.3, 0.1]])
+        model = model_operator_1d(grid)
+        for op in (model, absorb_homomorphism(model, R)):
+            for P in (Perturbation.zero(), Perturbation.pointwise(a),
+                      Perturbation.matrix_field(a, M)):
+                for scale in (1e-12, 1.0):
+                    u0 = scale * np.array([0.6, 0.3 + 0.2j])
+                    want = numpy_stage_march(op, P, u0)
+                    got = integrate_zero_data(op, P, u0=u0).values
+                    if op is model and P.matrix is None and scale == 1e-12:
+                        assert np.array_equal(got, want), n
+                    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), n
 
 
 def test_march_rejects_slice_data_of_another_rank():

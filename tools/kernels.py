@@ -2,13 +2,15 @@
 - torus, at N = 4, 8, 16 and 24: the four TorusLattice transforms, dirac3,
   the case2 csd and grad_csd, and one unperturbed flow_step per scheme;
 - annulus, at 129 x 64 and 257 x 128 (T = 0.5): the annulus_operator build,
-  dirac_apply, and appendix_decomposition with the zero perturbation at
-  R = 20;
+  dirac_apply, carleman_ratio at R = 20, and appendix_decomposition with the
+  zero perturbation at R = 20;
 - interval: integrate_zero_data at T = 0.1 for each perturbation of the
   decay suite (none, pointwise, rank-one) at n_t = 257 and 4097;
   peano_branches("sqrt") at 4097 points and rank_one_counterexample at
-  131073, as the counterexample suite runs them; and constant_sweep at
-  n_t = 2049 with 7 R values and 4 samples, as an interval benchmark item.
+  131073, as the counterexample suite runs them; and, at n_t = 2049,
+  log_weighted_l2, dirac_apply and carleman_ratio at R = 100 on one sampler
+  field, and constant_sweep with 7 R values and 4 samples, as an interval
+  benchmark item.
 Each kernel is timed as the median of REPS calls after one warm-up call, in
 each of FRESH fresh child processes, and reported as the median over those
 processes, so one slow process cannot decide a kernel.  A fixed count, not
@@ -72,6 +74,7 @@ def annulus_kernels(cl, ops, pt, n_t, n_theta):
     return {
         "annulus_operator": lambda: ops.annulus_operator(geom.grid),
         "dirac_apply": lambda: ops.dirac_apply(op, v),
+        "carleman_ratio": lambda: cl.carleman_ratio(op, v, 20.0, geom),
         "appendix_decomposition_zero": lambda: cl.appendix_decomposition(op, zero, v, 20.0, geom),
     }
 
@@ -89,7 +92,11 @@ def interval_kernels(cl, ops, pt, cx, cli):
     rank_one_grid = cl.CarlemanGeometry.interval(2.0, 131073).grid
     geom = cl.CarlemanGeometry.interval(0.1, 2049)
     op, sampler = ops.model_operator_1d(geom.grid), cl.cutoff_bump_sampler(geom)
+    v = sampler(np.random.Generator(np.random.Philox(2049)))
     return {**out,
+            "log_weighted_l2_2049": lambda: cl.log_weighted_l2(v, 100.0, geom),
+            "dirac_apply_2049": lambda: ops.dirac_apply(op, v),
+            "carleman_ratio_2049": lambda: cl.carleman_ratio(op, v, 100.0, geom),
             "peano_branches_sqrt_4097": lambda: cx.peano_branches("sqrt", 1.0, peano_grid),
             "rank_one_counterexample_131073": lambda: cx.rank_one_counterexample(rank_one_grid),
             "constant_sweep_2049": lambda: cl.constant_sweep(op, sampler, np.logspace(1, 3, 7),

@@ -98,17 +98,20 @@ def _log_weighted_mass(mag2: np.ndarray, R: float, geom: CarlemanGeometry) -> fl
         raise ValueError("weight parameter R must be nonnegative")
     dens = geom.grid.quad_weights() * mag2
     # the weight depends on t only: log-sum-exp of slice masses (scipy's arithmetic)
-    mass = np.sum(dens, axis=tuple(range(1, dens.ndim)))
-    mask = mass > 0.0
-    if not mask.any():
+    mass = dens.sum(axis=tuple(range(1, dens.ndim)))  # method sums: same bits, less overhead
+    support = np.flatnonzero(mass > 0.0)
+    if not support.size:
         return -math.inf
-    a, b = R * geom._profile_sq[mask], mass[mask]
-    a_max = np.max(a)
-    at_max = a == a_max
-    m = np.sum(b * at_max)
+    a, b = R * geom._profile_sq[support], mass[support]
+    if R > 0.0 and (a.size == 1 or a[1] < a[0]):  # (T - t)^2 falls: a lone maximum is first
+        a_max, at_max, m = a[0], 0, b[0]
+    else:
+        a_max = a.max()
+        at_max = a == a_max
+        m = (b * at_max).sum()
     terms = b * np.exp(a - a_max)
     terms[at_max] = 0.0
-    return float(np.log1p(np.sum(terms) / m) + np.log(m) + a_max)
+    return float(np.log1p(terms.sum() / m) + np.log(m) + a_max)
 
 
 @dataclass
@@ -124,8 +127,8 @@ class CarlemanReport:
 def _support_check(v: SpinorField, geom: CarlemanGeometry) -> np.ndarray:
     """|v|^2, once |v| is seen to vanish (to tolerance) on the last 5% of slices."""
     mag2 = fiber_norm2(v.values)
-    sup = math.sqrt(np.max(mag2, initial=0.0))
-    tail_sup = math.sqrt(np.max(mag2[geom._tail], initial=0.0))
+    sup = math.sqrt(mag2.max(initial=0.0))
+    tail_sup = math.sqrt(mag2[geom._tail].max(initial=0.0))
     if sup > 0.0 and tail_sup >= SUPPORT_TOL * sup:
         raise SupportConditionError(f"field magnitude {tail_sup:.3e} on the last 5% of "
                                     f"slices exceeds {SUPPORT_TOL:.0e} x sup|v|")
@@ -188,7 +191,7 @@ def cutoff_bump_sampler(geom: CarlemanGeometry) -> Callable:
             angular = np.exp(1j * m * grid.theta)
             values = profile[:, None, None] * angular[None, :, None] * direction
         else:
-            values = profile[:, None] * direction
+            values = np.multiply.outer(profile, direction)
         return SpinorField(grid, values)
 
     return sample

@@ -104,7 +104,9 @@ PERTURBATIONS = {"none": lambda geom: None, "pointwise": _pointwise_unit,
 _RANGES = {**dict.fromkeys(("N", "samples", "r_points", "configs", "adjoint_pairs",
                             "trials", "appendix_samples"), (lambda v: v >= 1, ">= 1")),
            "n_t": (lambda v: v >= 3, ">= 3"), "dt": (lambda v: v > 0, "> 0"),
-           "r_min": (lambda v: v > 0, "> 0"), "T": (lambda v: v > 0, "> 0"),
+           "r_min": (lambda v: v > 0, "> 0"),
+           # the weight's (T - t)^2 and the sampler's 2 sig^2 overflow above, underflow below
+           "T": (lambda v: 1e-150 <= v <= 1e150, "in [1e-150, 1e150]"),
            # the smallest sizes whose gates pass: below them every run is a suite-error
            "peano_n": (lambda v: v >= 17, ">= 17"),
            "rank_one_n": (lambda v: v >= 65537, ">= 65537"),

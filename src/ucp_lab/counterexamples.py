@@ -143,7 +143,11 @@ def rank_one_counterexample(grid: Optional[Grid1D] = None) -> tuple:
         grid = Grid1D.uniform(2.0, 131073)
     x = grid.t
     w = grid.quad_weights()
-    a = math.sqrt(2.0) * smoothstep((x - 1.0) / (0.02 * (x[-1] - x[0]))) * (x >= 1.0)
+    width = 0.02 * (x[-1] - x[0])
+    lo, hi = np.searchsorted(x, (1.0, 1.0 + width))
+    a = np.repeat((0.0, math.sqrt(2.0)), (lo, x.size - lo))  # sqrt(2) from x = 1 on
+    collar = slice(lo, hi + 1)  # and a point past 1 + width, where smoothstep is exactly 1
+    a[collar] *= smoothstep((x[collar] - 1.0) / width)
     total = float(np.sum(w * a))
     target = math.sqrt(2.0)
     if abs(total - target) > 1e-10:
@@ -151,8 +155,10 @@ def rank_one_counterexample(grid: Optional[Grid1D] = None) -> tuple:
 
     # u(x) = int_1^x a by cumulative trapezoid
     h = grid.spacing
-    increments = 0.5 * h * (a[1:] + a[:-1])
-    u1 = np.concatenate([[0.0], np.cumsum(increments)])
+    u1 = np.zeros_like(a)
+    np.add(a[1:], a[:-1], out=u1[1:])
+    u1[1:] *= 0.5 * h
+    np.cumsum(u1[1:], out=u1[1:])
     u0 = np.zeros_like(u1)
 
     pairing = float(np.sum(w * u1 * a))

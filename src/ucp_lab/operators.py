@@ -2,10 +2,12 @@
 
 B_t is the self-adjoint tangential part, C_t the skew part.  Both are stored
 as pointwise fiber fields, (n, r, r) on Grid1D and (n_t, n_theta, r, r) on
-AnnulusGrid; one that is identically zero is never multiplied.  An annulus
-operator may also carry an angular coefficient a(t): B_t then gains the
-circle term a(t) D_theta (x) i sigma_3, with D_theta the periodic centered
-difference applied as a stencil along theta.
+AnnulusGrid; one that is identically zero is never multiplied.  D u and the
+march read one stored generator B + C, and a constant (r, r) cl(dt) (every
+Grid1D operator) is one matmul.  An annulus operator may also carry an
+angular coefficient a(t): B_t then gains the circle term
+a(t) D_theta (x) i sigma_3, with D_theta the periodic centered difference
+applied as a stencil along theta.
 Slice inner products use the (uniform) arc-length weights, so the slice
 adjoint is the plain conjugate transpose and the circle term is Hermitian.
 """
@@ -52,6 +54,11 @@ class DiracOperator:
         as the stored parts never change, so a zero part is never multiplied."""
         return tuple(M if M.any() else None for M in (self.B, self.C))
 
+    @cached_property
+    def generator(self) -> Optional[np.ndarray]:
+        """B + C, formed on first use; None when both parts are zero."""
+        return self.B + self.C if any(M is not None for M in self.nonzero_parts) else None
+
     def _circle(self, a: np.ndarray, w: np.ndarray) -> np.ndarray:
         """a(t) D_theta (x) i sigma_3 applied to annulus values w (..., n_t, n_theta, 2)."""
         h = 2.0 * np.pi / self.grid.n_theta
@@ -95,8 +102,8 @@ class DiracOperator:
         return self._tangential(*self._B_prime, w)
 
     def apply_cl_dt(self, w: np.ndarray) -> np.ndarray:
-        """Pointwise Clifford multiplication by the normal covector."""
-        return _fiber_apply(self.cl_dt, w)
+        """Pointwise Clifford multiplication by cl(dt); a constant (r, r) one is a matmul."""
+        return w @ self.cl_dt.T if self.cl_dt.ndim == 2 else _fiber_apply(self.cl_dt, w)
 
 
 def slice_adjoint(M: np.ndarray) -> np.ndarray:
@@ -107,12 +114,9 @@ def slice_adjoint(M: np.ndarray) -> np.ndarray:
 def dirac_apply(op: DiracOperator, u: SpinorField) -> SpinorField:
     """cl(dt)(d/dt + B_t + C_t) u with the 2nd-order time stencil."""
     same_grid(op.grid, u.grid)
-    B, C = op.nonzero_parts
     w = time_derivative(u.values, op.grid.spacing)
-    if B is not None or op.angular is not None:
-        w += op.apply_B(u.values)
-    if C is not None:
-        w += op.apply_C(u.values)
+    if op.generator is not None or op.angular is not None:
+        w += op._tangential(op.generator, op.angular, u.values)
     return SpinorField(u.grid, op.apply_cl_dt(w))
 
 

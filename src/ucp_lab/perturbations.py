@@ -150,7 +150,7 @@ def integrate_zero_data(op, P: Perturbation, u0: np.ndarray) -> SpinorField:
     values[0] = np.asarray(u0, dtype=complex)
     cl_inv = -op.cl_dt  # cl(dt)^{-1}
     h = grid.spacing
-    generator = op.B + op.C  # D + M = cl(dt)(d/dt + B + C + cl(dt)^-1 M): M folds in
+    generator = op.B if op.generator is None else op.generator  # B + C; B = C = 0 for None
     tangential = _stages(generator if P.matrix is None else generator + cl_inv @ P.matrix)
     if P.field is not None:
         M, N0, N1 = _step_matrices(tangential, cl_inv, h)

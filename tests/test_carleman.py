@@ -10,8 +10,8 @@ import pytest
 import ucp_lab
 from ucp_lab.carleman import (CarlemanGeometry, appendix_decomposition, bump_cutoff,
                               carleman_ratio, constant_sweep, cutoff_bump_sampler,
-                              log_weighted_l2, perturbed_carleman_ratio, ucp_decay_check,
-                              _ratio_report)
+                              log_weighted_l2, perturbed_carleman_ratio, smoothstep,
+                              ucp_decay_check, _log_weighted_mass, _ratio_report)
 from ucp_lab.errors import (NonAdmissibleError, PreconditionError,
                             SupportConditionError)
 from ucp_lab.fields import AnnulusGrid, SpinorField, fiber_norm2
@@ -135,6 +135,92 @@ def test_log_weighted_l2_matches_per_point_formula():
         for R in (0.0, 10.0, 1e4, 1e8):
             assert log_weighted_l2(grid.zeros(), R, geom) == -math.inf
             assert per_point_log_weighted_l2(grid.zeros(), R, geom) == -math.inf
+
+
+def old_log_weighted_mass(mag2, R, geom):
+    """Oracle: the weighted mass with its largest exponent found by np.max and
+    the slices at it by a mask, as before the lone-first-maximum shortcut."""
+    dens = geom.grid.quad_weights() * mag2
+    mass = np.sum(dens, axis=tuple(range(1, dens.ndim)))
+    mask = mass > 0.0
+    if not mask.any():
+        return -math.inf
+    a, b = R * ((geom.T - geom.grid.t) ** 2)[mask], mass[mask]
+    a_max = np.max(a)
+    at_max = a == a_max
+    m = np.sum(b * at_max)
+    terms = b * np.exp(a - a_max)
+    terms[at_max] = 0.0
+    return float(np.log1p(np.sum(terms) / m) + np.log(m) + a_max)
+
+
+def old_sampler(geom):
+    """Oracle: the sampler body with the 1-D field formed by broadcasting."""
+    grid, T, t = geom.grid, geom.T, geom.grid.t
+    envelope = bump_cutoff(geom, t) * smoothstep(t / (0.15 * T))
+
+    def sample(rng):
+        profile = np.zeros(grid.n)
+        for _ in range(int(rng.integers(1, 4))):
+            mu = rng.uniform(0.25 * T, 0.65 * T)
+            sig = rng.uniform(T / 14.0, T / 7.0)
+            profile += rng.uniform(0.3, 1.0) * np.exp(-((t - mu) ** 2) / (2.0 * sig ** 2))
+        profile *= envelope
+        direction = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        direction /= np.linalg.norm(direction)
+        if isinstance(grid, AnnulusGrid):
+            angular = np.exp(1j * int(rng.integers(0, 4)) * grid.theta)
+            return profile[:, None, None] * angular[None, :, None] * direction
+        return profile[:, None] * direction
+
+    return sample
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+ORACLE_GEOMS = ((0.1, 257, None), (0.1, 2049, None), (0.5, 129, 64))
+
+
+@pytest.mark.parametrize("T,n_t,n_theta", ORACLE_GEOMS)
+def test_sampler_and_weighted_mass_keep_the_old_bits(T, n_t, n_theta):
+    """The outer-product field and the one-pass mass equal the old forms bit
+    for bit, at every R of the sweeps and at R = 0."""
+    geom = (CarlemanGeometry.interval(T, n_t) if n_theta is None
+            else CarlemanGeometry.annulus(T, n_t, n_theta))
+    new, old = cutoff_bump_sampler(geom), old_sampler(geom)
+    for i_s in range(6):
+        key = np.random.SeedSequence([3, 1, i_s])
+        v = new(np.random.Generator(np.random.Philox(key)))
+        want = old(np.random.Generator(np.random.Philox(key)))
+        assert np.array_equal(bits(v.values.view(float)), bits(want.view(float)))
+        mag2 = fiber_norm2(v.values)
+        for R in (0.0, 5e-324, 10.0, 100.0, 1e3, 1e5, 1e7, 1e8):
+            got = log_weighted_l2(v, R, geom)
+            assert bits(got) == bits(old_log_weighted_mass(mag2, R, geom)), R
+
+
+@pytest.mark.parametrize("T,n_t,n_theta", ORACLE_GEOMS)
+def test_weighted_mass_edge_supports_keep_the_old_bits(T, n_t, n_theta):
+    """All zero (-inf), R = 0 and a subnormal R (every exponent tied), a
+    support that starts mid-grid, and a single slice."""
+    geom = (CarlemanGeometry.interval(T, n_t) if n_theta is None
+            else CarlemanGeometry.annulus(T, n_t, n_theta))
+    rng = np.random.default_rng(n_t)
+    shape = geom.grid.shape
+    zero = np.zeros(shape)
+    mid = rng.uniform(0.1, 2.0, shape)
+    mid[:n_t // 2 + 1] = 0.0
+    single = np.zeros(shape)
+    single[n_t // 3] = rng.uniform(0.1, 2.0, shape[1:])
+    last = np.zeros(shape)
+    last[-1] = 1.0                     # the one slice where the exponent is 0
+    for R in (0.0, 5e-324, 10.0, 1e5, 1e8):
+        assert _log_weighted_mass(zero, R, geom) == -math.inf
+        for mag2 in (mid, single, last):
+            got = _log_weighted_mass(mag2, R, geom)
+            assert bits(got) == bits(old_log_weighted_mass(mag2, R, geom)), R
 
 
 def test_import_leaves_scipy_special_unloaded():

@@ -25,7 +25,7 @@ def test_list_prints_all_suites_and_keys(capsys):
     assert "    N = 4  (>= 1)\n" in out
     assert "    trials = 5  (>= 1)\n" in out
     assert "    perturbation = 'none'  (in {none, pointwise, rank-one})\n" in out
-    assert "    T = 0.1  (> 0)\n" in out
+    assert "    T = 0.1  (in [1e-150, 1e150])\n" in out
 
 
 def test_unknown_suite_exits_2(tmp_path):
@@ -117,7 +117,9 @@ def test_unknown_perturbation_exits_2_naming_key(tmp_path, capsys, suite):
     ("observables", "trials = 0", "trials"), ("sw-flow", "trials = 0", "trials"),
     ("carleman", "appendix_samples = 0", "appendix_samples"),
     ("carleman", "T = 0", "T"), ("carleman", "T = -1", "T"),
-    ("decay", "T = 0", "T"), ("decay", "T = -1", "T")])
+    ("decay", "T = 0", "T"), ("decay", "T = -1", "T"),
+    ("carleman", "T = 1e300", "T"), ("carleman", "T = 1e-300", "T"),
+    ("decay", "T = 1e300", "T"), ("decay", "T = 1e-300", "T")])
 def test_out_of_range_config_value_exits_2_naming_key(tmp_path, capsys, suite, line, key):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(line + "\n")
@@ -126,6 +128,22 @@ def test_out_of_range_config_value_exits_2_naming_key(tmp_path, capsys, suite, l
     assert code == 2
     assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("suite", ["carleman", "decay"])
+@pytest.mark.parametrize("T", ["1e150", "1e-150"])
+def test_both_ends_of_the_T_range_run_to_a_report(tmp_path, suite, T):
+    """The sampler and the weight stay finite at both bounds of T: the run
+    ends in a report.json, with no RuntimeWarning."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.cfg"
+    small = "samples = 2\nappendix_samples = 1\n" if suite == "carleman" else ""
+    cfg.write_text(f"T = {T}\nn_t = 257\n{small}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli("run", "--suite", suite, "--config", str(cfg), "--out", str(out))
+    assert code in (0, 1)
+    assert json.loads((out / "report.json").read_text())["config"]["T"] == float(T)
 
 
 @pytest.mark.parametrize("suite, line", [

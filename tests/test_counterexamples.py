@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ucp_lab import counterexamples
+from ucp_lab.carleman import smoothstep
 from ucp_lab.cli import main
 from ucp_lab.counterexamples import derivative_5pt, peano_branches, rank_one_counterexample
 from ucp_lab.fields import Grid1D, SpinorField
@@ -99,3 +100,28 @@ def test_peano_cross_check_runs_on_floats(monkeypatch):
         deviation = track(f, x0, y0, x1, h, reference)
         assert type(deviation) is float
         assert deviation == track(f, *map(np.float64, (x0, y0, x1, h)), reference)
+
+
+def old_rank_one_branch(grid):
+    """Oracle: a, u1 and residual1 with smoothstep on the whole grid and the
+    cumulative trapezoid by concatenation, as before the collar slice."""
+    x, w, h = grid.t, grid.quad_weights(), grid.spacing
+    a = math.sqrt(2.0) * smoothstep((x - 1.0) / (0.02 * (x[-1] - x[0]))) * (x >= 1.0)
+    total = float(np.sum(w * a))
+    if abs(total - math.sqrt(2.0)) > 1e-10:
+        a *= math.sqrt(2.0) / total
+    u1 = np.concatenate([[0.0], np.cumsum(0.5 * h * (a[1:] + a[:-1]))])
+    pairing = float(np.sum(w * u1 * a))
+    split = int(np.searchsorted(x, 1.0, side="right"))
+    res = counterexamples.derivative_piecewise(u1, h, split) - pairing * a
+    return a, u1, float(np.max(np.abs(res)))
+
+
+@pytest.mark.parametrize("n", [65537, 100001, 131073])  # 100001 has a point at 1 + width
+def test_rank_one_collar_slice_keeps_the_old_bits(n):
+    grid = Grid1D.uniform(2.0, n)
+    sol, a = rank_one_counterexample(grid)
+    want_a, want_u1, want_res = old_rank_one_branch(grid)
+    assert np.array_equal(a.view(np.uint64), want_a.view(np.uint64))
+    assert np.array_equal(sol.u1.view(np.uint64), want_u1.view(np.uint64))
+    assert np.float64(sol.residual1).view(np.uint64) == np.float64(want_res).view(np.uint64)

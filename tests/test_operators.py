@@ -8,8 +8,8 @@ from ucp_lab.clifford import SIGMA, frame
 from ucp_lab.errors import DomainMismatchError
 from ucp_lab.fields import AnnulusGrid, Grid1D, SpinorField
 from ucp_lab.operators import (DiracOperator, absorb_homomorphism, annulus_operator,
-                               dirac_apply, model_operator_1d, slice_adjoint,
-                               time_derivative)
+                               constant_operator_1d, dirac_apply, model_operator_1d,
+                               slice_adjoint, time_derivative)
 from ucp_lab.perturbations import Perturbation
 
 
@@ -286,7 +286,7 @@ def test_annulus_jterms_against_dense_slices():
 
 def test_zero_parts_and_the_zero_perturbation_form_no_fiber_product(monkeypatch):
     """The flat annulus multiplies only by cl(dr); an absorbed homomorphism
-    brings its B and C products back."""
+    brings one tangential product back, by the stored generator B + C."""
     products = []
 
     def counting(M, w):
@@ -307,11 +307,40 @@ def test_zero_parts_and_the_zero_perturbation_form_no_fiber_product(monkeypatch)
     R_hom, _ = _random_annulus_fields(np.random.default_rng(5), grid)
     absorbed = absorb_homomorphism(op, 0.5 * R_hom)
     dirac_apply(absorbed, v)
-    assert [id(M) for M in products] == [id(absorbed.B), id(absorbed.C), id(absorbed.cl_dt)]
+    assert [id(M) for M in products] == [id(absorbed.generator), id(absorbed.cl_dt)]
     products.clear()
     appendix_decomposition(absorbed, Perturbation.zero(), v, 50.0, geom)
     assert any(M is absorbed.B for M in products)
     assert any(M is absorbed.C for M in products)
+
+
+def test_dirac_apply_equals_the_separate_products():
+    """cl(dt)(d/dt + generator) equals cl(dt)(d/dt + B + C) with B u, C u and
+    cl(dt) w formed as three fiber products, within 1e-15 relative."""
+    def fiber(M, w):
+        return np.einsum("...ij,...j->...i", M, w)
+
+    rng = np.random.default_rng(8)
+    grid = Grid1D.uniform(0.1, 257)
+    R = np.exp(1j * grid.t)[:, None, None] * np.array([[0.3, 0.5], [-0.2, 0.4j]])
+    raw4 = rng.standard_normal((grid.n, 4, 4)) + 1j * rng.standard_normal((grid.n, 4, 4))
+    for op in (model_operator_1d(grid), constant_operator_1d(grid),
+               absorb_homomorphism(model_operator_1d(grid), R), product_decompose(raw4, grid)):
+        r = op.cl_dt.shape[-1]
+        u = rng.standard_normal((grid.n, r)) + 1j * rng.standard_normal((grid.n, r))
+        w = time_derivative(u, grid.spacing) + fiber(op.B, u) + fiber(op.C, u)
+        want = fiber(np.broadcast_to(op.cl_dt, op.B.shape), w)
+        got = dirac_apply(op, SpinorField(grid, u)).values
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_generator_is_stored_once_and_none_for_zero_parts():
+    grid = Grid1D.uniform(1.0, 33)
+    op = model_operator_1d(grid)
+    assert op.generator is op.generator
+    assert np.array_equal(op.generator, op.B + op.C)
+    assert free_operator_1d(grid).generator is None
+    assert annulus_operator(AnnulusGrid.uniform(0.1, 9, 8)).generator is None
 
 
 @pytest.mark.parametrize("n_theta", [7, 12, 64])

@@ -7,10 +7,12 @@
 - interval: integrate_zero_data at T = 0.1 for each perturbation of the
   decay suite (none, pointwise, rank-one) at n_t = 257 and 4097;
   peano_branches("sqrt") at 4097 points and rank_one_counterexample at
-  131073, as the counterexample suite runs them; and, at n_t = 2049,
-  log_weighted_l2, dirac_apply and carleman_ratio at R = 100 on one sampler
-  field, and constant_sweep with 7 R values and 4 samples, as an interval
-  benchmark item.
+  131073, as the counterexample suite runs them; at n_t = 2049 and 257,
+  one cutoff_bump_sampler draw, and log_weighted_l2, dirac_apply and
+  carleman_ratio at R = 100 on one sampler field; at 2049, constant_sweep
+  with 7 R values and 4 samples, as an interval benchmark item; and at 257,
+  ucp_decay_check on the pointwise zero-data solution at the benchmark's
+  7 R values.
 Each kernel is timed as the median of REPS calls after one warm-up call, in
 each of FRESH fresh child processes, and reported as the median over those
 processes, so one slow process cannot decide a kernel.  A fixed count, not
@@ -90,17 +92,27 @@ def interval_kernels(cl, ops, pt, cx, cli):
                 lambda op=op, P=P: pt.integrate_zero_data(op, P, u0=np.array([1e-12, 0.0j])))
     peano_grid = cl.CarlemanGeometry.interval(4.0, 4097).grid
     rank_one_grid = cl.CarlemanGeometry.interval(2.0, 131073).grid
-    geom = cl.CarlemanGeometry.interval(0.1, 2049)
-    op, sampler = ops.model_operator_1d(geom.grid), cl.cutoff_bump_sampler(geom)
-    v = sampler(np.random.Generator(np.random.Philox(2049)))
+    for n_t in (2049, 257):  # the sweep and the decay check of an interval benchmark item
+        geom = cl.CarlemanGeometry.interval(0.1, n_t)
+        op, sampler = ops.model_operator_1d(geom.grid), cl.cutoff_bump_sampler(geom)
+        v = sampler(np.random.Generator(np.random.Philox(n_t)))
+        out.update({
+            f"cutoff_bump_sampler_{n_t}": (
+                lambda s=sampler: s(np.random.Generator(np.random.Philox(7)))),
+            f"log_weighted_l2_{n_t}": lambda v=v, g=geom: cl.log_weighted_l2(v, 100.0, g),
+            f"dirac_apply_{n_t}": lambda op=op, v=v: ops.dirac_apply(op, v),
+            f"carleman_ratio_{n_t}": (
+                lambda op=op, v=v, g=geom: cl.carleman_ratio(op, v, 100.0, g))})
+        if n_t == 2049:
+            out["constant_sweep_2049"] = lambda op=op, s=sampler, g=geom: cl.constant_sweep(
+                op, s, np.logspace(1, 3, 7), g, n_samples=4, seed=1)
+    P = cli.PERTURBATIONS["pointwise"](geom)  # geom and op at n_t = 257
+    u = pt.integrate_zero_data(op, P, u0=np.array([1e-12, 0.0j]))
     return {**out,
-            "log_weighted_l2_2049": lambda: cl.log_weighted_l2(v, 100.0, geom),
-            "dirac_apply_2049": lambda: ops.dirac_apply(op, v),
-            "carleman_ratio_2049": lambda: cl.carleman_ratio(op, v, 100.0, geom),
+            "ucp_decay_check_pointwise_257": lambda: cl.ucp_decay_check(
+                op, P, u, np.logspace(5, 7, 7), geom),
             "peano_branches_sqrt_4097": lambda: cx.peano_branches("sqrt", 1.0, peano_grid),
-            "rank_one_counterexample_131073": lambda: cx.rank_one_counterexample(rank_one_grid),
-            "constant_sweep_2049": lambda: cl.constant_sweep(op, sampler, np.logspace(1, 3, 7),
-                                                             geom, n_samples=4, seed=1)}
+            "rank_one_counterexample_131073": lambda: cx.rank_one_counterexample(rank_one_grid)}
 
 
 def child(src: Path):

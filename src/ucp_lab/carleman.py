@@ -191,7 +191,9 @@ def cutoff_bump_sampler(geom: CarlemanGeometry) -> Callable:
             angular = np.exp(1j * m * grid.theta)
             values = profile[:, None, None] * angular[None, :, None] * direction
         else:
-            values = np.multiply.outer(profile, direction)
+            # the bits of multiply.outer(profile, direction), without its loop over a
+            # length-2 inner axis
+            values = np.ascontiguousarray(np.multiply.outer(direction, profile).T)
         return SpinorField(grid, values)
 
     return sample

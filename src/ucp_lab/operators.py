@@ -24,14 +24,23 @@ from .errors import DomainMismatchError
 from .fields import AnnulusGrid, Grid1D, SpinorField, same_grid
 
 
+_END_ROWS = np.array([0, -1, 1, -2, 2, -3])     # v0, v_-1, v1, v_-2, v2, v_-3
+_END_COEFFS = np.array([-3.0, 3.0, 4.0, 4.0])[:, None]    # of the first four
+
+
 def time_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """2nd-order d/dt along axis 0: centered interior, one-sided at the ends."""
+    """2nd-order d/dt along axis 0: centered interior, one-sided at the ends.
+    The end rows (-3 v0 + 4 v1) - v2 and (3 v_-1 - 4 v_-2) + v_-3 are one
+    stack with the row-by-row form's operations (x + y as x - (-y)), so their
+    bits, signed zeros included, are that form's."""
     scale = 1.0 / (2.0 * h)
     out = np.empty_like(values)
     np.subtract(values[2:], values[:-2], out=out[1:-1])
     out[1:-1] *= scale
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) * scale
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) * scale
+    ends = values.take(_END_ROWS, axis=0)
+    ends.reshape(6, -1)[:4] *= _END_COEFFS
+    np.negative(ends[2::3], out=ends[2::3])     # -(4 v1) and -v_-3
+    out[::len(values) - 1] = (ends[:2] - ends[2:4] - ends[4:]) * scale
     return out
 
 

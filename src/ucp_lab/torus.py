@@ -30,6 +30,8 @@ from .fields import SpinorField
 from .perturbations import Perturbation
 
 _GEN = 1j * SIGMA  # (3, 2, 2), g_j = cl(e_j) = i sigma_j
+# (j, a, b, i g_j[a, b]) over the six nonzero entries of _GEN, j-major
+_CL_ENTRIES = [(j, a, b, 1j * _GEN[j, a, b]) for j, a, b in np.argwhere(_GEN)]
 
 M_TANH = 1.6  # sup |tanh| on the unit strip around the real axis (Cauchy bound)
 
@@ -346,8 +348,12 @@ def default_params(lattice: TorusLattice) -> PerturbationParams:
 
 
 def _cl(form: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Clifford multiplication cl(i form) psi = sum_j form_j i cl(e_j) psi."""
-    return _cl_by(np.tensordot(_GEN, form, axes=(0, 0)), psi)
+    """Clifford multiplication cl(i form) psi = sum_j form_j i cl(e_j) psi,
+    entry by entry over the nonzero entries of the generators."""
+    out = np.zeros(psi.shape, dtype=complex)
+    for j, a, b, c in _CL_ENTRIES:
+        out[a] += c * form[j] * psi[b]
+    return out
 
 
 def _cl_by(symbol: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -375,10 +381,8 @@ def _dressing(lat: TorusLattice, alpha_hat: np.ndarray) -> np.ndarray:
 
 
 def _taus(config: SWConfiguration, mus: np.ndarray) -> np.ndarray:
-    lat = config.lattice
     # int a wedge *mu_j with both forms imaginary: -(alpha . m_j) integrated
-    return np.array([-float(np.sum(config.alpha * m)) * lat.volume_element
-                     for m in mus])
+    return -np.tensordot(mus, config.alpha, axes=4) * config.lattice.volume_element
 
 
 def zeta_pairings(config: SWConfiguration, nus: np.ndarray) -> np.ndarray:
@@ -421,14 +425,15 @@ class FloerNormResult:
 
 
 def floer_norm(params: PerturbationParams) -> FloerNormResult:
-    """sum_k eps_k (sup|grad^k p1| + sup|grad^k p2|) over [-3, 3]^dim,
-    truncated at the last order of the epsilon sequence, with a closed-form
-    geometric bound on the truncation remainder."""
-    eps = params.epsilons
-    per_order = np.array([eps[k] * (params.p1.deriv_sup(k) + params.p2.deriv_sup(k))
+    """sum_k eps_k (sup|grad^k p1| + sup|grad^k p2| + sup|grad^k p3|) over
+    [-3, 3]^dim, the whole perturbation, truncated at the last order of the
+    epsilon sequence, with a closed-form geometric bound on the truncation
+    remainder."""
+    eps, functions = params.epsilons, (params.p1, params.p2, params.p3)
+    per_order = np.array([eps[k] * sum(fn.deriv_sup(k) for fn in functions)
                           for k in range(eps.size)])
     remainder = 0.0
-    for fn in (params.p1, params.p2):
+    for fn in functions:
         c_abs, w = fn.tail_coefficients()
         q = w / 4.0
         if np.any(q >= 1.0):
@@ -446,8 +451,8 @@ _CASES = ("unperturbed", "case1", "case2")
 @dataclass(eq=False)
 class Evaluation:
     value: float                        # csd
-    gradient: Optional[Tangent]         # grad_csd (None for a value-only csd)
-    residuals: Tuple[float, float]      # L2 norms of the unperturbed curvature, Dirac rows
+    gradient: Optional[Tangent]         # grad_csd; this and residuals are None in csd
+    residuals: Optional[Tuple[float, float]]    # L2 norms of the curvature, Dirac rows
 
 
 def evaluate(config: SWConfiguration, params: Optional[PerturbationParams] = None,
@@ -455,27 +460,30 @@ def evaluate(config: SWConfiguration, params: Optional[PerturbationParams] = Non
     """csd, its exact L2 gradient and the unperturbed residual norms from one
     forward transform of alpha and one of psi.  Curvature row curl alpha -
     sigma(psi, psi), Dirac row D psi, unperturbed gradient (curvature row,
-    2 D psi), value 1/2 <alpha, curl alpha> + Re<psi, D psi>; the perturbed
-    cases add the functions of the observables and their couplings."""
+    2 D psi), value 1/2 <alpha, curl alpha> + Re<psi, D psi> by Parseval from
+    the two spectra; the perturbed cases add the functions of the observables
+    and their couplings."""
     return _evaluate(config, params, case, True)
 
 
 def _evaluate(config: SWConfiguration, params, case: str, with_gradient: bool) -> Evaluation:
-    """evaluate, or without with_gradient its value and residuals alone."""
+    """evaluate, or without with_gradient its value alone, read from the forward
+    spectra: no row, and no inverse transform but case2's dressing."""
     if case not in _CASES:
         raise ValueError(f"case must be one of {_CASES}")
     if case != "unperturbed" and params is None:
         raise ValueError("perturbed cases need params")
     lat, alpha, psi = config.lattice, config.alpha, config.psi
     dv = lat.volume_element
-    alpha_hat = lat.rfft(alpha)
-    curl = lat.irfft(_curl_symbol(lat.kr, alpha_hat))
+    alpha_hat, psi_hat = lat.rfft(alpha), lat.fft(psi)
+    curl_hat, dirac_hat = _curl_symbol(lat.kr, alpha_hat), _cl_by(lat.cl_k, psi_hat)
     sigma = sigma_polarized(psi, psi)
-    dp = dirac3(config)
-    ga, gp = curl - sigma, 2.0 * dp
-    residuals = (math.sqrt(float(np.vdot(ga, ga)) * dv),
-                 math.sqrt(float(np.vdot(dp, dp).real) * dv))
-    value = 0.5 * float(np.vdot(alpha, curl)) * dv + float(np.vdot(dp, psi).real) * dv
+    # Parseval, the half spectrum weighted 1 on the k3 = 0 plane and 2 elsewhere;
+    # Re<psi, cl(alpha) psi / 2> = -<alpha, sigma~(psi, psi)>, as in _zetas
+    curvature = (2.0 * np.vdot(alpha_hat, curl_hat).real
+                 - np.vdot(alpha_hat[..., 0], curl_hat[..., 0]).real)
+    value = float(((0.5 * curvature + np.vdot(dirac_hat, psi_hat).real) / lat.n ** 3
+                   - np.vdot(alpha, sigma)) * dv)
 
     if case != "unperturbed":
         tau, zeta = _taus(config, params.mus), _zetas(sigma, params.nus, lat)
@@ -487,7 +495,12 @@ def _evaluate(config: SWConfiguration, params, case: str, with_gradient: bool) -
         s = np.abs(eta) ** 2    # p3 is a function of s_l = |eta_l|^2
         value += params.p3.value(s)
     if not with_gradient:
-        return Evaluation(value, None, residuals)
+        return Evaluation(value, None, None)
+    dp = lat.ifft(dirac_hat) + 0.5 * _cl(alpha, psi)    # dirac3(config)
+    ga, gp = lat.irfft(curl_hat) - sigma, 2.0 * dp
+    del alpha_hat, psi_hat, curl_hat, dirac_hat     # unread now; held, they slow N >= 16
+    residuals = (math.sqrt(float(np.vdot(ga, ga)) * dv),
+                 math.sqrt(float(np.vdot(dp, dp).real) * dv))
     if case != "unperturbed":
         ga -= np.tensordot(params.p1.grad(tau), params.mus, axes=1)
         gp += 2.0 * _cl(np.tensordot(params.p2.grad(zeta), params.nus, axes=1), psi)

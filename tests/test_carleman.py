@@ -154,8 +154,9 @@ def old_log_weighted_mass(mag2, R, geom):
     return float(np.log1p(np.sum(terms) / m) + np.log(m) + a_max)
 
 
-def old_sampler(geom):
-    """Oracle: the sampler body with the 1-D field formed by broadcasting."""
+def old_sampler(geom, outer=False):
+    """Oracle: the sampler body with the 1-D field formed by broadcasting, or
+    with outer by np.multiply.outer(profile, direction)."""
     grid, T, t = geom.grid, geom.T, geom.grid.t
     envelope = bump_cutoff(geom, t) * smoothstep(t / (0.15 * T))
 
@@ -171,7 +172,7 @@ def old_sampler(geom):
         if isinstance(grid, AnnulusGrid):
             angular = np.exp(1j * int(rng.integers(0, 4)) * grid.theta)
             return profile[:, None, None] * angular[None, :, None] * direction
-        return profile[:, None] * direction
+        return np.multiply.outer(profile, direction) if outer else profile[:, None] * direction
 
     return sample
 
@@ -185,16 +186,19 @@ ORACLE_GEOMS = ((0.1, 257, None), (0.1, 2049, None), (0.5, 129, 64))
 
 @pytest.mark.parametrize("T,n_t,n_theta", ORACLE_GEOMS)
 def test_sampler_and_weighted_mass_keep_the_old_bits(T, n_t, n_theta):
-    """The outer-product field and the one-pass mass equal the old forms bit
-    for bit, at every R of the sweeps and at R = 0."""
+    """The transposed outer-product field, C-contiguous, and the one-pass mass
+    equal the old forms (broadcasting, and multiply.outer(profile, direction))
+    bit for bit, at every R of the sweeps and at R = 0."""
     geom = (CarlemanGeometry.interval(T, n_t) if n_theta is None
             else CarlemanGeometry.annulus(T, n_t, n_theta))
-    new, old = cutoff_bump_sampler(geom), old_sampler(geom)
+    new, olds = cutoff_bump_sampler(geom), (old_sampler(geom), old_sampler(geom, outer=True))
     for i_s in range(6):
         key = np.random.SeedSequence([3, 1, i_s])
         v = new(np.random.Generator(np.random.Philox(key)))
-        want = old(np.random.Generator(np.random.Philox(key)))
-        assert np.array_equal(bits(v.values.view(float)), bits(want.view(float)))
+        assert v.values.flags.c_contiguous
+        for old in olds:
+            want = old(np.random.Generator(np.random.Philox(key)))
+            assert np.array_equal(bits(v.values.view(float)), bits(want.view(float)))
         mag2 = fiber_norm2(v.values)
         for R in (0.0, 5e-324, 10.0, 100.0, 1e3, 1e5, 1e7, 1e8):
             got = log_weighted_l2(v, R, geom)

@@ -366,6 +366,52 @@ def test_reciprocal_scaling_and_slice_stencil_match_division_and_roll(n_theta):
     assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
 
 
+def _row_by_row_time_derivative(values, h):
+    """Oracle: the end rows formed one at a time, six numpy calls each."""
+    scale = 1.0 / (2.0 * h)
+    out = np.empty_like(values)
+    np.subtract(values[2:], values[:-2], out=out[1:-1])
+    out[1:-1] *= scale
+    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) * scale
+    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) * scale
+    return out
+
+
+def _time_derivative_inputs(geom):
+    """Sampler fields (exactly zero at both ends), all-zero fields and fields
+    whose end rows hold every sign of zero next to nonzero entries."""
+    sampler, rng = cutoff_bump_sampler(geom), np.random.default_rng(geom.grid.n)
+    fields = [sampler(np.random.Generator(np.random.Philox(i))).values for i in range(4)]
+    fields.append(np.zeros_like(fields[0]))
+    parts = np.array([0.0, -0.0, 0.0, -0.0, 1.5, -2.0])
+    for _ in range(64):
+        v = rng.standard_normal(fields[0].shape) + 1j * rng.standard_normal(fields[0].shape)
+        for rows in (slice(0, 3), slice(-3, None)):
+            v[rows] = (rng.choice(parts, v[rows].shape)
+                       + 1j * rng.choice(parts, v[rows].shape))
+        fields.append(v)
+    fields.append(-fields[0])                       # -0.0 where the sampler had 0.0
+    return fields
+
+
+@pytest.mark.parametrize("geom", [CarlemanGeometry.interval(0.1, 257),
+                                  CarlemanGeometry.interval(0.1, 3),
+                                  CarlemanGeometry.annulus(0.5, 17, 8)])
+def test_stacked_end_rows_keep_the_row_by_row_bits(geom):
+    """time_derivative's one stacked end-row expression against the row-by-row
+    form, bit for bit (signed zeros included), on complex fields, real
+    coefficients a(t) and fiber matrices."""
+    h = geom.grid.spacing
+    fields = _time_derivative_inputs(geom)
+    inputs = (fields + [v.real.copy() for v in fields] + [v[..., 0].real.copy() for v in fields]
+              + [fields[5][..., None] * fields[6][..., None, :]])
+    for v in inputs:
+        want = _row_by_row_time_derivative(v, h)
+        got = time_derivative(v, h)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_annulus_symmetric_principal_part():
     """<Du, v> + <u, Dv> stays bounded under refinement (no derivative growth)."""
 

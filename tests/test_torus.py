@@ -137,6 +137,15 @@ def test_tau_constant_form_quadrature_oracle(lat2, params2):
     assert abs(obs.tau[0] + c * (2 * np.pi) ** 3) < 1e-9
 
 
+def test_taus_match_the_per_form_loop(lat2, params2):
+    for amplitude in (0.1, 1.0, 10.0):
+        cfg = tw.random_config(lat2, rng_for(42, int(amplitude)), amplitude)
+        want = np.array([-float(np.sum(cfg.alpha * m)) * lat2.volume_element
+                         for m in params2.mus])
+        got = tw.observables(cfg, params2).tau
+        assert np.all(np.abs(got - want) <= 1e-14 * np.max(np.abs(want)))
+
+
 def test_zeta_real_valued(lat2, params2):
     cfg = tw.random_config(lat2, rng_for(3), amplitude=0.8)
     raw = tw.zeta_pairings(cfg, params2.nus)
@@ -221,6 +230,33 @@ def test_csd_real_and_matches_dense_quadrature(lat2, params2):
     dirac_term = np.sum(flat_psi * np.conj(dpsi)).real * lat2.volume_element
     oracle = cs + dirac_term
     assert abs(tw.csd(cfg) - oracle) < 1e-10 * max(1.0, abs(oracle))
+
+
+def _physical_rows_value(cfg, params, case):
+    """Oracle: the value from the physical rows, 1/2 <alpha, curl alpha> +
+    Re<psi, D psi>, plus the perturbation functions of the observables."""
+    lat, dv = cfg.lattice, cfg.lattice.volume_element
+    dp = tw.dirac3(cfg)
+    value = (0.5 * float(np.vdot(cfg.alpha, lat.curl(cfg.alpha))) * dv
+             + float(np.vdot(dp, cfg.psi).real) * dv)
+    if case != "unperturbed":
+        obs = tw.observables(cfg, params)
+        value += params.p1.value(obs.tau) + params.p2.value(obs.zeta)
+        if case == "case2":
+            value += params.p3.value(np.abs(obs.eta) ** 2)
+    return value
+
+
+@pytest.mark.parametrize("N", [1, 2, 4])
+@pytest.mark.parametrize("case", tw._CASES)
+def test_parseval_value_matches_the_physical_rows(N, case):
+    lat = tw.TorusLattice(N)
+    params = tw.default_params(lat)
+    assert tw.csd(tw.SWConfiguration.zero(lat)) == 0.0
+    for amplitude in (0.05, 0.3, 1.0):
+        cfg = tw.random_config(lat, rng_for(41, N, int(100 * amplitude)), amplitude)
+        want = _physical_rows_value(cfg, params, case)
+        assert abs(tw.csd(cfg, params, case) - want) <= 1e-13 * abs(want)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +362,23 @@ def test_p1_periodic_under_measured_winding_shift(lat2, params2):
         assert abs(params2.p1.value(shifted) - params2.p1.value(tau)) < 1e-12
 
 
+def _tensordot_cl(form, psi):
+    """Oracle: Clifford multiplication by the complex symbol sum_j form_j cl(e_j)."""
+    return 1j * np.einsum("abxyz,bxyz->axyz", np.tensordot(tw._GEN, form, axes=(0, 0)), psi)
+
+
+@pytest.mark.parametrize("N", [1, 2, 4, 8])
+def test_entrywise_clifford_product_keeps_the_symbol_bits(N):
+    lat = tw.TorusLattice(N)
+    rng = rng_for(43, N)
+    for amplitude in (1e-3, 1.0, 1e3):
+        cfg = tw.random_config(lat, rng, amplitude)
+        form = amplitude * rng.standard_normal((3,) + lat.shape)
+        got, want = tw._cl(form, cfg.psi), _tensordot_cl(form, cfg.psi)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # Floer norm
 
@@ -334,6 +387,22 @@ def test_floer_norm_zero_functions(lat2):
     params = flat_params(lat2)
     res = tw.floer_norm(params)
     assert res.value == 0.0 and res.remainder_bound == 0.0
+
+
+def test_floer_norm_reads_p3(lat2, params2):
+    """The norm is that of the whole perturbation: doubling p3's coefficients
+    adds p3's share once more, to the norm and to the tail bound."""
+    p3 = params2.p3
+    doubled = tw.SeparableFunction(p3.dim, [(kind, slot, 2.0 * c, w, b)
+                                            for kind, slot, c, w, b in p3.terms])
+    params = tw.PerturbationParams(params2.mus, params2.nus, params2.spinor_basis,
+                                   params2.eigenvalues, params2.p1, params2.p2, doubled,
+                                   params2.epsilons, params2.winding_shift)
+    base, moved = tw.floer_norm(params2), tw.floer_norm(params)
+    share = sum(params2.epsilons[k] * p3.deriv_sup(k) for k in range(params2.epsilons.size))
+    assert share > 0.1
+    assert abs(moved.value - base.value - share) <= 1e-12 * moved.value
+    assert moved.remainder_bound > base.remainder_bound
 
 
 def test_floer_norm_linear_profile(lat2):
@@ -573,7 +642,7 @@ def test_spectral_transform_counts(lat2, params2, monkeypatch):
     """One forward transform per field in an evaluation, and one stacked
     forward/inverse pair per operator; all four TorusLattice transforms are
     counted, so switching between complex and real transforms cannot hide
-    calls.  A value-only csd skips the gradient's transform pair."""
+    calls.  A value-only csd makes no inverse transform but case2's dressing."""
     calls = []
 
     def counted(transform):
@@ -585,10 +654,14 @@ def test_spectral_transform_counts(lat2, params2, monkeypatch):
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(tw.TorusLattice, name, counted(getattr(tw.TorusLattice, name)))
     cfg = tw.random_config(lat2, rng_for(27), amplitude=0.3)
-    for fn, limit in ((tw.evaluate, 8), (tw.grad_csd, 8), (tw.csd, 5)):
+    for fn, limit in ((tw.evaluate, 8), (tw.grad_csd, 8), (tw.csd, 3)):
         calls.clear()
         fn(cfg, params2, "case2")
         assert 0 < len(calls) <= limit, fn.__name__
+    for case in ("unperturbed", "case1"):   # the forward pair alone
+        calls.clear()
+        tw.csd(cfg, params2, case)
+        assert 0 < len(calls) <= 2, case
     calls.clear()
     tw.flow_step(cfg, None, "unperturbed", dt=3.0, scheme="semi-implicit")
     assert 0 < len(calls) <= 8

@@ -1,6 +1,7 @@
 """Print one JSON line of kernel timings in milliseconds:
 - torus, at N = 4, 8, 16 and 24: the four TorusLattice transforms, dirac3,
-  the case2 csd and grad_csd, and one unperturbed flow_step per scheme;
+  csd and grad_csd for each case, observables, linearize().apply and
+  .adjoint, and one unperturbed flow_step per scheme;
 - annulus, at 129 x 64 and 257 x 128 (T = 0.5): the annulus_operator build,
   dirac_apply, carleman_ratio at R = 20, and appendix_decomposition with the
   zero perturbation at R = 20;
@@ -54,14 +55,20 @@ def torus_kernels(tw, N):
     cfg = tw.random_config(lat, rng, amplitude=0.3)
     small = tw.random_config(lat, rng, amplitude=1e-4)
     half = lat.rfft(cfg.alpha)
+    lin, tangent = tw.linearize(cfg), tw.random_tangent(lat, rng)
+    triple = lin.apply(tangent)
+    per_case = {f"{name}_{case}": lambda fn=fn, case=case: fn(cfg, params, case)
+                for case in tw._CASES for name, fn in (("csd", tw.csd), ("grad_csd", tw.grad_csd))}
     return {
         "fft": lambda: lat.fft(cfg.psi),
         "ifft": lambda: lat.ifft(cfg.psi),
         "rfft": lambda: lat.rfft(cfg.alpha),
         "irfft": lambda: lat.irfft(half),
         "dirac3": lambda: tw.dirac3(cfg),
-        "csd_case2": lambda: tw.csd(cfg, params, "case2"),
-        "grad_csd_case2": lambda: tw.grad_csd(cfg, params, "case2"),
+        **per_case,
+        "observables": lambda: tw.observables(cfg, params),
+        "linearize_apply": lambda: lin.apply(tangent),
+        "linearize_adjoint": lambda: lin.adjoint(triple),
         "flow_step_explicit": lambda: tw.flow_step(small, None, "unperturbed", dt=1e-3),
         "flow_step_semi_implicit": lambda: tw.flow_step(
             small, None, "unperturbed", dt=3.0, scheme="semi-implicit"),

@@ -86,7 +86,8 @@ def load_checkpoint(path) -> Tuple[SWConfiguration, dict]:
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"payload array {name} holds non-finite values")
     lat = TorusLattice(N)
-    alpha = np.imag(lat.ifft(a_hat))
-    psi = lat.ifft(psi_hat)
-    return SWConfiguration(lat, alpha, psi), header
+    a = lat.ifft(a_hat)
+    if np.max(np.abs(a.real)) > 1e-12 * np.max(np.abs(a)):  # a = i alpha; refuse, not drop
+        raise CheckpointError("payload array a_hat has a real part beyond rounding")
+    return SWConfiguration(lat, a.imag, lat.ifft(psi_hat)), header
 

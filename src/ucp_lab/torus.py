@@ -30,8 +30,8 @@ from .fields import SpinorField
 from .perturbations import Perturbation
 
 _GEN = 1j * SIGMA  # (3, 2, 2), g_j = cl(e_j) = i sigma_j
-# (j, a, b, i g_j[a, b]) over the six nonzero entries of _GEN, j-major
-_CL_ENTRIES = [(j, a, b, 1j * _GEN[j, a, b]) for j, a, b in np.argwhere(_GEN)]
+_GEN_ENTRIES = [(j, a, b, _GEN[j, a, b]) for j, a, b in np.argwhere(_GEN)]  # the 6 nonzero
+_GEN_ROWS = _GEN.transpose(1, 0, 2).reshape(2, 6)  # row a holds g_j[a, b] over (j, b)
 
 M_TANH = 1.6  # sup |tanh| on the unit strip around the real axis (Cauchy bound)
 
@@ -40,10 +40,9 @@ M_TANH = 1.6  # sup |tanh| on the unit strip around the real axis (Cauchy bound)
 RESONANCE_MARGIN = 1e-6
 
 
-def _curl_symbol(k, h):
-    """i k x h by components (np.cross is slower on stacked lattice arrays)."""
-    return 1j * np.stack([k[1] * h[2] - k[2] * h[1], k[2] * h[0] - k[0] * h[2],
-                          k[0] * h[1] - k[1] * h[0]])
+def _curl_of(d):
+    """curl f from the partials d[j] = d_j f of a 3-component field f."""
+    return np.stack([d[1, 2] - d[2, 1], d[2, 0] - d[0, 2], d[0, 1] - d[1, 0]])
 
 
 class TorusLattice:
@@ -54,8 +53,9 @@ class TorusLattice:
     |k|^2 = k2r and inverse Laplacian multiplier green_r.  n is odd, so there
     is no Nyquist mode and irfft equals ifft(...).real of the full spectrum.
     Each transform is one matmul per axis with the n x n DFT matrix, faster
-    than an FFT at the small odd, often prime, n in use.  As a field carrier
-    it has shape (n, n, n) and the volume element as every point's weight."""
+    than an FFT at the small odd, often prime, n in use; derivatives are real
+    matmuls with the matrix D, no transform.  As a field carrier it has shape
+    (n, n, n) and the volume element as every point's weight."""
 
     def __init__(self, N: int):
         if N < 1:
@@ -113,19 +113,43 @@ class TorusLattice:
         transform of the whole stacked input, symbols on the half spectrum."""
         return self.irfft(symbol(self.rfft(f)))
 
-    def divergence(self, vec):
-        return self.spectral(vec, lambda h: np.sum(1j * self.kr * h, axis=0))
-
-    def curl(self, vec):
-        return self.spectral(vec, lambda h: _curl_symbol(self.kr, h))
-
-    def gradient(self, f):
-        return self.spectral(f, lambda h: 1j * self.kr * h)
+    @functools.cached_property
+    def D(self):
+        """Spectral derivative on one axis, D[j, l] = c_{j-l mod n} with c_0 = 0
+        and c_m = (-1)^m / (2 sin(pi m / n)) = -c_{n-m}, stored so that D = -D.T
+        bit for bit; built on first use, so a lattice that only transforms
+        never pays for it."""
+        m, j = np.arange(1, self.N + 1), np.arange(self.n)
+        c = np.zeros(self.n)
+        c[1:self.N + 1] = (-1.0) ** m / (2.0 * np.sin(np.pi * m / self.n))
+        c[self.N + 1:] = -c[self.N:0:-1]
+        return c[(j[:, None] - j) % self.n]
 
     @functools.cached_property
-    def cl_k(self):
-        """sum_j k_j cl(e_j), the flat Dirac symbol over i, built on first use."""
-        return np.tensordot(_GEN, self.k, axes=(0, 0))
+    def _d_last_complex(self):
+        """kron(D.T, I_2): D along the last axis of a complex field's float view."""
+        return np.kron(self.D.T, np.eye(2))
+
+    def partials(self, f):
+        """(d_0 f, d_1 f, d_2 f) of a real or complex (..., n, n, n) field as one
+        (3, ..., n, n, n) array, one real matmul with D per lattice axis on the
+        field or its (re, im) float view."""
+        cplx = np.iscomplexobj(f)
+        g = (np.ascontiguousarray(f, dtype=complex).view(float) if cplx
+             else np.asarray(f, dtype=float))
+        D, out = self.D, np.empty((3,) + g.shape)
+        outer = g.shape[:-3] + (self.n, -1)
+        np.matmul(D, g.reshape(outer), out=out[0].reshape(outer))
+        np.matmul(D, g, out=out[1])
+        rows = (-1, g.shape[-1])
+        np.matmul(g.reshape(rows), self._d_last_complex if cplx else D.T, out=out[2].reshape(rows))
+        return out.view(complex) if cplx else out
+
+    def divergence(self, vec):
+        return self.partials(vec).trace()
+
+    def curl(self, vec):
+        return _curl_of(self.partials(vec))
 
     def __eq__(self, other):
         return isinstance(other, TorusLattice) and other.N == self.N
@@ -351,33 +375,39 @@ def _cl(form: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Clifford multiplication cl(i form) psi = sum_j form_j i cl(e_j) psi,
     entry by entry over the nonzero entries of the generators."""
     out = np.zeros(psi.shape, dtype=complex)
-    for j, a, b, c in _CL_ENTRIES:
-        out[a] += c * form[j] * psi[b]
+    for j, a, b, g in _GEN_ENTRIES:
+        out[a] += 1j * g * form[j] * psi[b]
     return out
 
 
-def _cl_by(symbol: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """_cl with the contraction sum_j form_j cl(e_j) already formed."""
-    return 1j * np.einsum("abxyz,bxyz->axyz", symbol, psi)
+def _dirac0(lat: TorusLattice, psi: np.ndarray) -> np.ndarray:
+    """Flat Dirac operator sum_j cl(e_j) d_j psi: _GEN_ROWS times psi's partials."""
+    return (_GEN_ROWS @ lat.partials(psi).reshape(6, -1)).reshape(psi.shape)
 
 
 def dirac3(config: SWConfiguration) -> np.ndarray:
     """Twisted Dirac operator sum_j cl(e_j)(d_j + alpha_j i/2) psi, i.e.
-    ifft(cl(i k) fft(psi)) + cl(i alpha) psi / 2."""
-    lat = config.lattice
-    return lat.ifft(_cl_by(lat.cl_k, lat.fft(config.psi))) + 0.5 * _cl(config.alpha, config.psi)
+    sum_j cl(e_j) d_j psi + cl(i alpha) psi / 2."""
+    return _dirac0(config.lattice, config.psi) + 0.5 * _cl(config.alpha, config.psi)
 
 
 def sigma_polarized(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Symmetric polarization: (i/2) Im <cl(e_j)psi, phi> (real storage);
-    sigma_polarized(psi, psi) is the quadratic term sigma(psi, psi)."""
-    return 0.5 * np.imag(np.tensordot(_GEN, psi[None] * np.conj(phi)[:, None], axes=2))
+    sigma_polarized(psi, psi) is the quadratic term sigma(psi, psi).  In real
+    arithmetic over the nonzero entries g, each real or imaginary, of the
+    generators: Im(g q) = Re g Im q + Im g Re q, q = psi_b conj(phi_a)."""
+    re, im, phi_re, phi_im = psi.real, psi.imag, phi.real, phi.imag
+    sigma = np.zeros((3,) + psi.shape[1:])
+    for j, a, b, g in _GEN_ENTRIES:
+        sigma[j] += 0.5 * (g.real * (im[b] * phi_re[a] - re[b] * phi_im[a]) if g.real
+                           else g.imag * (re[b] * phi_re[a] + im[b] * phi_im[a]))
+    return sigma
 
 
-def _dressing(lat: TorusLattice, alpha_hat: np.ndarray) -> np.ndarray:
+def _dressing(lat: TorusLattice, div_alpha: np.ndarray) -> np.ndarray:
     """The eta dressing exp(-G d*(A - A_0)/2) = exp(i G(div alpha)/2), a
-    unit-modulus scalar, from the half spectrum of alpha (one fused symbol)."""
-    return np.exp(1j * lat.irfft(0.5 * lat.green_r * np.sum(1j * lat.kr * alpha_hat, axis=0)))
+    unit-modulus scalar: G by one scalar rfft/irfft pair."""
+    return np.exp(1j * lat.spectral(div_alpha, lambda h: 0.5 * lat.green_r * h))
 
 
 def _taus(config: SWConfiguration, mus: np.ndarray) -> np.ndarray:
@@ -414,7 +444,7 @@ def observables(config: SWConfiguration, params: PerturbationParams) -> Observab
     lat = config.lattice
     sigma = sigma_polarized(config.psi, config.psi)
     return Observables(_taus(config, params.mus), _zetas(sigma, params.nus, lat),
-                       _etas(config, params, _dressing(lat, lat.rfft(config.alpha))))
+                       _etas(config, params, _dressing(lat, lat.divergence(config.alpha))))
 
 
 @dataclass(eq=False)
@@ -457,32 +487,28 @@ class Evaluation:
 
 def evaluate(config: SWConfiguration, params: Optional[PerturbationParams] = None,
              case: str = "unperturbed") -> Evaluation:
-    """csd, its exact L2 gradient and the unperturbed residual norms from one
-    forward transform of alpha and one of psi.  Curvature row curl alpha -
-    sigma(psi, psi), Dirac row D psi, unperturbed gradient (curvature row,
-    2 D psi), value 1/2 <alpha, curl alpha> + Re<psi, D psi> by Parseval from
-    the two spectra; the perturbed cases add the functions of the observables
-    and their couplings."""
+    """csd, its exact L2 gradient and the unperturbed residual norms, all in
+    physical space.  Curvature row curl alpha - sigma(psi, psi), Dirac row
+    D psi, unperturbed gradient (curvature row, 2 D psi), value 1/2 <alpha,
+    curl alpha> + Re<psi, D psi>; the perturbed cases add the functions of the
+    observables and their couplings."""
     return _evaluate(config, params, case, True)
 
 
 def _evaluate(config: SWConfiguration, params, case: str, with_gradient: bool) -> Evaluation:
-    """evaluate, or without with_gradient its value alone, read from the forward
-    spectra: no row, and no inverse transform but case2's dressing."""
+    """evaluate, or without with_gradient its value alone: no Fourier
+    transform but case2's Green operator G."""
     if case not in _CASES:
         raise ValueError(f"case must be one of {_CASES}")
     if case != "unperturbed" and params is None:
         raise ValueError("perturbed cases need params")
     lat, alpha, psi = config.lattice, config.alpha, config.psi
     dv = lat.volume_element
-    alpha_hat, psi_hat = lat.rfft(alpha), lat.fft(psi)
-    curl_hat, dirac_hat = _curl_symbol(lat.kr, alpha_hat), _cl_by(lat.cl_k, psi_hat)
+    d_alpha = lat.partials(alpha)
+    curl, d0_psi = _curl_of(d_alpha), _dirac0(lat, psi)
     sigma = sigma_polarized(psi, psi)
-    # Parseval, the half spectrum weighted 1 on the k3 = 0 plane and 2 elsewhere;
     # Re<psi, cl(alpha) psi / 2> = -<alpha, sigma~(psi, psi)>, as in _zetas
-    curvature = (2.0 * np.vdot(alpha_hat, curl_hat).real
-                 - np.vdot(alpha_hat[..., 0], curl_hat[..., 0]).real)
-    value = float(((0.5 * curvature + np.vdot(dirac_hat, psi_hat).real) / lat.n ** 3
+    value = float((0.5 * np.vdot(alpha, curl) + np.vdot(d0_psi, psi).real
                    - np.vdot(alpha, sigma)) * dv)
 
     if case != "unperturbed":
@@ -490,15 +516,14 @@ def _evaluate(config: SWConfiguration, params, case: str, with_gradient: bool) -
         value += params.p1.value(tau)
         value += params.p2.value(zeta)
     if case == "case2":
-        X = _dressing(lat, alpha_hat)
+        X = _dressing(lat, d_alpha.trace())
         eta = _etas(config, params, X)
         s = np.abs(eta) ** 2    # p3 is a function of s_l = |eta_l|^2
         value += params.p3.value(s)
     if not with_gradient:
         return Evaluation(value, None, None)
-    dp = lat.ifft(dirac_hat) + 0.5 * _cl(alpha, psi)    # dirac3(config)
-    ga, gp = lat.irfft(curl_hat) - sigma, 2.0 * dp
-    del alpha_hat, psi_hat, curl_hat, dirac_hat     # unread now; held, they slow N >= 16
+    dp = d0_psi + 0.5 * _cl(alpha, psi)    # dirac3(config)
+    ga, gp = curl - sigma, 2.0 * dp
     residuals = (math.sqrt(float(np.vdot(ga, ga)) * dv),
                  math.sqrt(float(np.vdot(dp, dp).real) * dv))
     if case != "unperturbed":
@@ -509,7 +534,7 @@ def _evaluate(config: SWConfiguration, params, case: str, with_gradient: bool) -
         dressed = X[None] * np.tensordot(wirtinger, params.spinor_basis, axes=1)
         gp += 2.0 * dressed
         W = np.imag(np.sum(dressed * np.conj(psi), axis=0))
-        ga += lat.spectral(W, lambda h: 1j * lat.kr * (lat.green_r * h))
+        ga += lat.partials(lat.spectral(W, lambda h: lat.green_r * h))
 
     return Evaluation(value, Tangent(ga, gp), residuals)
 
@@ -538,10 +563,11 @@ def flow_step(config: SWConfiguration, params: Optional[PerturbationParams] = No
     x_new = x - dt (I + dt L)^-1 grad csd(x), with the closed-form per-mode
     resolvents (S = cl(i k), C = i k x, C^2 = |k|^2 P_perp):
         (I + 2 dt S)^-1 = (I - 2 dt S) / (1 - 4 dt^2 |k|^2),
-        (I + dt C)^-1 = P_par + (I - dt C) P_perp / (1 - dt^2 |k|^2).
-    Its fixed points are exactly the critical points; a dt within
-    RESONANCE_MARGIN of a pole, or one whose 4 dt^2 |k|^2 overflows, raises
-    FlowInstabilityError.
+        (I + dt C)^-1 = P_par + (I - dt C) P_perp / (1 - dt^2 |k|^2),
+    the numerators in physical space, P_par and the denominators per mode by
+    one transform pair per field.  Its fixed points are exactly the critical
+    points; a dt within RESONANCE_MARGIN of a pole, or one whose 4 dt^2 |k|^2
+    overflows, raises FlowInstabilityError.
     """
     return _descend(config, evaluate(config, params, case), params, case, dt, scheme)[0]
 
@@ -564,7 +590,6 @@ def _descend(config: SWConfiguration, ev: Evaluation,
     if scheme != "semi-implicit":
         raise ValueError("scheme must be 'explicit' or 'semi-implicit'")
 
-    kr = lat.kr
     if math.isinf(4.0 * dt * dt * 3 * lat.N ** 2):  # at the largest |k|^2 = 3 N^2
         raise FlowInstabilityError(f"semi-implicit step dt={dt!r} overflows the "
                                    f"denominator 1 - 4 dt^2 |k|^2")
@@ -577,13 +602,10 @@ def _descend(config: SWConfiguration, ev: Evaluation,
                 f"{math.sqrt(k2.flat[i]):.6g}: denominator {den.flat[i]:.3e} "
                 f"is below the margin {RESONANCE_MARGIN:g}")
 
-    def curl_resolvent(h):
-        par = kr * (lat.green_r * np.sum(kr * h, axis=0))
-        return par + (h - par - dt * _curl_symbol(kr, h)) / den_a
-
-    phi_hat = lat.fft(g.phi)
-    dirac_step = lat.ifft((phi_hat - 2.0 * dt * _cl_by(lat.cl_k, phi_hat)) / den_p)
-    return SWConfiguration(lat, config.alpha - dt * lat.spectral(g.alpha, curl_resolvent),
+    h = lat.rfft(g.alpha - dt * lat.curl(g.alpha))  # its P_par part is that of g.alpha
+    par = lat.kr * (lat.green_r * np.sum(lat.kr * h, axis=0))
+    dirac_step = lat.ifft(lat.fft(g.phi - 2.0 * dt * _dirac0(lat, g.phi)) / den_p)
+    return SWConfiguration(lat, config.alpha - dt * lat.irfft(par + (h - par) / den_a),
                            config.psi - dt * dirac_step), None
 
 
@@ -659,21 +681,18 @@ class SWLinearization:
         self.lattice = config.lattice
 
     def apply(self, t: Tangent) -> SystemTriple:
-        lat, psi, kr = self.lattice, self.config.psi, self.lattice.kr
-        h = lat.rfft(t.alpha)   # one transform for -div and curl
-        rows = lat.irfft(np.concatenate([-np.sum(1j * kr * h, axis=0)[None],
-                                         _curl_symbol(kr, h)]))
-        scalar = rows[0] + np.imag(np.sum(psi * np.conj(t.phi), axis=0))
-        one_form = rows[1:] - 2.0 * sigma_polarized(psi, t.phi)
+        lat, psi = self.lattice, self.config.psi
+        d = lat.partials(t.alpha)   # one call for -div and curl
+        scalar = np.imag(np.sum(psi * np.conj(t.phi), axis=0)) - d.trace()
+        one_form = _curl_of(d) - 2.0 * sigma_polarized(psi, t.phi)
         dphi = dirac3(SWConfiguration(lat, self.config.alpha, t.phi))
         spinor = dphi + 0.5 * _cl(t.alpha, psi)
         return SystemTriple(scalar, one_form, spinor)
 
     def adjoint(self, y: SystemTriple) -> Tangent:
-        lat, psi, kr = self.lattice, self.config.psi, self.lattice.kr
-        h = lat.rfft(np.concatenate([y.scalar[None], y.one_form]))
-        alpha = (lat.irfft(1j * kr * h[0] + _curl_symbol(kr, h[1:]))
-                 - sigma_polarized(psi, y.spinor))
+        lat, psi = self.lattice, self.config.psi
+        d = lat.partials(np.concatenate([y.scalar[None], y.one_form]))   # grad and curl
+        alpha = d[:, 0] + _curl_of(d[:, 1:]) - sigma_polarized(psi, y.spinor)
         phi = dirac3(SWConfiguration(lat, self.config.alpha, y.spinor))
         phi = phi - 1j * y.scalar[None] * psi
         phi = phi + _cl(y.one_form, psi)
@@ -704,7 +723,7 @@ def gauge_apply(config: SWConfiguration, f: np.ndarray,
     w = np.asarray(winding, dtype=int).astype(float)
     f = np.asarray(f, dtype=float)
     phase = np.tensordot(w, lat.x, axes=(0, 0)) + f
-    shift = 2.0 * w[:, None, None, None] * np.ones_like(config.alpha) + 2.0 * lat.gradient(f)
+    shift = 2.0 * w[:, None, None, None] * np.ones_like(config.alpha) + 2.0 * lat.partials(f)
     return SWConfiguration(lat, config.alpha - shift, np.exp(1j * phase)[None] * config.psi)
 
 

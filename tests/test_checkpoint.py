@@ -100,6 +100,23 @@ def test_rejects_non_finite_payload(tmp_path, lat, name, bad):
         load_checkpoint(path)
 
 
+def test_rejects_a_hat_whose_field_is_not_imaginary(tmp_path, lat):
+    """a = i alpha is imaginary-valued.  Adding 5 to every coefficient of a
+    gives the field a real part that the load would silently drop, so it is
+    refused by name; the rounding-level real part of a saved random
+    configuration passes."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([6])))
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(tw.random_config(lat, rng, amplitude=0.7), path)
+    load_checkpoint(path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    raw = np.frombuffer(payload, dtype="<c16").copy()
+    raw[:lat.n ** 3 * 3] += 5.0
+    path.write_bytes(header + b"\n" + raw.tobytes())
+    with pytest.raises(CheckpointError, match="a_hat"):
+        load_checkpoint(path)
+
+
 def test_rejects_mismatched_lattice_size(tmp_path, lat):
     path = tmp_path / "state.ckpt"
     save_checkpoint(tw.SWConfiguration.zero(lat), path)

@@ -250,6 +250,8 @@ def _physical_rows_value(cfg, params, case):
 @pytest.mark.parametrize("N", [1, 2, 4])
 @pytest.mark.parametrize("case", tw._CASES)
 def test_parseval_value_matches_the_physical_rows(N, case):
+    """csd's value, which reads Re<psi, cl(alpha) psi / 2> as -<alpha, sigma>,
+    against the value summed from the rows dirac3 and curl."""
     lat = tw.TorusLattice(N)
     params = tw.default_params(lat)
     assert tw.csd(tw.SWConfiguration.zero(lat)) == 0.0
@@ -377,6 +379,23 @@ def test_entrywise_clifford_product_keeps_the_symbol_bits(N):
         got, want = tw._cl(form, cfg.psi), _tensordot_cl(form, cfg.psi)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _tensordot_sigma(psi, phi):
+    """Oracle: (1/2) Im <cl(e_j) psi, phi> through the complex product field."""
+    return 0.5 * np.imag(np.tensordot(tw._GEN, psi[None] * np.conj(phi)[:, None], axes=2))
+
+
+@pytest.mark.parametrize("N", [1, 2, 4, 8])
+def test_entrywise_sigma_matches_the_tensordot_form(N):
+    lat = tw.TorusLattice(N)
+    rng = rng_for(44, N)
+    for amplitude in (1e-3, 1.0, 1e3):
+        psi, phi = (tw.random_config(lat, rng, amplitude).psi for _ in range(2))
+        for a, b in ((psi, psi), (psi, phi)):
+            got, want = tw.sigma_polarized(a, b), _tensordot_sigma(a, b)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +658,11 @@ def test_semi_implicit_step_solves_its_linear_system(N, dt):
 
 
 def test_spectral_transform_counts(lat2, params2, monkeypatch):
-    """One forward transform per field in an evaluation, and one stacked
-    forward/inverse pair per operator; all four TorusLattice transforms are
-    counted, so switching between complex and real transforms cannot hide
-    calls.  A value-only csd makes no inverse transform but case2's dressing."""
+    """Derivatives make no Fourier transform: only case2's Green operator
+    (one scalar pair for the dressing, one for the W-term) and the
+    semi-implicit resolvents (one pair per field) transform.  All four
+    TorusLattice transforms are counted, so switching between complex and
+    real transforms cannot hide calls."""
     calls = []
 
     def counted(transform):
@@ -654,20 +674,28 @@ def test_spectral_transform_counts(lat2, params2, monkeypatch):
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(tw.TorusLattice, name, counted(getattr(tw.TorusLattice, name)))
     cfg = tw.random_config(lat2, rng_for(27), amplitude=0.3)
-    for fn, limit in ((tw.evaluate, 8), (tw.grad_csd, 8), (tw.csd, 3)):
+    lin, rng = tw.linearize(cfg), rng_for(28)
+    t = tw.random_tangent(lat2, rng)
+    triple = tw.SystemTriple(rng.standard_normal(lat2.shape), t.alpha, t.phi)
+    free = [lambda: lin.apply(t), lambda: lin.adjoint(triple),
+            lambda: tw.gauge_apply(cfg, rng.standard_normal(lat2.shape), (1, 0, 0))]
+    for case in ("unperturbed", "case1"):
+        free += [lambda case=case: tw.csd(cfg, params2, case),
+                 lambda case=case: tw.evaluate(cfg, params2, case)]
+    for fn in free:
+        calls.clear()
+        fn()
+        assert calls == []
+    for fn, limit in ((tw.csd, 2), (tw.evaluate, 4), (tw.grad_csd, 4)):
         calls.clear()
         fn(cfg, params2, "case2")
         assert 0 < len(calls) <= limit, fn.__name__
-    for case in ("unperturbed", "case1"):   # the forward pair alone
-        calls.clear()
-        tw.csd(cfg, params2, case)
-        assert 0 < len(calls) <= 2, case
     calls.clear()
     tw.flow_step(cfg, None, "unperturbed", dt=3.0, scheme="semi-implicit")
-    assert 0 < len(calls) <= 8
+    assert 0 < len(calls) <= 4
     calls.clear()
     tw.run_flow(cfg, None, "unperturbed", dt=3.0, steps=2, scheme="semi-implicit")
-    assert 0 < len(calls) <= 20
+    assert 0 < len(calls) <= 8
 
 
 @pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
@@ -689,6 +717,32 @@ def test_spectral_primitives_match_numpy_fft(N, stack):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     with pytest.raises(TypeError):
         lat.rfft(z)
+
+
+@pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("stack", [(3,), ()])
+def test_partials_match_numpy_fft(N, stack):
+    """partials against the spectral derivatives irfftn(i k rfftn(f)) and
+    ifftn(i k fftn(z)), 1e-13 relative, on real and complex, stacked and
+    plain lattice fields, keeping each field's dtype."""
+    lat, axes = tw.TorusLattice(N), (-3, -2, -1)
+    rng = rng_for(33, N, len(stack))
+    x = rng.standard_normal(stack + lat.shape)
+    z = x + 1j * rng.standard_normal(stack + lat.shape)
+    h, zh = np.fft.rfftn(x, axes=axes), np.fft.fftn(z, axes=axes)
+    for j in range(3):
+        want_x = np.fft.irfftn(1j * lat.kr[j] * h, s=lat.shape, axes=axes)
+        want_z = np.fft.ifftn(1j * lat.k[j] * zh, axes=axes)
+        for got, want in ((lat.partials(x)[j], want_x), (lat.partials(z)[j], want_z)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("N", [1, 2, 8])
+def test_derivative_matrix_is_antisymmetric(N):
+    """D = -D.T bit for bit, so gradient and -divergence are exact adjoints."""
+    D = tw.TorusLattice(N).D
+    assert np.array_equal(D, -D.T)
 
 
 @pytest.mark.parametrize("case", tw._CASES)

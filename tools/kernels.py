@@ -1,7 +1,9 @@
 """Print one JSON line of kernel timings in milliseconds:
-- torus, at N = 4, 8, 16 and 24: the four TorusLattice transforms, dirac3,
-  csd and grad_csd for each case, observables, linearize().apply and
-  .adjoint, and one unperturbed flow_step per scheme;
+- torus, at N = 4, 8, 16 and 24: the four TorusLattice transforms, the
+  lattice's partials on a real 3-form and on a complex spinor (skipped on
+  a tree without them), curl and divergence, dirac3, csd and grad_csd for
+  each case, observables, linearize().apply and .adjoint, and one
+  unperturbed flow_step per scheme;
 - annulus, at 129 x 64 and 257 x 128 (T = 0.5): the annulus_operator build,
   dirac_apply, carleman_ratio at R = 20, and appendix_decomposition with the
   zero perturbation at R = 20;
@@ -59,11 +61,17 @@ def torus_kernels(tw, N):
     triple = lin.apply(tangent)
     per_case = {f"{name}_{case}": lambda fn=fn, case=case: fn(cfg, params, case)
                 for case in tw._CASES for name, fn in (("csd", tw.csd), ("grad_csd", tw.grad_csd))}
+    partials = ({"partials_form": lambda: lat.partials(cfg.alpha),
+                 "partials_spinor": lambda: lat.partials(cfg.psi)}
+                if hasattr(lat, "partials") else {})
     return {
         "fft": lambda: lat.fft(cfg.psi),
         "ifft": lambda: lat.ifft(cfg.psi),
         "rfft": lambda: lat.rfft(cfg.alpha),
         "irfft": lambda: lat.irfft(half),
+        **partials,
+        "curl": lambda: lat.curl(cfg.alpha),
+        "divergence": lambda: lat.divergence(cfg.alpha),
         "dirac3": lambda: tw.dirac3(cfg),
         **per_case,
         "observables": lambda: tw.observables(cfg, params),

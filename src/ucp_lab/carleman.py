@@ -311,7 +311,7 @@ def ucp_decay_check(op: DiracOperator, P: Perturbation, u: SpinorField,
     same_grid(geom.grid, u.grid)
     residual = dirac_apply(op, u) + eval_perturbation(P, u)
     res_sup = residual.sup_norm()
-    if res_sup >= 1e-8:
+    if not res_sup < 1e-8:  # a NaN residual fails too
         raise PreconditionError(f"solution residual {res_sup:.3e} exceeds 1e-8")
     first_slice = float(np.max(u.fiber_abs()[0])) if u.values.size else 0.0
     if first_slice >= 1e-8:
@@ -430,7 +430,7 @@ def appendix_decomposition(op: DiracOperator, P: Perturbation, v: SpinorField,
     del j3_vec  # one full-size array fewer at the peak below
     symB += R * prof * v0
     sym, j_skew_pert, j_sym_pert, quot2 = symB, 0.0, 0.0, 0.0
-    if P.fiber_pairing or P.matrix is not None or P.field is not None:  # zero adds no term
+    if P.fiber_pairing or P.matrix is not None or P.l2_pairing:  # zero adds no term
         pv = eval_perturbation(P, v).values
         pert = -E * op.apply_cl_dt(pv)   # cl(dt)^-1 P v, reduced for d/dt + Bcal
         sym = symB + pert

@@ -330,7 +330,7 @@ def run_sw_gradcheck(opts: dict, seed: int, out: Path) -> SuiteOutput:
     floer = tw.floer_norm(params)
     rel = floer.remainder_bound / floer.value if 0.0 < floer.value < math.inf else math.nan
     res.check("floer-norm", rel, 1e-4,
-              note="truncation remainder bound over the finite Floer norm of p1 + p2")
+              note="truncation remainder bound over the finite Floer norm of p1 + p2 + p3")
     res.summary["floer_norm"] = floer.value
     res.summary["floer_remainder"] = floer.remainder_bound
     return res

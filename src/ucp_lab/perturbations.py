@@ -4,23 +4,24 @@ Shipped kinds all satisfy P(0) = 0 exactly; each is data on its carrier a,
 and the zero kind has none:
   pointwise   P(u)(x) = <u(x), a(x)> u(x)   fiber_pairing
   matrix      P(u)(x) = M(x) u(x)           matrix (torus linearization)
-  rank-one    P(u)(x) = <u, a>_{L2} a(x)    l2_pairing, and its field map
-Other nonlocal kinds are a whole-field map, Perturbation(a, field=...).
-integrate_zero_data marches the zero and local kinds by one RK4 stage loop
-on Python scalars (order 4), with M folded into the generator; nonlocal
-kinds, frozen once per step (zero ahead of the front, rank-one from a
-running <u, a>), march by RK4 step matrices built for all steps at once.
+  rank-one    P(u)(x) = <u, a>_{L2} a(x)    l2_pairing
+integrate_zero_data marches the linear kinds by the RK4 step matrices of
+one generator, rank-one by superposition, and the nonlinear pointwise kind
+by an RK4 stage loop on Python scalars; every kind at order 4.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .clifford import fiber_inner
-from .errors import DomainMismatchError
+from .errors import DomainMismatchError, FlowInstabilityError, PreconditionError
 from .fields import Grid1D, SpinorField, l2_inner, same_grid
+
+# |1 - <w, a>| below which the rank-one march has no unique solution
+DEGENERATE_PAIRING = 1e-8
 
 
 @dataclass(eq=False)
@@ -28,8 +29,7 @@ class Perturbation:
     a: Optional[SpinorField] = None    # carrier field: the grid P lives on
     fiber_pairing: bool = False        # pointwise: P(u)(x) = <u(x), a(x)> u(x)
     matrix: Optional[np.ndarray] = None  # matrix kind: P(u)(x) = M(x) u(x)
-    field: Optional[Callable] = None   # nonlocal kinds: SpinorField -> values
-    l2_pairing: bool = False           # nonlocal: field(u) = <u, a>_{L2} a
+    l2_pairing: bool = False           # rank-one: P(u)(x) = <u, a>_{L2} a(x)
 
     @classmethod
     def zero(cls) -> "Perturbation":
@@ -41,7 +41,7 @@ class Perturbation:
 
     @classmethod
     def rank_one(cls, a: SpinorField) -> "Perturbation":
-        return cls(a, field=lambda u: l2_inner(u, a) * a.values, l2_pairing=True)
+        return cls(a, l2_pairing=True)
 
     @classmethod
     def matrix_field(cls, carrier: SpinorField, matrix: np.ndarray) -> "Perturbation":
@@ -51,8 +51,8 @@ class Perturbation:
 def eval_perturbation(P: Perturbation, u: SpinorField) -> SpinorField:
     if P.a is not None:
         same_grid(P.a.grid, u.grid)
-    if P.field is not None:
-        return SpinorField(u.grid, P.field(u))
+    if P.l2_pairing:
+        return SpinorField(u.grid, l2_inner(u, P.a) * P.a.values)
     if P.fiber_pairing:
         return SpinorField(u.grid, fiber_inner(u.values, P.a.values)[..., None] * u.values)
     if P.matrix is not None:
@@ -129,15 +129,11 @@ def ucp_condition_check(a: SpinorField, u: SpinorField) -> UcpConditionResult:
 def integrate_zero_data(op, P: Perturbation, u0: np.ndarray) -> SpinorField:
     """March D u + P(u) = 0 on the operator grid by RK4 from slice data u0.
 
-    The generator B + C (+ cl(dt)^-1 M for the matrix kind) and the pointwise
-    carrier are read at the stage offsets 0, 1/2 and 1 of each step, the
-    midpoint by the 4-point rule.  The zero and local kinds march stage by
-    stage at order 4, on Python complex scalars with no numpy call in a
-    step.  A nonlocal kind is evaluated once per step on the marched state
-    (zero ahead of the front, exact for zero data) and taken linear between
-    the stage times, at order 2; such a step is affine, u_{i+1} = M_i u_i +
-    N0_i f_i + N1_i f_{i+1}, so it marches by those step matrices.
-    """
+    Each coefficient (B + C, M, the carrier) is read at the stage offsets 0,
+    1/2 and 1 of a step, the midpoint by the 4-point rule, so every kind
+    marches at order 4.  Rank-one solves its stated equation by u = u_h +
+    S w, S = <u_h, a> / (1 - <w, a>): u_h marched from u0 unperturbed, w from
+    0 forced by -cl(dt)^-1 a.  An overflow raises FlowInstabilityError."""
     grid: Grid1D = op.grid
     if not isinstance(grid, Grid1D):
         raise DomainMismatchError("initial-value integration is 1D only")
@@ -146,30 +142,57 @@ def integrate_zero_data(op, P: Perturbation, u0: np.ndarray) -> SpinorField:
     rank = op.cl_dt.shape[-1]
     if np.shape(u0) != (rank,):
         raise DomainMismatchError(f"slice data of shape {np.shape(u0)}, expected ({rank},)")
-    values = np.zeros((grid.n, rank), dtype=complex)
-    values[0] = np.asarray(u0, dtype=complex)
-    cl_inv = -op.cl_dt  # cl(dt)^{-1}
-    h = grid.spacing
     generator = op.B if op.generator is None else op.generator  # B + C; B = C = 0 for None
-    tangential = _stages(generator if P.matrix is None else generator + cl_inv @ P.matrix)
-    if P.field is not None:
-        M, N0, N1 = _step_matrices(tangential, cl_inv, h)
-        if P.l2_pairing:  # the frozen rows S_i a_i, S_i a_{i+1} fold into S_i b_i
-            a = P.a.values
-            b = (N0 @ a[:-1, :, None] + N1 @ a[1:, :, None])[..., 0]
-            wa, pairing = grid.quad_weights()[:, None] * np.conj(a), 0.0
-        for i in range(grid.n - 1):
-            if P.l2_pairing:  # S_i = sum_{j<=i} w_j <u_j, a_j>, one row per step
-                pairing = pairing + wa[i] @ values[i]
-                values[i + 1] = M[i] @ values[i] + pairing * b[i]
-            else:
-                f = P.field(SpinorField(grid, values))
-                values[i + 1] = M[i] @ values[i] + N0[i] @ f[i] + N1[i] @ f[i + 1]
-        return SpinorField(grid, values)
-    gen = [(-g).tolist() for g in tangential.values()]  # stage values as lists
-    car = ([np.conj(c).tolist() for c in _stages(P.a.values).values()]  # z pairs conj(a)
-           if P.fiber_pairing else [[None] * (grid.n - 1)] * 3)
-    cl, components = cl_inv.tolist(), range(rank)
+    march = _pointwise_march if P.fiber_pairing else _linear_march
+    values = march(generator, -op.cl_dt, P, np.asarray(u0, dtype=complex), grid.spacing)
+    if not np.isfinite(values).all():
+        raise FlowInstabilityError(f"zero-data march overflows on [0, {grid.t[-1]:.4g}]")
+    return SpinorField(grid, values)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the caller raises on an overflow
+def _linear_march(generator, cl_inv, P: Perturbation, u0, h: float) -> np.ndarray:
+    """u' = A u, A = -(B + C) less cl(dt)^-1 M for the matrix kind.  Rank-one
+    marches the state (u, I, c) with I' = <u, a>, c' = 0 and c forcing u by
+    -cl(dt)^-1 a, from the columns (u0, 0, 0) and (0, 0, 1): u_h, w and their
+    pairings from one build.  Where 1 - <w, a> vanishes, zero data has the
+    nonzero solution S w (the rank-one counterexample): PreconditionError."""
+    A = -(generator if P.matrix is None else generator + cl_inv @ P.matrix)
+    if not P.l2_pairing:
+        return _march(A, u0, h)
+    a, r = P.a.values, len(u0)
+    aug = np.zeros((len(a), r + 2, r + 2), dtype=complex)
+    aug[:, :r, :r], aug[:, r, :r], aug[:, :r, r + 1] = A, np.conj(a), -a @ cl_inv.T
+    start = np.zeros((r + 2, 2), dtype=complex)
+    start[:r, 0], start[r + 1, 1] = u0, 1.0
+    x = _march(aug, start, h)
+    pair_h, pair_w = x[-1, r]
+    if abs(1.0 - pair_w) < DEGENERATE_PAIRING:
+        raise PreconditionError(f"rank-one march degenerate: |1 - <w, a>| = "
+                                f"{abs(1.0 - pair_w):.3e}; zero data has a nonzero solution")
+    return x[:, :r, 0] + (pair_h / (1.0 - pair_w)) * x[:, :r, 1]
+
+
+def _march(A: np.ndarray, x0: np.ndarray, h: float) -> np.ndarray:
+    """RK4 march of x' = A(t) x from x0: the step matrices of all steps at
+    once, by the stage recursion on the identity, then one product a step."""
+    stage = _stages(A)
+    k2 = stage[0.5] + (0.5 * h) * (stage[0.5] @ stage[0.0])
+    k3 = stage[0.5] + (0.5 * h) * (stage[0.5] @ k2)
+    k4 = stage[1.0] + h * (stage[1.0] @ k3)
+    steps = np.eye(A.shape[-1]) + (h / 6.0) * (stage[0.0] + 2 * k2 + 2 * k3 + k4)
+    x = np.empty((len(A),) + x0.shape, dtype=complex)
+    x[0] = x0
+    for i, step in enumerate(steps):
+        np.matmul(step, x[i], out=x[i + 1])
+    return x
+
+
+def _pointwise_march(generator, cl_inv, P: Perturbation, u0, h: float) -> np.ndarray:
+    """RK4 stages on Python complex scalars, no numpy call in a step."""
+    gen = [(-g).tolist() for g in _stages(generator).values()]  # stage values as lists
+    car = [np.conj(c).tolist() for c in _stages(P.a.values).values()]  # z pairs conj(a)
+    cl, components = cl_inv.tolist(), range(len(u0))
 
     def dot(x, y):
         acc = 0j
@@ -177,14 +200,12 @@ def integrate_zero_data(op, P: Perturbation, u0: np.ndarray) -> SpinorField:
             acc += x[j] * y[j]
         return acc
 
-    def rhs(g, c, z):  # -(generator) z, less cl(dt)^-1 <z, a> z when pointwise
-        if c is None:
-            return [dot(row, z) for row in g]
+    def rhs(g, c, z):  # -(generator) z - cl(dt)^-1 <z, a> z
         p = dot(z, c)
         pz = [p * x for x in z]
         return [dot(row, z) - dot(row_cl, pz) for row, row_cl in zip(g, cl)]
 
-    y = values[0].tolist()
+    y = u0.tolist()
     out = [y]
     for g0, gm, g1, c0, cm, c1 in zip(*gen, *car):
         k1 = rhs(g0, c0, y)
@@ -194,28 +215,7 @@ def integrate_zero_data(op, P: Perturbation, u0: np.ndarray) -> SpinorField:
         y = [a + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         out.append(y)
-    return SpinorField(grid, np.array(out))
-
-
-def _step_matrices(tangential: dict, cl_inv: np.ndarray, h: float) -> list:
-    """M, N0 and N1 of every RK4 step of u' = -(B + C) u - cl_inv f, with f
-    linear between the frozen rows f_i and f_{i+1}: the stage recursion
-    applied to the coefficients of (u_i, f_i, f_{i+1}) instead of a state."""
-    r = cl_inv.shape[0]
-    start = np.zeros((len(tangential[0.0]), r, 3 * r), dtype=complex)
-    start[:, :, :r] = np.eye(r)
-
-    def k(s, z):
-        dz = -tangential[s] @ z
-        dz[:, :, r:2 * r] -= (1.0 - s) * cl_inv
-        dz[:, :, 2 * r:] -= s * cl_inv
-        return dz
-
-    k1 = k(0.0, start)
-    k2 = k(0.5, start + 0.5 * h * k1)
-    k3 = k(0.5, start + 0.5 * h * k2)
-    k4 = k(1.0, start + h * k3)
-    return np.split(start + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), 3, axis=-1)
+    return np.array(out)
 
 
 def _stages(c: np.ndarray) -> dict:

@@ -405,6 +405,11 @@ def test_decay_precondition_errors():
     bad = SpinorField(geom.grid, np.ones((geom.grid.n, 2), dtype=complex))
     with pytest.raises(PreconditionError):
         ucp_decay_check(op, Perturbation.zero(), bad, [1e5, 1e6], geom)
+    # a NaN residual is not below 1e-8 either: no report of NaN constants
+    nan = np.zeros((geom.grid.n, 2), dtype=complex)
+    nan[5:, 0] = np.nan
+    with pytest.raises(PreconditionError, match="residual nan"):
+        ucp_decay_check(op, Perturbation.zero(), SpinorField(geom.grid, nan), [1e5, 1e6], geom)
 
 
 def test_decay_inconclusive_below_crossover():

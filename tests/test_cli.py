@@ -146,6 +146,23 @@ def test_both_ends_of_the_T_range_run_to_a_report(tmp_path, suite, T):
     assert json.loads((out / "report.json").read_text())["config"]["T"] == float(T)
 
 
+@pytest.mark.parametrize("T", ["1e4", "1e150"])
+def test_decay_march_overflow_is_suite_error(tmp_path, T):
+    """A zero-data march that overflows ends the decay run in a suite-error
+    naming the overflow, with no RuntimeWarning, not in NaN constants and an
+    exit 0."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"T = {T}\nn_t = 257\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli("run", "--suite", "decay", "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    [assertion] = json.loads((out / "report.json").read_text())["assertions"]
+    assert assertion["name"] == "suite-error"
+    assert "zero-data march overflows" in assertion["note"]
+
+
 @pytest.mark.parametrize("suite, line", [
     ("carleman", "bounded_factor = 40"), ("decay", "slope_tol = 0.5"),
     ("sw-gradcheck", "min_order = -5.0"), ("sw-gradcheck", "adjoint_tol = 1e9"),

@@ -1,9 +1,10 @@
 """Print a sha256 for every output file and for the stdout of the six
-default suites, each run at seed 42 into a temporary directory, one for the
-sw-flow checkpoint as load_checkpoint reads it back, and one for the first
-items of each benchmark workload at a fixed seed.  Run it on two source
-trees and diff the two listings to check that a change leaves every suite
-output, the checkpoint load and every benchmark item bit-identical:
+default suites and of decay at perturbation = pointwise and rank-one, each
+run at seed 42 into a temporary directory, one for the sw-flow checkpoint
+as load_checkpoint reads it back, and one for the first items of each
+benchmark workload at a fixed seed.  Run it on two source trees and diff
+the two listings to check that a change leaves every suite output, the
+checkpoint load and every benchmark item bit-identical:
 
     python3 tools/suite_digest.py [SRC_DIR]
 """
@@ -19,17 +20,29 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BENCH_SEED, BENCH_ITEMS = 3, 4
 
 
+# runs beyond the defaults: (label, suite, config text)
+VARIANTS = [("decay[pointwise]", "decay", "perturbation = pointwise\n"),
+            ("decay[rank-one]", "decay", "perturbation = rank-one\n")]
+
+
 def suite_digests(cli, root: Path):
-    """(name, sha256) of stdout and of every file the suite writes, in path order."""
-    for suite in cli.SUITES:
-        out = root / suite
+    """(name, sha256) of stdout and of every file the suite writes, in path
+    order, for each default suite and each of VARIANTS."""
+    runs = [(suite, suite, None) for suite in cli.SUITES] + VARIANTS
+    for label, suite, config in runs:
+        out = root / label
+        args = ["run", "--suite", suite, "--seed", SEED, "--out", str(out)]
+        if config is not None:
+            path = root / f"{label}.cfg"
+            path.write_text(config)
+            args += ["--config", str(path)]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            code = cli.main(["run", "--suite", suite, "--seed", SEED, "--out", str(out)])
-        yield f"{suite} exit", str(code)
-        yield f"{suite} stdout", hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+            code = cli.main(args)
+        yield f"{label} exit", str(code)
+        yield f"{label} stdout", hashlib.sha256(stdout.getvalue().encode()).hexdigest()
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            yield (f"{suite} {path.relative_to(out).as_posix()}",
+            yield (f"{label} {path.relative_to(out).as_posix()}",
                    hashlib.sha256(path.read_bytes()).hexdigest())
 
 

@@ -1,10 +1,12 @@
 """Configuration checkpoints.
 
-Checkpoint layout: one UTF-8 JSON header line, a newline, then raw
-little-endian float64 bytes of the Fourier coefficients of a and psi,
-row-major over (k1, k2, k3) with components innermost and each complex
-entry stored as (re, im).  Mode order along each axis follows the FFT
-convention 0, 1, ..., N, -N, ..., -1.
+Checkpoint layout: one UTF-8 JSON header line, a newline, then the
+configuration as the lattice holds it, in physical space: alpha as
+little-endian float64, shape (3, n, n, n), then psi as little-endian
+complex128, each entry an (re, im) pair of float64, shape (2, n, n, n).
+Both are row-major, components first.  Saving and loading copy the bytes
+and make no transform, so a loaded configuration equals the saved one bit
+for bit.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import CheckpointError
 from .torus import PerturbationParams, SWConfiguration, TorusLattice
 
-_MAGIC = "ucp-lab-checkpoint"
+FORMAT = "ucp-lab-checkpoint-physical"
 
 
 def params_hash(params: Optional[PerturbationParams]) -> str:
@@ -33,61 +35,48 @@ def params_hash(params: Optional[PerturbationParams]) -> str:
     return h.hexdigest()
 
 
-def _pack(arr_hat: np.ndarray) -> bytes:
-    # (comp, n, n, n) complex -> (n, n, n, comp) little-endian complex128, i.e. (re, im) f64
-    return np.ascontiguousarray(np.moveaxis(arr_hat, 0, -1), dtype="<c16").tobytes()
-
-
-def _unpack(raw: bytes, n: int, comps: int) -> np.ndarray:
-    return np.moveaxis(np.frombuffer(raw, dtype="<c16").reshape(n, n, n, comps), -1, 0)
-
-
 def save_checkpoint(config: SWConfiguration, path, case: str = "unperturbed",
                     params: Optional[PerturbationParams] = None) -> None:
     lat = config.lattice
-    a_hat = lat.fft(1j * config.alpha.astype(complex))
-    psi_hat = lat.fft(config.psi)
     header = {
-        "format": _MAGIC,
+        "format": FORMAT,
         "lattice_n": lat.n,
         "lattice_N": lat.N,
         "case": case,
         "params_hash": params_hash(params),
-        "arrays": {"a": [lat.n, lat.n, lat.n, 3], "psi": [lat.n, lat.n, lat.n, 2]},
-        "dtype": "complex as interleaved little-endian f64, components innermost",
+        "arrays": {"alpha": list(config.alpha.shape), "psi": list(config.psi.shape)},
+        "dtype": {"alpha": "<f8", "psi": "<c16"},
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(_pack(a_hat))
-        fh.write(_pack(psi_hat))
+        fh.write(np.ascontiguousarray(config.alpha, dtype="<f8"))
+        fh.write(np.ascontiguousarray(config.psi, dtype="<c16"))
 
 
 def load_checkpoint(path) -> Tuple[SWConfiguration, dict]:
     with open(path, "rb") as fh:
-        line, payload = fh.readline(), fh.read()
-    try:
-        header = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        header = None
-    if not isinstance(header, dict) or header.get("format") != _MAGIC:
-        raise CheckpointError("not a checkpoint file")
-    n, N = header.get("lattice_n"), header.get("lattice_N")
-    if not (type(n) is type(N) is int and N >= 1 and n == 2 * N + 1):
-        raise CheckpointError(f"lattice_n = {n!r} is not 2 * lattice_N + 1 for an int "
-                              f"lattice_N = {N!r} >= 1")
-    size_a = n ** 3 * 3 * 16
-    expected = size_a + n ** 3 * 2 * 16
-    if len(payload) != expected:
-        raise CheckpointError(f"payload has {len(payload)} bytes, expected {expected}")
-    a_hat = _unpack(payload[:size_a], n, 3)
-    psi_hat = _unpack(payload[size_a:], n, 2)
-    for name, arr in (("a_hat", a_hat), ("psi_hat", psi_hat)):
-        if not np.all(np.isfinite(arr)):
+        line = fh.readline()
+        try:
+            header = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            raise CheckpointError("not a checkpoint file: its first line is not "
+                                  "UTF-8 JSON") from None
+        found = header.get("format") if isinstance(header, dict) else None
+        if found != FORMAT:
+            raise CheckpointError(f"not a checkpoint file of format {FORMAT!r}: "
+                                  f"its format is {found!r}")
+        n, N = header.get("lattice_n"), header.get("lattice_N")
+        if not (type(n) is type(N) is int and N >= 1 and n == 2 * N + 1):
+            raise CheckpointError(f"lattice_n = {n!r} is not 2 * lattice_N + 1 for an int "
+                                  f"lattice_N = {N!r} >= 1")
+        alpha = np.empty((3, n, n, n), dtype="<f8")
+        psi = np.empty((2, n, n, n), dtype="<c16")
+        got = fh.readinto(alpha) + fh.readinto(psi) + len(fh.read())
+    expected = alpha.nbytes + psi.nbytes
+    if got != expected:
+        raise CheckpointError(f"payload has {got} bytes, expected {expected}")
+    for name, arr in (("alpha", alpha), ("psi", psi)):
+        if not np.isfinite(arr).all():
             raise CheckpointError(f"payload array {name} holds non-finite values")
-    lat = TorusLattice(N)
-    a = lat.ifft(a_hat)
-    if np.max(np.abs(a.real)) > 1e-12 * np.max(np.abs(a)):  # a = i alpha; refuse, not drop
-        raise CheckpointError("payload array a_hat has a real part beyond rounding")
-    return SWConfiguration(lat, a.imag, lat.ifft(psi_hat)), header
-
+    return SWConfiguration(TorusLattice(N), alpha, psi), header

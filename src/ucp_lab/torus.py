@@ -58,8 +58,8 @@ class TorusLattice:
     (n, n, n) and the volume element as every point's weight."""
 
     def __init__(self, N: int):
-        if N < 1:
-            raise ValueError("need N >= 1")
+        if not float(N).is_integer() or N < 1:  # int() would truncate 2.7 to 2
+            raise ValueError(f"need an integer N >= 1, got {N!r}")
         self.N = int(N)
         self.n = 2 * self.N + 1
         n = self.n
@@ -117,8 +117,8 @@ class TorusLattice:
     def D(self):
         """Spectral derivative on one axis, D[j, l] = c_{j-l mod n} with c_0 = 0
         and c_m = (-1)^m / (2 sin(pi m / n)) = -c_{n-m}, stored so that D = -D.T
-        bit for bit; built on first use, so a lattice that only transforms
-        never pays for it."""
+        bit for bit; built on first use, so a lattice that takes no
+        derivative, such as the one load_checkpoint builds, never pays for it."""
         m, j = np.arange(1, self.N + 1), np.arange(self.n)
         c = np.zeros(self.n)
         c[1:self.N + 1] = (-1.0) ** m / (2.0 * np.sin(np.pi * m / self.n))
@@ -718,10 +718,18 @@ def linearize(config: SWConfiguration,
 def gauge_apply(config: SWConfiguration, f: np.ndarray,
                 winding: Sequence[int] = (0, 0, 0)) -> SWConfiguration:
     """Gauge transformation u = exp(i(f + w.x)): a -> a - 2i d(f + w.x),
-    psi -> u psi.  Integer winding keeps u single-valued."""
+    psi -> u psi.  Only an integer winding keeps u single-valued, so any
+    other raises ValueError; an f or winding of the wrong shape raises
+    DomainMismatchError."""
     lat = config.lattice
-    w = np.asarray(winding, dtype=int).astype(float)
+    w = np.asarray(winding, dtype=float)
     f = np.asarray(f, dtype=float)
+    if w.shape != (3,) or f.shape != lat.shape:
+        raise DomainMismatchError(f"gauge_apply needs a winding of shape (3,) and f of "
+                                  f"shape {lat.shape}, got {w.shape} and {f.shape}")
+    if not np.all(np.isfinite(w) & (w == np.trunc(w))):
+        raise ValueError(f"winding {winding!r} is not integral, so exp(i w.x) is not "
+                         f"single-valued on the torus")
     phase = np.tensordot(w, lat.x, axes=(0, 0)) + f
     shift = 2.0 * w[:, None, None, None] * np.ones_like(config.alpha) + 2.0 * lat.partials(f)
     return SWConfiguration(lat, config.alpha - shift, np.exp(1j * phase)[None] * config.psi)

@@ -3,9 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucp_lab import torus as tw
-from ucp_lab.checkpoint import load_checkpoint, params_hash, save_checkpoint
+from ucp_lab.checkpoint import FORMAT, load_checkpoint, params_hash, save_checkpoint
 from ucp_lab.cli import _rng, main
 from ucp_lab.errors import CheckpointError
 
@@ -13,6 +15,12 @@ from ucp_lab.errors import CheckpointError
 @pytest.fixture(scope="module")
 def lat():
     return tw.TorusLattice(2)
+
+
+def assert_bits_equal(got, want):
+    """Equal as stored doubles, so -0.0 differs from 0.0 and NaN payloads count."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_round_trip(tmp_path, lat):
@@ -23,21 +31,59 @@ def test_round_trip(tmp_path, lat):
     loaded, header = load_checkpoint(path)
     assert header["case"] == "case1"
     assert header["lattice_N"] == lat.N
-    assert np.max(np.abs(loaded.alpha - cfg.alpha)) < 1e-12
-    assert np.max(np.abs(loaded.psi - cfg.psi)) < 1e-12
+    assert_bits_equal(loaded.alpha, cfg.alpha)
+    assert_bits_equal(loaded.psi, cfg.psi)
+    assert loaded.alpha.flags.writeable and loaded.psi.flags.writeable
 
 
-def test_loads_spectra_written_by_numpy_fft(tmp_path, lat, monkeypatch):
-    """A checkpoint whose spectra numpy's FFT wrote loads within 1e-13."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([5])))
-    cfg = tw.random_config(lat, rng, amplitude=0.7)
-    path = tmp_path / "numpy.ckpt"
-    with monkeypatch.context() as m:
-        m.setattr(tw.TorusLattice, "fft", lambda self, f: np.fft.fftn(f, axes=(-3, -2, -1)))
-        save_checkpoint(cfg, path)
+def _payload_config(N, flat):
+    """A configuration on TorusLattice(N) read from 7 n^3 doubles: alpha's
+    3 n^3, then psi's 2 n^3 (re, im) pairs."""
+    n = 2 * N + 1
+    return tw.SWConfiguration(tw.TorusLattice(N), flat[:3 * n ** 3].reshape(3, n, n, n),
+                              flat[3 * n ** 3:].view(complex).reshape(2, n, n, n))
+
+
+def _doubles(N, seed, entries):
+    """7 n^3 doubles over the whole float64 exponent range, with the drawn
+    (index, value) entries written over them."""
+    size = 7 * (2 * N + 1) ** 3
+    rng = np.random.default_rng(seed)
+    flat = rng.standard_normal(size) * 10.0 ** rng.integers(-320, 300, size)
+    for index, value in entries:
+        flat[index % size] = value
+    return flat
+
+
+EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308]
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2 ** 32 - 1),
+       entries=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                  st.floats(allow_nan=False, allow_infinity=False)
+                                  | st.sampled_from(EDGE_DOUBLES)), max_size=40))
+def test_round_trip_is_bit_exact_for_any_finite_doubles(tmp_path_factory, N, seed, entries):
+    """Signed zeros, subnormals and +-1e308 come back as the same bits."""
+    cfg = _payload_config(N, _doubles(N, seed, entries))
+    path = tmp_path_factory.mktemp("bits") / "state.ckpt"
+    save_checkpoint(cfg, path)
     loaded, _ = load_checkpoint(path)
-    for got, want in ((loaded.alpha, cfg.alpha), (loaded.psi, cfg.psi)):
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert_bits_equal(loaded.alpha, cfg.alpha)
+    assert_bits_equal(loaded.psi, cfg.psi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2 ** 32 - 1),
+       at=st.integers(0, 10 ** 6), bad=st.sampled_from([np.nan, -np.nan, np.inf, -np.inf]))
+def test_any_non_finite_double_is_refused_by_name(tmp_path_factory, N, seed, at, bad):
+    flat = _doubles(N, seed, [(at, bad)])
+    name = "alpha" if at % flat.size < 3 * (2 * N + 1) ** 3 else "psi"
+    path = tmp_path_factory.mktemp("nonfinite") / "state.ckpt"
+    save_checkpoint(_payload_config(N, flat), path)
+    with pytest.raises(CheckpointError, match=f"payload array {name} "):
+        load_checkpoint(path)
 
 
 def test_header_is_json_line_with_layout(tmp_path, lat):
@@ -47,9 +93,23 @@ def test_header_is_json_line_with_layout(tmp_path, lat):
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
         payload = fh.read()
-    assert header["arrays"]["a"] == [lat.n, lat.n, lat.n, 3]
-    assert header["arrays"]["psi"] == [lat.n, lat.n, lat.n, 2]
-    assert len(payload) == lat.n ** 3 * (3 + 2) * 2 * 8
+    assert header["format"] == FORMAT
+    assert header["arrays"] == {"alpha": [3, lat.n, lat.n, lat.n], "psi": [2, lat.n, lat.n, lat.n]}
+    assert header["dtype"] == {"alpha": "<f8", "psi": "<c16"}
+    assert len(payload) == lat.n ** 3 * (3 * 8 + 2 * 16)
+
+
+def test_spectral_layout_file_is_refused_by_its_format(tmp_path, lat):
+    """A file in the earlier spectral layout, format "ucp-lab-checkpoint", is
+    not read: the error names the format string the file has."""
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(tw.SWConfiguration.zero(lat), path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    fields = json.loads(header)
+    fields["format"] = "ucp-lab-checkpoint"
+    path.write_bytes(json.dumps(fields, sort_keys=True).encode() + b"\n" + payload)
+    with pytest.raises(CheckpointError, match="'ucp-lab-checkpoint'$"):
+        load_checkpoint(path)
 
 
 def test_save_is_deterministic(tmp_path, lat):
@@ -86,34 +146,17 @@ def test_rejects_truncated_and_padded_payload(tmp_path, lat):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("name", ["a_hat", "psi_hat"])
+@pytest.mark.parametrize("name", ["alpha", "psi"])
 def test_rejects_non_finite_payload(tmp_path, lat, name, bad):
-    """One non-finite f64 in either array is refused by name, not spread by
-    the inverse transform over the whole configuration."""
+    """One non-finite f64 in either array is refused by name, at the first
+    byte of alpha or of psi."""
     path = tmp_path / "state.ckpt"
     save_checkpoint(tw.SWConfiguration.zero(lat), path)
     header, payload = path.read_bytes().split(b"\n", 1)
-    at = 0 if name == "a_hat" else lat.n ** 3 * 3 * 16
+    at = 0 if name == "alpha" else lat.n ** 3 * 3 * 8
     payload = payload[:at] + np.array([bad], dtype="<f8").tobytes() + payload[at + 8:]
     path.write_bytes(header + b"\n" + payload)
     with pytest.raises(CheckpointError, match=name):
-        load_checkpoint(path)
-
-
-def test_rejects_a_hat_whose_field_is_not_imaginary(tmp_path, lat):
-    """a = i alpha is imaginary-valued.  Adding 5 to every coefficient of a
-    gives the field a real part that the load would silently drop, so it is
-    refused by name; the rounding-level real part of a saved random
-    configuration passes."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([6])))
-    path = tmp_path / "state.ckpt"
-    save_checkpoint(tw.random_config(lat, rng, amplitude=0.7), path)
-    load_checkpoint(path)
-    header, payload = path.read_bytes().split(b"\n", 1)
-    raw = np.frombuffer(payload, dtype="<c16").copy()
-    raw[:lat.n ** 3 * 3] += 5.0
-    path.write_bytes(header + b"\n" + raw.tobytes())
-    with pytest.raises(CheckpointError, match="a_hat"):
         load_checkpoint(path)
 
 
@@ -129,31 +172,31 @@ def test_rejects_mismatched_lattice_size(tmp_path, lat):
 
 
 @pytest.mark.parametrize("line", [
-    b'{"format": "ucp-lab-checkpoint", "lattice_N": 2}',
-    b'["ucp-lab-checkpoint", 5, 2]',
-    b'\xff\xfe{"format": "ucp-lab-checkpoint"}',
-    b'ucp-lab-checkpoint lattice_n=5',
-    b'{"format": "ucp-lab-checkpoint", "lattice_n": "x", "lattice_N": 2}',
+    b'{"format": "%s", "lattice_N": 2}',
+    b'["%s", 5, 2]',
+    b'\xff\xfe{"format": "%s"}',
+    b'%s lattice_n=5',
+    b'{"format": "%s", "lattice_n": "x", "lattice_N": 2}',
 ], ids=["no-lattice_n", "json-list", "not-utf8", "not-json", "lattice_n-not-int"])
 def test_malformed_header_raises_checkpoint_error(tmp_path, lat, line):
     path = tmp_path / "state.ckpt"
     save_checkpoint(tw.SWConfiguration.zero(lat), path)
     payload = path.read_bytes().split(b"\n", 1)[1]
-    path.write_bytes(line + b"\n" + payload)
+    path.write_bytes(line % FORMAT.encode() + b"\n" + payload)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
 
 def test_payload_is_re_im_f64_pairs_components_innermost(tmp_path, lat):
-    """The payload is the layout the module states: spectra of a = i alpha,
-    then psi, (n, n, n, comp) row-major, each entry as little-endian (re, im)."""
+    """The payload is the layout the module states: alpha, (3, n, n, n)
+    row-major little-endian f64, then psi, (2, n, n, n) row-major with each
+    entry as little-endian (re, im) f64 innermost."""
     cfg = tw.random_config(lat, np.random.default_rng(3), amplitude=0.7)
     path = tmp_path / "state.ckpt"
     save_checkpoint(cfg, path)
     payload = path.read_bytes().split(b"\n", 1)[1]
-    want = b"".join(np.stack([m.real, m.imag], axis=-1).astype("<f8").tobytes()
-                    for m in (np.moveaxis(lat.fft(1j * cfg.alpha), 0, -1),
-                              np.moveaxis(lat.fft(cfg.psi), 0, -1)))
+    want = (cfg.alpha.astype("<f8").tobytes()
+            + np.stack([cfg.psi.real, cfg.psi.imag], axis=-1).astype("<f8").tobytes())
     assert payload == want
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from ucp_lab import torus as tw
-from ucp_lab.errors import FlowInstabilityError
+from ucp_lab.checkpoint import load_checkpoint, save_checkpoint
+from ucp_lab.errors import DomainMismatchError, FlowInstabilityError
 from ucp_lab.fields import l2_inner
 from ucp_lab.perturbations import admissibility_bound
 
@@ -178,6 +179,31 @@ def test_gauge_invariances_and_winding_shift(lat2, params2):
     oracle = np.array([2.0 * np.sum(m[0]) * lat2.volume_element for m in params2.mus])
     assert np.max(np.abs(shift - oracle)) < 1e-8
     assert abs(shift[0] - params2.winding_shift) < 1e-8
+
+
+@pytest.mark.parametrize("winding", [(1.5, 0, 0), (0, 0, -1e-9), (np.inf, 0, 0)])
+def test_gauge_refuses_non_integral_winding(lat2, winding):
+    """exp(i w.x) is single-valued only for integer w: 1.5 is not truncated to 1."""
+    cfg = tw.random_config(lat2, rng_for(41), amplitude=0.5)
+    with pytest.raises(ValueError, match="not integral"):
+        tw.gauge_apply(cfg, np.zeros(lat2.shape), winding)
+
+
+@pytest.mark.parametrize("f_shape, winding", [((5, 5, 5), (1, 0)), ((5, 5, 5), (1, 0, 0, 0)),
+                                              ((2, 5, 5), (1, 0, 0)), ((), (1, 0, 0))],
+                         ids=["winding-2", "winding-4", "f-short", "f-scalar"])
+def test_gauge_refuses_wrong_shapes_by_type(lat2, f_shape, winding):
+    cfg = tw.random_config(lat2, rng_for(42), amplitude=0.5)
+    with pytest.raises(DomainMismatchError, match="gauge_apply"):
+        tw.gauge_apply(cfg, np.zeros(f_shape), winding)
+
+
+@pytest.mark.parametrize("N", [2.7, 0, -1, 1.0 + 1e-12, np.nan, np.inf])
+def test_lattice_refuses_non_integral_or_small_N(N):
+    """TorusLattice(2.7) would otherwise build N = 2."""
+    with pytest.raises(ValueError, match="integer N >= 1"):
+        tw.TorusLattice(N)
+    assert tw.TorusLattice(2.0).N == 2 and tw.TorusLattice(np.int64(3)).n == 7
 
 
 def test_csd_gauge_invariant_without_winding():
@@ -657,12 +683,13 @@ def test_semi_implicit_step_solves_its_linear_system(N, dt):
     assert max(np.max(np.abs(res_a)), np.max(np.abs(res_p))) <= 1e-12 * scale
 
 
-def test_spectral_transform_counts(lat2, params2, monkeypatch):
+def test_spectral_transform_counts(lat2, params2, monkeypatch, tmp_path):
     """Derivatives make no Fourier transform: only case2's Green operator
     (one scalar pair for the dressing, one for the W-term) and the
-    semi-implicit resolvents (one pair per field) transform.  All four
-    TorusLattice transforms are counted, so switching between complex and
-    real transforms cannot hide calls."""
+    semi-implicit resolvents (one pair per field) transform; checkpoints
+    store physical-space fields and make none.  All four TorusLattice
+    transforms are counted, so switching between complex and real
+    transforms cannot hide calls."""
     calls = []
 
     def counted(transform):
@@ -678,7 +705,9 @@ def test_spectral_transform_counts(lat2, params2, monkeypatch):
     t = tw.random_tangent(lat2, rng)
     triple = tw.SystemTriple(rng.standard_normal(lat2.shape), t.alpha, t.phi)
     free = [lambda: lin.apply(t), lambda: lin.adjoint(triple),
-            lambda: tw.gauge_apply(cfg, rng.standard_normal(lat2.shape), (1, 0, 0))]
+            lambda: tw.gauge_apply(cfg, rng.standard_normal(lat2.shape), (1, 0, 0)),
+            lambda: save_checkpoint(cfg, tmp_path / "state.ckpt"),
+            lambda: load_checkpoint(tmp_path / "state.ckpt")]
     for case in ("unperturbed", "case1"):
         free += [lambda case=case: tw.csd(cfg, params2, case),
                  lambda case=case: tw.evaluate(cfg, params2, case)]

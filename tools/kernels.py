@@ -1,9 +1,11 @@
-"""Print one JSON line of kernel timings in milliseconds:
+"""Print one JSON line of kernel costs per call, the time in milliseconds
+and the minor page faults (the ru_minflt delta of getrusage(RUSAGE_SELF)):
 - torus, at N = 4, 8, 16 and 24: the four TorusLattice transforms, the
   lattice's partials on a real 3-form and on a complex spinor (skipped on
   a tree without them), curl and divergence, dirac3, csd and grad_csd for
-  each case, observables, linearize().apply and .adjoint, and one
-  unperturbed flow_step per scheme;
+  each case, observables, linearize().apply and .adjoint, one
+  unperturbed flow_step per scheme, and save_checkpoint and
+  load_checkpoint through a file in a temporary directory;
 - annulus, at 129 x 64 and 257 x 128 (T = 0.5): the annulus_operator build,
   dirac_apply, carleman_ratio at R = 20, and appendix_decomposition with the
   zero perturbation at R = 20;
@@ -16,18 +18,23 @@
   with 7 R values and 4 samples, as an interval benchmark item; and at 257,
   ucp_decay_check on the pointwise zero-data solution at the benchmark's
   7 R values.
-Each kernel is timed as the median of REPS calls after one warm-up call, in
-each of FRESH fresh child processes, and reported as the median over those
-processes, so one slow process cannot decide a kernel.  A fixed count, not
-a time budget, keeps the slow kernels at N >= 16 from being timed on a
-handful of calls.  Point it at another source tree to compare two versions:
+Each kernel's time and faults are the medians of REPS calls after one
+warm-up call, in each of FRESH fresh child processes, and are reported as
+the medians over those processes, so one slow process cannot decide a
+kernel.  A fixed count, not a time budget, keeps the slow kernels at
+N >= 16 from being timed on a handful of calls.  The line also records the
+BLAS thread variables the children ran under.  Point it at another source
+tree to compare two versions:
 
     python3 tools/kernels.py [SRC_DIR]
 """
 import json
+import os
+import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -38,19 +45,23 @@ ANNULUS_SIZES = ((129, 64), (257, 128))
 MARCH_SIZES = (257, 4097)
 REPS = 30   # timed calls per kernel and process
 FRESH = 3   # child processes per tree
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def median_ms(fn):
+def median_cost(fn):
+    """{"ms": median time, "minflt": median minor page faults} per call."""
     fn()  # warm caches and lazily built tables
-    times = []
+    times, faults = [], []
     for _ in range(REPS):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return 1e3 * statistics.median(times)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return {"ms": 1e3 * statistics.median(times), "minflt": statistics.median(faults)}
 
 
-def torus_kernels(tw, N):
+def torus_kernels(tw, ck, N, scratch: Path):
     lat = tw.TorusLattice(N)
     params = tw.default_params(lat)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([N])))
@@ -59,6 +70,8 @@ def torus_kernels(tw, N):
     half = lat.rfft(cfg.alpha)
     lin, tangent = tw.linearize(cfg), tw.random_tangent(lat, rng)
     triple = lin.apply(tangent)
+    ckpt = scratch / f"torus_{N}.ckpt"
+    ck.save_checkpoint(cfg, ckpt)
     per_case = {f"{name}_{case}": lambda fn=fn, case=case: fn(cfg, params, case)
                 for case in tw._CASES for name, fn in (("csd", tw.csd), ("grad_csd", tw.grad_csd))}
     partials = ({"partials_form": lambda: lat.partials(cfg.alpha),
@@ -80,6 +93,8 @@ def torus_kernels(tw, N):
         "flow_step_explicit": lambda: tw.flow_step(small, None, "unperturbed", dt=1e-3),
         "flow_step_semi_implicit": lambda: tw.flow_step(
             small, None, "unperturbed", dt=3.0, scheme="semi-implicit"),
+        "save_checkpoint": lambda: ck.save_checkpoint(cfg, ckpt),
+        "load_checkpoint": lambda: ck.load_checkpoint(ckpt),
     }
 
 
@@ -133,16 +148,18 @@ def interval_kernels(cl, ops, pt, cx, cli):
 def child(src: Path):
     """Per-process medians of every kernel, one JSON line."""
     sys.path.insert(0, str(src.resolve()))
-    from ucp_lab import carleman, cli, counterexamples, operators, perturbations, torus
-    out = {"torus": {str(N): {name: median_ms(fn) for name, fn in torus_kernels(torus, N).items()}
-                     for N in TORUS_SIZES},
-           "annulus": {f"{n_t}x{n_theta}": {
-               name: median_ms(fn)
-               for name, fn in annulus_kernels(carleman, operators, perturbations,
-                                               n_t, n_theta).items()}
-               for n_t, n_theta in ANNULUS_SIZES},
-           "interval": {"1d": {name: median_ms(fn) for name, fn in interval_kernels(
-               carleman, operators, perturbations, counterexamples, cli).items()}}}
+    from ucp_lab import (carleman, checkpoint, cli, counterexamples, operators,
+                         perturbations, torus)
+    with tempfile.TemporaryDirectory() as scratch:
+        out = {"torus": {str(N): {name: median_cost(fn) for name, fn in torus_kernels(
+            torus, checkpoint, N, Path(scratch)).items()} for N in TORUS_SIZES}}
+    out["annulus"] = {f"{n_t}x{n_theta}": {
+        name: median_cost(fn)
+        for name, fn in annulus_kernels(carleman, operators, perturbations,
+                                        n_t, n_theta).items()}
+        for n_t, n_theta in ANNULUS_SIZES}
+    out["interval"] = {"1d": {name: median_cost(fn) for name, fn in interval_kernels(
+        carleman, operators, perturbations, counterexamples, cli).items()}}
     print(json.dumps(out))
 
 
@@ -154,9 +171,14 @@ if __name__ == "__main__":
     runs = [json.loads(subprocess.run([sys.executable, __file__, "--child", str(src)],
                                       capture_output=True, text=True, check=True).stdout)
             for _ in range(FRESH)]
-    median = {layer: {size: {name: round(statistics.median(r[layer][size][name] for r in runs), 4)
+    median = {layer: {size: {name: {key: round(statistics.median(r[layer][size][name][key]
+                                                                 for r in runs), 4)
+                                    for key in ("ms", "minflt")}
                              for name in kernels}
                       for size, kernels in sizes.items()}
               for layer, sizes in runs[0].items()}
-    print(json.dumps({"src": str(src), "numpy": np.__version__, "unit": "ms",
-                      "processes": FRESH, "median_ms": median}))
+    print(json.dumps({"src": str(src), "numpy": np.__version__,
+                      "threads": {name: os.environ.get(name) for name in THREAD_VARS},
+                      "units": {"ms": "milliseconds per call",
+                                "minflt": "minor page faults per call"},
+                      "processes": FRESH, "median": median}))

@@ -40,6 +40,12 @@ M_TANH = 1.6  # sup |tanh| on the unit strip around the real axis (Cauchy bound)
 RESONANCE_MARGIN = 1e-6
 
 
+def _float_view(f):
+    """A complex field's (re, im) float view, or a real field as floats."""
+    return (np.ascontiguousarray(f, dtype=complex).view(float) if np.iscomplexobj(f)
+            else np.asarray(f, dtype=float))
+
+
 def _curl_of(d):
     """curl f from the partials d[j] = d_j f of a 3-component field f."""
     return np.stack([d[1, 2] - d[2, 1], d[2, 0] - d[0, 2], d[0, 1] - d[1, 0]])
@@ -48,77 +54,33 @@ def _curl_of(d):
 class TorusLattice:
     """Fourier lattice with modes |k_j| <= N on the 2pi-periodic grid (n = 2N+1).
 
-    Spinors use the full complex transforms with wave vectors k; real fields
-    (alpha, scalars) use the half spectrum (rfft) with wave vectors kr,
-    |k|^2 = k2r and inverse Laplacian multiplier green_r.  n is odd, so there
-    is no Nyquist mode and irfft equals ifft(...).real of the full spectrum.
-    Each transform is one matmul per axis with the n x n DFT matrix, faster
-    than an FFT at the small odd, often prime, n in use; derivatives are real
-    matmuls with the matrix D, no transform.  As a field carrier it has shape
-    (n, n, n) and the volume element as every point's weight."""
+    Derivatives are real matmuls with the spectral derivative matrix D along
+    each axis; every other Fourier operator is a multiplier of |k|^2, applied
+    by multiply in the real orthonormal basis V of each axis.  x, D, V, k2 and
+    green are built on first use, so a loaded lattice never pays for them.  As
+    a field carrier it has shape (n, n, n) and the volume element as weight."""
 
     def __init__(self, N: int):
         if not float(N).is_integer() or N < 1:  # int() would truncate 2.7 to 2
             raise ValueError(f"need an integer N >= 1, got {N!r}")
         self.N = int(N)
         self.n = 2 * self.N + 1
-        n = self.n
-        self.shape = (n, n, n)
-        k1 = np.fft.fftfreq(n, 1.0 / n)
-        self.k = np.stack(np.meshgrid(k1, k1, k1, indexing="ij"))
-        self.k2 = np.sum(self.k ** 2, axis=0)
-        self.kr = np.ascontiguousarray(self.k[..., :self.N + 1])
-        self.k2r = np.ascontiguousarray(self.k2[..., :self.N + 1])
-        x1 = np.arange(n) * (2.0 * np.pi / n)
-        self.x = np.stack(np.meshgrid(x1, x1, x1, indexing="ij"))
-        self.volume_element = (2.0 * np.pi / n) ** 3
+        self.shape = (self.n,) * 3
+        self.volume_element = (2.0 * np.pi / self.n) ** 3
         self.volume = (2.0 * np.pi) ** 3
-        self.green_r = np.divide(1.0, self.k2r, out=np.zeros_like(self.k2r),
-                                 where=self.k2r > 0)
-        j, m = np.arange(n), self.N + 1
-        self._dft = np.exp(-2j * np.pi * (np.outer(j, j) % n) / n)
-        self._idft = np.conj(self._dft) / n
-        # x <-> half spectrum h, re/im interleaved: x = Re sum_k w_k h_k e^{ikx}/n, w = 1,2,..,2
-        half, back = self._dft[:, :m], np.where(j[:m, None] == 0, 1.0, 2.0) * self._idft[:m]
-        self._to_half = np.stack([half.real, half.imag], axis=-1).reshape(n, 2 * m)
-        self._from_half = np.stack([back.real, -back.imag], axis=1).reshape(2 * m, n)
 
     def quad_weights(self) -> np.ndarray:
         return np.full(self.shape, self.volume_element)
 
-    # -- spectral primitives: one matmul per lattice axis ---------------------
-    @staticmethod
-    def _last(f, mat):
-        return (f.reshape(-1, f.shape[-1]) @ mat).reshape(f.shape[:-1] + mat.shape[1:])
-
-    def _outer(self, g, mat):
-        """mat applied along lattice axes -3, then -2, of g (..., n, n, m)."""
-        return mat @ (mat @ g.reshape(g.shape[:-3] + (self.n, -1))).reshape(g.shape)
-
-    def fft(self, f):
-        return self._outer(self._last(f, self._dft), self._dft)
-
-    def ifft(self, f):
-        return self._outer(self._last(f, self._idft), self._idft)
-
-    def rfft(self, f):
-        f = f.astype(float, casting="safe", copy=False)  # complex input raises TypeError
-        return self._outer(self._last(f, self._to_half).view(complex), self._dft)
-
-    def irfft(self, h):
-        return self._last(self._outer(h, self._idft).view(float), self._from_half)
-
-    def spectral(self, f, symbol):
-        """irfft(symbol(rfft(f))) for a real field: one forward and one inverse
-        transform of the whole stacked input, symbols on the half spectrum."""
-        return self.irfft(symbol(self.rfft(f)))
+    @functools.cached_property
+    def x(self):
+        x1 = np.arange(self.n) * (2.0 * np.pi / self.n)
+        return np.stack(np.meshgrid(x1, x1, x1, indexing="ij"))
 
     @functools.cached_property
     def D(self):
-        """Spectral derivative on one axis, D[j, l] = c_{j-l mod n} with c_0 = 0
-        and c_m = (-1)^m / (2 sin(pi m / n)) = -c_{n-m}, stored so that D = -D.T
-        bit for bit; built on first use, so a lattice that takes no
-        derivative, such as the one load_checkpoint builds, never pays for it."""
+        """Spectral derivative on one axis, D[j, l] = c_{j-l mod n}, c_0 = 0 and
+        c_m = (-1)^m / (2 sin(pi m / n)) = -c_{n-m}, so that D = -D.T bit for bit."""
         m, j = np.arange(1, self.N + 1), np.arange(self.n)
         c = np.zeros(self.n)
         c[1:self.N + 1] = (-1.0) ** m / (2.0 * np.sin(np.pi * m / self.n))
@@ -126,23 +88,62 @@ class TorusLattice:
         return c[(j[:, None] - j) % self.n]
 
     @functools.cached_property
-    def _d_last_complex(self):
-        """kron(D.T, I_2): D along the last axis of a complex field's float view."""
-        return np.kron(self.D.T, np.eye(2))
+    def V(self):
+        """Orthonormal basis of one axis, the eigenvectors of D^2: 1/sqrt(n), then
+        sqrt(2/n) cos(m x) and sqrt(2/n) sin(m x) in columns 2m - 1 and 2m."""
+        j, m = np.arange(self.n), np.arange(1, self.N + 1)
+        mx = (2.0 * np.pi / self.n) * (np.outer(j, m) % self.n)
+        V = np.full((self.n, self.n), math.sqrt(1.0 / self.n))
+        V[:, 1::2], V[:, 2::2] = np.cos(mx), np.sin(mx)
+        V[:, 1:] *= math.sqrt(2.0 / self.n)
+        return V
+
+    @functools.cached_property
+    def k2(self):
+        """|k|^2 of each product basis function: column c of V has |k| = (c + 1) // 2."""
+        m2 = ((np.arange(self.n) + 1) // 2).astype(float) ** 2
+        return m2[:, None, None] + m2[:, None] + m2
+
+    @functools.cached_property
+    def green(self):
+        """The inverse Laplacian's multiplier G = 1/|k|^2, 0 on the constants."""
+        return np.divide(1.0, self.k2, out=np.zeros(self.shape), where=self.k2 > 0)
+
+    @functools.cached_property
+    def _last_complex(self):
+        """kron(D.T, I_2) and kron(V, I_2): D and V along the last axis of a
+        complex field's float view."""
+        return np.kron(self.D.T, np.eye(2)), np.kron(self.V, np.eye(2))
+
+    def _along_axes(self, g, left, right):
+        """left along lattice axes -3 and -2 of the float array g, right along its last."""
+        outer = g.shape[:-3] + (self.n, -1)
+        g = left @ (left @ g.reshape(outer)).reshape(g.shape)
+        return (g.reshape(-1, g.shape[-1]) @ right).reshape(g.shape)
+
+    def multiply(self, f, m):
+        """The multiplier m, an (n, n, n) array on k2, applied to a real or complex
+        (..., n, n, n) field: V.T along each lattice axis, the product with m on
+        the basis coefficients, V back, as real matmuls on its float view."""
+        cplx = np.iscomplexobj(f)
+        V, last = self.V, self._last_complex[1] if cplx else self.V
+        h = self._along_axes(_float_view(f), V.T, last)
+        h.reshape(h.shape[:-1] + (self.n, -1))[...] *= m[..., None]  # (re, im) pairs last
+        out = self._along_axes(h, V, last.T)
+        return out.view(complex) if cplx else out
 
     def partials(self, f):
         """(d_0 f, d_1 f, d_2 f) of a real or complex (..., n, n, n) field as one
         (3, ..., n, n, n) array, one real matmul with D per lattice axis on the
         field or its (re, im) float view."""
         cplx = np.iscomplexobj(f)
-        g = (np.ascontiguousarray(f, dtype=complex).view(float) if cplx
-             else np.asarray(f, dtype=float))
+        g = _float_view(f)
         D, out = self.D, np.empty((3,) + g.shape)
         outer = g.shape[:-3] + (self.n, -1)
         np.matmul(D, g.reshape(outer), out=out[0].reshape(outer))
         np.matmul(D, g, out=out[1])
         rows = (-1, g.shape[-1])
-        np.matmul(g.reshape(rows), self._d_last_complex if cplx else D.T, out=out[2].reshape(rows))
+        np.matmul(g.reshape(rows), self._last_complex[0] if cplx else D.T, out=out[2].reshape(rows))
         return out.view(complex) if cplx else out
 
     def divergence(self, vec):
@@ -406,8 +407,8 @@ def sigma_polarized(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def _dressing(lat: TorusLattice, div_alpha: np.ndarray) -> np.ndarray:
     """The eta dressing exp(-G d*(A - A_0)/2) = exp(i G(div alpha)/2), a
-    unit-modulus scalar: G by one scalar rfft/irfft pair."""
-    return np.exp(1j * lat.spectral(div_alpha, lambda h: 0.5 * lat.green_r * h))
+    unit-modulus scalar: G by one scalar multiply."""
+    return np.exp(0.5j * lat.multiply(div_alpha, lat.green))
 
 
 def _taus(config: SWConfiguration, mus: np.ndarray) -> np.ndarray:
@@ -497,7 +498,7 @@ def evaluate(config: SWConfiguration, params: Optional[PerturbationParams] = Non
 
 def _evaluate(config: SWConfiguration, params, case: str, with_gradient: bool) -> Evaluation:
     """evaluate, or without with_gradient its value alone: no Fourier
-    transform but case2's Green operator G."""
+    multiplier but case2's Green operator G."""
     if case not in _CASES:
         raise ValueError(f"case must be one of {_CASES}")
     if case != "unperturbed" and params is None:
@@ -534,7 +535,7 @@ def _evaluate(config: SWConfiguration, params, case: str, with_gradient: bool) -
         dressed = X[None] * np.tensordot(wirtinger, params.spinor_basis, axes=1)
         gp += 2.0 * dressed
         W = np.imag(np.sum(dressed * np.conj(psi), axis=0))
-        ga += lat.partials(lat.spectral(W, lambda h: lat.green_r * h))
+        ga += lat.partials(lat.multiply(W, lat.green))
 
     return Evaluation(value, Tangent(ga, gp), residuals)
 
@@ -560,14 +561,12 @@ def flow_step(config: SWConfiguration, params: Optional[PerturbationParams] = No
     'explicit' checks that the functional did not increase by more than
     1e-10 (1 + |csd|) and raises FlowInstabilityError otherwise.
     'semi-implicit' treats the linear part L = (curl, 2 D_0) implicitly,
-    x_new = x - dt (I + dt L)^-1 grad csd(x), with the closed-form per-mode
-    resolvents (S = cl(i k), C = i k x, C^2 = |k|^2 P_perp):
-        (I + 2 dt S)^-1 = (I - 2 dt S) / (1 - 4 dt^2 |k|^2),
-        (I + dt C)^-1 = P_par + (I - dt C) P_perp / (1 - dt^2 |k|^2),
-    the numerators in physical space, P_par and the denominators per mode by
-    one transform pair per field.  Its fixed points are exactly the critical
-    points; a dt within RESONANCE_MARGIN of a pole, or one whose 4 dt^2 |k|^2
-    overflows, raises FlowInstabilityError.
+    x_new = x - dt (I + dt L)^-1 grad csd(x), by the closed-form resolvents
+        (I + 2 dt D_0)^-1 = (I - 2 dt D_0) / (1 - 4 dt^2 |k|^2),
+        (I + dt curl)^-1 = (I - dt curl + dt^2 grad div) / (1 - dt^2 |k|^2),
+    numerators by partials, each denominator by one multiply.  Its fixed
+    points are exactly the critical points; a dt within RESONANCE_MARGIN of
+    a pole, or one whose 4 dt^2 |k|^2 overflows, raises FlowInstabilityError.
     """
     return _descend(config, evaluate(config, params, case), params, case, dt, scheme)[0]
 
@@ -593,20 +592,20 @@ def _descend(config: SWConfiguration, ev: Evaluation,
     if math.isinf(4.0 * dt * dt * 3 * lat.N ** 2):  # at the largest |k|^2 = 3 N^2
         raise FlowInstabilityError(f"semi-implicit step dt={dt!r} overflows the "
                                    f"denominator 1 - 4 dt^2 |k|^2")
-    den_a, den_p = 1.0 - dt ** 2 * lat.k2r, 1.0 - 4.0 * dt ** 2 * lat.k2
-    for den, k2 in ((den_a, lat.k2r), (den_p, lat.k2)):
+    den_a, den_p = 1.0 - dt ** 2 * lat.k2, 1.0 - 4.0 * dt ** 2 * lat.k2
+    for den in (den_a, den_p):
         i = int(np.argmin(np.abs(den)))
         if abs(den.flat[i]) < RESONANCE_MARGIN:
             raise FlowInstabilityError(
                 f"semi-implicit step dt={dt!r} is resonant at |k| = "
-                f"{math.sqrt(k2.flat[i]):.6g}: denominator {den.flat[i]:.3e} "
+                f"{math.sqrt(lat.k2.flat[i]):.6g}: denominator {den.flat[i]:.3e} "
                 f"is below the margin {RESONANCE_MARGIN:g}")
 
-    h = lat.rfft(g.alpha - dt * lat.curl(g.alpha))  # its P_par part is that of g.alpha
-    par = lat.kr * (lat.green_r * np.sum(lat.kr * h, axis=0))
-    dirac_step = lat.ifft(lat.fft(g.phi - 2.0 * dt * _dirac0(lat, g.phi)) / den_p)
-    return SWConfiguration(lat, config.alpha - dt * lat.irfft(par + (h - par) / den_a),
-                           config.psi - dt * dirac_step), None
+    d = lat.partials(g.alpha)
+    curl_step = g.alpha - dt * _curl_of(d) + dt ** 2 * lat.partials(d.trace())
+    dirac_step = g.phi - 2.0 * dt * _dirac0(lat, g.phi)
+    return SWConfiguration(lat, config.alpha - dt * lat.multiply(curl_step, 1.0 / den_a),
+                           config.psi - dt * lat.multiply(dirac_step, 1.0 / den_p)), None
 
 
 @dataclass

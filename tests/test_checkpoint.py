@@ -36,6 +36,19 @@ def test_round_trip(tmp_path, lat):
     assert loaded.alpha.flags.writeable and loaded.psi.flags.writeable
 
 
+def test_loaded_lattice_builds_no_tables(tmp_path):
+    """load_checkpoint's lattice builds its grid, derivative matrix, basis and
+    multipliers on first use, so loading pays for none of them."""
+    lat = tw.TorusLattice(24)
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(tw.SWConfiguration.zero(lat), path)
+    loaded, _ = load_checkpoint(path)
+    tables = {"x", "D", "V", "k2", "green", "_last_complex"}
+    assert tables <= set(dir(loaded.lattice))
+    assert not tables & set(vars(loaded.lattice))
+    assert np.array_equal(loaded.lattice.green, lat.green) and "green" in vars(loaded.lattice)
+
+
 def _payload_config(N, flat):
     """A configuration on TorusLattice(N) read from 7 n^3 doubles: alpha's
     3 n^3, then psi's 2 n^3 (re, im) pairs."""

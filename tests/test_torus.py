@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucp_lab import torus as tw
 from ucp_lab.checkpoint import load_checkpoint, save_checkpoint
@@ -213,14 +215,14 @@ def test_csd_gauge_invariant_without_winding():
     rng = rng_for(6)
     cfg = tw.random_config(lat, rng, amplitude=0.4)
 
-    def bandlimit(field, kmax):
-        hat = lat.fft(field)
-        mask = (np.abs(lat.k[0]) <= kmax) & (np.abs(lat.k[1]) <= kmax) \
-            & (np.abs(lat.k[2]) <= kmax)
-        out = lat.ifft(hat * mask)
+    keep = np.abs(np.fft.fftfreq(lat.n, 1.0 / lat.n)) <= 2
+    mask, axes = keep[:, None, None] & keep[:, None] & keep, (-3, -2, -1)
+
+    def bandlimit(field):
+        out = np.fft.ifftn(np.fft.fftn(field, axes=axes) * mask, axes=axes)
         return out.real if np.isrealobj(field) else out
 
-    cfg = tw.SWConfiguration(lat, bandlimit(cfg.alpha, 2), bandlimit(cfg.psi, 2))
+    cfg = tw.SWConfiguration(lat, bandlimit(cfg.alpha), bandlimit(cfg.psi))
     f = 0.3 * np.cos(lat.x[0]) + 0.15 * np.sin(lat.x[1])
     base = tw.csd(cfg)
     gauged = tw.csd(tw.gauge_apply(cfg, f=f))
@@ -685,21 +687,17 @@ def test_semi_implicit_step_solves_its_linear_system(N, dt):
 
 def test_spectral_transform_counts(lat2, params2, monkeypatch, tmp_path):
     """Derivatives make no Fourier transform: only case2's Green operator
-    (one scalar pair for the dressing, one for the W-term) and the
-    semi-implicit resolvents (one pair per field) transform; checkpoints
-    store physical-space fields and make none.  All four TorusLattice
-    transforms are counted, so switching between complex and real
-    transforms cannot hide calls."""
+    (one scalar multiply for the dressing, one for the W-term) and the
+    semi-implicit resolvents (one multiply per field) apply a multiplier;
+    checkpoints store physical-space fields and make none."""
     calls = []
+    multiply = tw.TorusLattice.multiply
 
-    def counted(transform):
-        def wrapper(*args, **kwargs):
-            calls.append(transform)
-            return transform(*args, **kwargs)
-        return wrapper
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return multiply(*args, **kwargs)
 
-    for name in ("fft", "ifft", "rfft", "irfft"):
-        monkeypatch.setattr(tw.TorusLattice, name, counted(getattr(tw.TorusLattice, name)))
+    monkeypatch.setattr(tw.TorusLattice, "multiply", counted)
     cfg = tw.random_config(lat2, rng_for(27), amplitude=0.3)
     lin, rng = tw.linearize(cfg), rng_for(28)
     t = tw.random_tangent(lat2, rng)
@@ -715,37 +713,72 @@ def test_spectral_transform_counts(lat2, params2, monkeypatch, tmp_path):
         calls.clear()
         fn()
         assert calls == []
-    for fn, limit in ((tw.csd, 2), (tw.evaluate, 4), (tw.grad_csd, 4)):
+    for fn, limit in ((tw.csd, 1), (tw.evaluate, 2), (tw.grad_csd, 2)):
         calls.clear()
         fn(cfg, params2, "case2")
         assert 0 < len(calls) <= limit, fn.__name__
     calls.clear()
     tw.flow_step(cfg, None, "unperturbed", dt=3.0, scheme="semi-implicit")
-    assert 0 < len(calls) <= 4
+    assert 0 < len(calls) <= 2
     calls.clear()
     tw.run_flow(cfg, None, "unperturbed", dt=3.0, steps=2, scheme="semi-implicit")
-    assert 0 < len(calls) <= 8
+    assert 0 < len(calls) <= 4
+
+
+def _fft_k(lat):
+    """numpy's integer wave vectors of the lattice, (3, n, n, n)."""
+    k1 = np.fft.fftfreq(lat.n, 1.0 / lat.n)
+    return np.stack(np.meshgrid(k1, k1, k1, indexing="ij"))
 
 
 @pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
 @pytest.mark.parametrize("stack", [(3,), ()])
 def test_spectral_primitives_match_numpy_fft(N, stack):
-    """The DFT-matrix transforms against numpy's FFT, 1e-13 relative, on
-    stacked and plain lattice fields; rfft keeps the (..., n, n, N+1) layout
-    and, like numpy's, refuses complex input."""
-    lat, axes = tw.TorusLattice(N), (-3, -2, -1)
+    """multiply(f, m) against irfftn(m rfftn f) and ifftn(m fftn z) with
+    numpy's wave numbers, 1e-13 relative, on stacked and plain lattice
+    fields, for the Green multiplier and the Dirac resolvent's
+    1/(1 - 4 dt^2 |k|^2); the basis is orthonormal."""
+    lat, axes, dt = tw.TorusLattice(N), (-3, -2, -1), 3.0
+    assert np.max(np.abs(lat.V.T @ lat.V - np.eye(lat.n))) <= 1e-14
+    k2 = np.sum(_fft_k(lat) ** 2, axis=0)
+    green = np.divide(1.0, k2, out=np.zeros(lat.shape), where=k2 > 0)
     rng = rng_for(31, N, len(stack))
     x = rng.standard_normal(stack + lat.shape)
     z = x + 1j * rng.standard_normal(stack + lat.shape)
-    h = np.fft.rfftn(x, axes=axes)
-    for got, want in ((lat.fft(z), np.fft.fftn(z, axes=axes)),
-                      (lat.ifft(z), np.fft.ifftn(z, axes=axes)),
-                      (lat.rfft(x), h),
-                      (lat.irfft(h), np.fft.irfftn(h, s=lat.shape, axes=axes))):
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    with pytest.raises(TypeError):
-        lat.rfft(z)
+    for m, m_fft in ((lat.green, green),
+                     (1.0 / (1.0 - 4.0 * dt ** 2 * lat.k2), 1.0 / (1.0 - 4.0 * dt ** 2 * k2))):
+        want_x = np.fft.irfftn(m_fft[..., :N + 1] * np.fft.rfftn(x, axes=axes),
+                               s=lat.shape, axes=axes)
+        want_z = np.fft.ifftn(m_fft * np.fft.fftn(z, axes=axes), axes=axes)
+        for got, want in ((lat.multiply(x, m), want_x), (lat.multiply(z, m), want_z)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.sampled_from([1, 2, 3]), cplx=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_multiply_by_a_function_of_k2_commutes_with_partials_and_is_symmetric(N, cplx, seed):
+    """What the closed-form resolvents and grad_csd's W-term rely on: for
+    m = c[k2], multiply(., m) commutes with partials and is symmetric in
+    the L2 pairing, 1e-13 relative.  A multiplier that is not a function of
+    |k|^2 does not commute, so the check can tell them apart."""
+    lat = tw.TorusLattice(N)
+    rng = np.random.default_rng(seed)
+
+    def field():
+        f = rng.standard_normal(lat.shape)
+        return f + 1j * rng.standard_normal(lat.shape) if cplx else f
+
+    f, g = field(), field()
+    m = rng.standard_normal(3 * N ** 2 + 1)[lat.k2.astype(int)]
+    scale = np.max(np.abs(m)) * np.max(np.abs(lat.partials(f)))
+    err = np.max(np.abs(lat.multiply(lat.partials(f), m) - lat.partials(lat.multiply(f, m))))
+    assert err <= 1e-13 * scale
+    lhs, rhs = np.vdot(g, lat.multiply(f, m)), np.vdot(lat.multiply(g, m), f)
+    assert abs(lhs - rhs) <= 1e-13 * np.max(np.abs(m)) * np.linalg.norm(f) * np.linalg.norm(g)
+    r = rng.standard_normal(lat.shape)
+    off = np.max(np.abs(lat.multiply(lat.partials(f), r) - lat.partials(lat.multiply(f, r))))
+    assert off > 1e-6 * np.max(np.abs(r)) * np.max(np.abs(lat.partials(f)))
 
 
 @pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
@@ -755,13 +788,14 @@ def test_partials_match_numpy_fft(N, stack):
     ifftn(i k fftn(z)), 1e-13 relative, on real and complex, stacked and
     plain lattice fields, keeping each field's dtype."""
     lat, axes = tw.TorusLattice(N), (-3, -2, -1)
+    k = _fft_k(lat)
     rng = rng_for(33, N, len(stack))
     x = rng.standard_normal(stack + lat.shape)
     z = x + 1j * rng.standard_normal(stack + lat.shape)
     h, zh = np.fft.rfftn(x, axes=axes), np.fft.fftn(z, axes=axes)
     for j in range(3):
-        want_x = np.fft.irfftn(1j * lat.kr[j] * h, s=lat.shape, axes=axes)
-        want_z = np.fft.ifftn(1j * lat.k[j] * zh, axes=axes)
+        want_x = np.fft.irfftn(1j * k[j, ..., :N + 1] * h, s=lat.shape, axes=axes)
+        want_z = np.fft.ifftn(1j * k[j] * zh, axes=axes)
         for got, want in ((lat.partials(x)[j], want_x), (lat.partials(z)[j], want_z)):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

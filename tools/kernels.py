@@ -1,11 +1,12 @@
 """Print one JSON line of kernel costs per call, the time in milliseconds
 and the minor page faults (the ru_minflt delta of getrusage(RUSAGE_SELF)):
-- torus, at N = 4, 8, 16 and 24: the four TorusLattice transforms, the
-  lattice's partials on a real 3-form and on a complex spinor (skipped on
-  a tree without them), curl and divergence, dirac3, csd and grad_csd for
-  each case, observables, linearize().apply and .adjoint, one
-  unperturbed flow_step per scheme, and save_checkpoint and
-  load_checkpoint through a file in a temporary directory;
+- torus, at N = 4, 8, 16 and 24: the lattice's multiply by the Green
+  multiplier on a real 3-form and on a complex spinor, and its partials on
+  the same two fields (each skipped on a tree without it), curl and
+  divergence, dirac3, csd and grad_csd for each case, observables,
+  linearize().apply and .adjoint, one unperturbed flow_step per scheme, and
+  save_checkpoint and load_checkpoint through a file in a temporary
+  directory;
 - annulus, at 129 x 64 and 257 x 128 (T = 0.5): the annulus_operator build,
   dirac_apply, carleman_ratio at R = 20, and appendix_decomposition with the
   zero perturbation at R = 20;
@@ -67,21 +68,20 @@ def torus_kernels(tw, ck, N, scratch: Path):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([N])))
     cfg = tw.random_config(lat, rng, amplitude=0.3)
     small = tw.random_config(lat, rng, amplitude=1e-4)
-    half = lat.rfft(cfg.alpha)
     lin, tangent = tw.linearize(cfg), tw.random_tangent(lat, rng)
     triple = lin.apply(tangent)
     ckpt = scratch / f"torus_{N}.ckpt"
     ck.save_checkpoint(cfg, ckpt)
     per_case = {f"{name}_{case}": lambda fn=fn, case=case: fn(cfg, params, case)
                 for case in tw._CASES for name, fn in (("csd", tw.csd), ("grad_csd", tw.grad_csd))}
+    multiply = ({"multiply_form": lambda: lat.multiply(cfg.alpha, lat.green),
+                 "multiply_spinor": lambda: lat.multiply(cfg.psi, lat.green)}
+                if hasattr(lat, "multiply") else {})
     partials = ({"partials_form": lambda: lat.partials(cfg.alpha),
                  "partials_spinor": lambda: lat.partials(cfg.psi)}
                 if hasattr(lat, "partials") else {})
     return {
-        "fft": lambda: lat.fft(cfg.psi),
-        "ifft": lambda: lat.ifft(cfg.psi),
-        "rfft": lambda: lat.rfft(cfg.alpha),
-        "irfft": lambda: lat.irfft(half),
+        **multiply,
         **partials,
         "curl": lambda: lat.curl(cfg.alpha),
         "divergence": lambda: lat.divergence(cfg.alpha),

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +48,10 @@ def _float_view(f):
 
 def _curl_of(d):
     """curl f from the partials d[j] = d_j f of a 3-component field f."""
-    return np.stack([d[1, 2] - d[2, 1], d[2, 0] - d[0, 2], d[0, 1] - d[1, 0]])
+    out = np.empty(d.shape[1:], d.dtype)
+    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.subtract(d[j, k], d[k, j], out=out[i])
+    return out
 
 
 class TorusLattice:
@@ -202,38 +205,26 @@ def tangent_inner(x: Tangent, y: Tangent, lattice: TorusLattice) -> float:
 # smooth perturbation-function families
 
 
-def _tanh_sup(k: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _tanh_sup(k: int, lo: float, hi: float) -> float:
     if k >= 4:  # Cauchy estimate on the unit strip
-        return np.full(lo.shape, math.factorial(k) * M_TANH)
+        return math.factorial(k) * M_TANH
     t = np.tanh(np.linspace(lo, hi, 257))
     s = 1.0 - t ** 2
-    return np.max(np.abs((s, -2.0 * t * s, s * (6.0 * t ** 2 - 2.0))[k - 1]), axis=0)
+    return float(np.max(np.abs((s, -2.0 * t * s, s * (6.0 * t ** 2 - 2.0))[k - 1])))
 
 
-@dataclass(frozen=True)
-class _TermKind:
-    """Profile f of the terms c f(w x + b) of one kind, its derivative f', the
-    termwise sup of |f^(k)| (k >= 1) over [lo, hi], and whether the
-    derivatives go on forever (a geometric truncation tail)."""
-
-    f: Callable
-    df: Callable
-    sup: Callable
-    tail: bool
-
-
+# per kind: the profile f of the terms c f(w x + b), its derivative f', and
+# sup |f^(k)| over [lo, hi] for k >= 1
 _TERM_KINDS = {
-    "sin": _TermKind(np.sin, np.cos, lambda k, lo, hi: np.ones_like(lo), True),
-    "tanh": _TermKind(np.tanh, lambda z: 1.0 - np.tanh(z) ** 2, _tanh_sup, True),
-    "linear": _TermKind(lambda z: z, np.ones_like,
-                        lambda k, lo, hi: np.full_like(lo, float(k == 1)), False),
+    "sin": (np.sin, np.cos, lambda k, lo, hi: 1.0),
+    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2, _tanh_sup),
 }
 
 
 @dataclass
 class SeparableFunction:
-    """Finite sum of single-slot terms: c sin(w x + b), c tanh(w x + b) and
-    the linear c (w x + b), evaluated as one coefficient array per kind."""
+    """Finite sum of single-slot terms c sin(w x + b) and c tanh(w x + b),
+    evaluated term by term."""
 
     dim: int
     terms: List[tuple]          # (kind, slot, c, w, b), kept as given
@@ -242,46 +233,36 @@ class SeparableFunction:
         unknown = {t[0] for t in self.terms} - _TERM_KINDS.keys()
         if unknown:
             raise ValueError(f"unknown term kinds {sorted(unknown)!r}")
-        self._groups = []       # (kind, slots, c, w, b) with array columns
-        for name, kind in _TERM_KINDS.items():
-            rows = [t[1:] for t in self.terms if t[0] == name]
-            if rows:
-                slot, c, w, b = (np.array(col) for col in zip(*rows))
-                self._groups.append((kind, slot.astype(int), c, w, b))
 
     def value(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(sum(np.sum(c * kind.f(w * x[slot] + b))
-                         for kind, slot, c, w, b in self._groups))
+        return float(sum(c * _TERM_KINDS[kind][0](w * x[slot] + b)
+                         for kind, slot, c, w, b in self.terms))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
         g = np.zeros(self.dim)
-        for kind, slot, c, w, b in self._groups:
-            g += np.bincount(slot, c * w * kind.df(w * x[slot] + b), self.dim)
+        for kind, slot, c, w, b in self.terms:
+            g[slot] += c * w * _TERM_KINDS[kind][1](w * x[slot] + b)
         return g
 
     def deriv_sup(self, k: int) -> float:
         """Sup of the k-th derivative tensor over the box [-3, 3]^dim
-        (max-entry norm; the tensor is slot-diagonal for separable sums)."""
+        (max-entry norm; the tensor is slot-diagonal for separable sums).
+        k = 0: with each slot's profile g_s on 257 points of [-3, 3], the
+        sup of |sum_s g_s| over their product grid, max(sum_s max g_s,
+        -sum_s min g_s).  k >= 1: the largest slot sum of |c| |w|^k sup|f^(k)|
+        over the slot's terms."""
         lo, hi = -3.0, 3.0
         if k == 0:
             xs = np.linspace(lo, hi, 257)
-            total = np.zeros(xs.size)
-            for kind, slot, c, w, b in self._groups:
-                total += np.sum(c[:, None] * kind.f(np.outer(w, xs) + b[:, None]), axis=0)
-            return float(np.max(np.abs(total)))
+            g = np.zeros((self.dim, xs.size))
+            for kind, slot, c, w, b in self.terms:
+                g[slot] += c * _TERM_KINDS[kind][0](w * xs + b)
+            return float(max(np.sum(g.max(axis=1)), -np.sum(g.min(axis=1))))
         sums = np.zeros(self.dim)
-        for kind, slot, c, w, b in self._groups:
-            sup = kind.sup(k, w * lo + b, w * hi + b)
-            sums += np.bincount(slot, np.abs(c) * w ** k * sup, self.dim)
+        for kind, slot, c, w, b in self.terms:
+            sup = _TERM_KINDS[kind][2](k, w * lo + b, w * hi + b)
+            sums[slot] += abs(c) * abs(w) ** k * sup
         return float(np.max(sums)) if self.dim else 0.0
-
-    def tail_coefficients(self) -> List[np.ndarray]:
-        """|c| and w of the terms in the geometric truncation remainder; terms
-        with terminating derivatives contribute nothing."""
-        tails = [(np.abs(c), w) for kind, _, c, w, _ in self._groups if kind.tail]
-        return [np.concatenate(col) for col in zip(*tails)] or [np.zeros(0)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +388,13 @@ def sigma_polarized(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def _dressing(lat: TorusLattice, div_alpha: np.ndarray) -> np.ndarray:
     """The eta dressing exp(-G d*(A - A_0)/2) = exp(i G(div alpha)/2), a
-    unit-modulus scalar: G by one scalar multiply."""
-    return np.exp(0.5j * lat.multiply(div_alpha, lat.green))
+    unit-modulus scalar: G by one scalar multiply, then its cos and sin
+    written into the real and imaginary parts."""
+    theta = 0.5 * lat.multiply(div_alpha, lat.green)
+    out = np.empty(theta.shape, complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 def _taus(config: SWConfiguration, mus: np.ndarray) -> np.ndarray:
@@ -457,19 +443,20 @@ class FloerNormResult:
 
 def floer_norm(params: PerturbationParams) -> FloerNormResult:
     """sum_k eps_k (sup|grad^k p1| + sup|grad^k p2| + sup|grad^k p3|) over
-    [-3, 3]^dim, the whole perturbation, truncated at the last order of the
-    epsilon sequence, with a closed-form geometric bound on the truncation
-    remainder."""
+    [-3, 3]^dim, the whole perturbation, truncated at the last order K of the
+    epsilon sequence (each sup as deriv_sup gives it).  The remainder bound
+    sums M_TANH |c| q^K / (1 - q), q = |w| / 4, over every term c f(w x + b):
+    the geometric tail of eps_k |c| |w|^k sup|f^(k)| <= M_TANH |c| q^k for
+    eps_k = 4^-k / k!, which needs every |w| below 4."""
     eps, functions = params.epsilons, (params.p1, params.p2, params.p3)
     per_order = np.array([eps[k] * sum(fn.deriv_sup(k) for fn in functions)
                           for k in range(eps.size)])
     remainder = 0.0
-    for fn in functions:
-        c_abs, w = fn.tail_coefficients()
-        q = w / 4.0
-        if np.any(q >= 1.0):
+    for _, _, c, w, _ in (t for fn in functions for t in fn.terms):
+        q = abs(w) / 4.0
+        if q >= 1.0:
             raise ValueError("tail bound needs term frequency below 4")
-        remainder += float(np.sum(M_TANH * c_abs * q ** eps.size / (1.0 - q)))
+        remainder += M_TANH * abs(c) * q ** eps.size / (1.0 - q)
     return FloerNormResult(float(np.sum(per_order)), float(remainder), per_order)
 
 
@@ -730,7 +717,7 @@ def gauge_apply(config: SWConfiguration, f: np.ndarray,
         raise ValueError(f"winding {winding!r} is not integral, so exp(i w.x) is not "
                          f"single-valued on the torus")
     phase = np.tensordot(w, lat.x, axes=(0, 0)) + f
-    shift = 2.0 * w[:, None, None, None] * np.ones_like(config.alpha) + 2.0 * lat.partials(f)
+    shift = 2.0 * (lat.partials(f) + w[:, None, None, None])
     return SWConfiguration(lat, config.alpha - shift, np.exp(1j * phase)[None] * config.psi)
 
 

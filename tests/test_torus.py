@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -320,15 +321,17 @@ def test_gradient_finite_difference_orders(lat2, params2, case):
 
 def test_grad_linear_tau_slot_shifts_by_basis_form(lat2):
     params = flat_params(lat2, n_tau=3)
-    linear = tw.SeparableFunction(3, [("linear", 0, 1.0, 1.0, 0.0)])
-    params_lin = tw.PerturbationParams(params.mus, params.nus, params.spinor_basis,
-                                       params.eigenvalues, linear, params.p2,
-                                       params.p3, params.epsilons,
-                                       params.winding_shift)
+    p1 = tw.SeparableFunction(3, [("tanh", 0, 1.0, 0.05, 0.0)])   # tau_0 is about -27
+    params_p1 = tw.PerturbationParams(params.mus, params.nus, params.spinor_basis,
+                                      params.eigenvalues, p1, params.p2,
+                                      params.p3, params.epsilons,
+                                      params.winding_shift)
     cfg = tw.random_config(lat2, rng_for(9), amplitude=0.4)
     base = tw.grad_csd(cfg, params, "case1")
-    shifted = tw.grad_csd(cfg, params_lin, "case1")
-    assert np.max(np.abs((shifted.alpha - base.alpha) + params.mus[0])) < 1e-14
+    shifted = tw.grad_csd(cfg, params_p1, "case1")
+    slope = p1.grad(tw.observables(cfg, params).tau)[0]
+    assert 0.0 < slope < 1.0
+    assert np.max(np.abs((shifted.alpha - base.alpha) + slope * params.mus[0])) < 1e-14
     assert np.max(np.abs(shifted.phi - base.phi)) == 0.0
 
 
@@ -452,18 +455,22 @@ def test_floer_norm_reads_p3(lat2, params2):
     assert moved.remainder_bound > base.remainder_bound
 
 
-def test_floer_norm_linear_profile(lat2):
+def test_floer_norm_tail_reads_frequency_magnitude(lat2):
+    """A negative frequency bounds the tail and the derivatives by |w|."""
     params = flat_params(lat2, n_tau=2)
-    slope = 0.7
-    p1 = tw.SeparableFunction(2, [("linear", 0, slope, 1.0, 0.0)])
-    params = tw.PerturbationParams(params.mus, params.nus, params.spinor_basis,
-                                   params.eigenvalues, p1, params.p2, params.p3,
-                                   params.epsilons, params.winding_shift)
-    res = tw.floer_norm(params)   # over the fixed box [-3, 3]
-    eps = params.epsilons
-    expected = eps[0] * (slope * 3.0) + eps[1] * slope
-    assert abs(res.value - expected) < 1e-12
-    assert res.remainder_bound == 0.0
+    for w in (1.5, -1.5, 4.5, -4.5):
+        p1 = tw.SeparableFunction(2, [("sin", 0, 0.5, w, 0.3)])
+        assert p1.deriv_sup(3) == 0.5 * abs(w) ** 3
+        with_p1 = tw.PerturbationParams(params.mus, params.nus, params.spinor_basis,
+                                        params.eigenvalues, p1, params.p2, params.p3,
+                                        params.epsilons, params.winding_shift)
+        if abs(w) < 4.0:
+            q = 1.5 / 4.0
+            want = tw.M_TANH * 0.5 * q ** params.epsilons.size / (1.0 - q)
+            assert tw.floer_norm(with_p1).remainder_bound == want
+        else:
+            with pytest.raises(ValueError, match="below 4"):
+                tw.floer_norm(with_p1)
 
 
 def test_floer_norm_tanh_against_finite_differences(lat2):
@@ -833,15 +840,17 @@ def test_flow_records_match_fresh_evaluations(lat2, params2, scheme, dt):
     assert np.array_equal(result.config.psi, current.psi)
 
 
+_PROFILES = {"sin": (math.sin, math.cos),
+             "tanh": (math.tanh, lambda z: 1.0 - math.tanh(z) ** 2)}
+
+
 def _separable_loop(terms, dim, x, k=None, box=(-3.0, 3.0)):
     """Scalar per-term reference for SeparableFunction (value and gradient,
-    or the k-th derivative sup)."""
-    profiles = {"sin": (math.sin, math.cos), "linear": (lambda z: z, lambda z: 1.0),
-                "tanh": (math.tanh, lambda z: 1.0 - math.tanh(z) ** 2)}
+    or the k-th derivative sup for k >= 1)."""
     if k is None:
         value, grad = 0.0, np.zeros(dim)
         for kind, slot, c, w, b in terms:
-            f, df = profiles[kind]
+            f, df = _PROFILES[kind]
             value += c * f(w * x[slot] + b)
             grad[slot] += c * w * df(w * x[slot] + b)
         return value, grad
@@ -849,8 +858,6 @@ def _separable_loop(terms, dim, x, k=None, box=(-3.0, 3.0)):
     for kind, slot, c, w, b in terms:
         if kind == "sin":
             sums[slot] += abs(c) * w ** k
-        elif kind == "linear":
-            sums[slot] += abs(c * w) if k == 1 else 0.0
         elif k >= 4:
             sums[slot] += abs(c) * w ** k * math.factorial(k) * tw.M_TANH
         else:
@@ -860,10 +867,24 @@ def _separable_loop(terms, dim, x, k=None, box=(-3.0, 3.0)):
     return float(np.max(sums))
 
 
+def _box_sup(terms, dim, points=257):
+    """max |f| over the product grid of `points` points per slot of [-3, 3]^dim,
+    by brute force: each slot's profile from math, summed at every grid point."""
+    xs = np.linspace(-3.0, 3.0, points)
+    profiles = np.zeros((dim, points))
+    for kind, slot, c, w, b in terms:
+        profiles[slot] += [c * _PROFILES[kind][0](w * x + b) for x in xs]
+    plane = profiles[-2][:, None] + profiles[-1]
+    best = 0.0
+    for head in itertools.product(*profiles[:-2]):
+        best = max(best, float(np.max(np.abs(sum(head) + plane))))
+    return best
+
+
 def test_separable_function_matches_termwise_loop():
     terms = [("sin", 0, 0.3, 1.5, 0.2), ("tanh", 0, -0.4, 0.7, -0.1),
-             ("linear", 1, 0.25, 2.0, 0.5), ("tanh", 2, 0.2, 1.1, 0.3),
-             ("sin", 2, -0.15, 0.9, 1.0), ("linear", 0, -0.5, 0.3, 0.0)]
+             ("sin", 1, 0.25, 2.0, 0.5), ("tanh", 2, 0.2, 1.1, 0.3),
+             ("sin", 2, -0.15, 0.9, 1.0), ("tanh", 0, -0.5, 0.3, 0.0)]
     fn = tw.SeparableFunction(3, terms)
     for x in rng_for(29).standard_normal((5, 3)):
         value, grad = _separable_loop(terms, 3, x)
@@ -872,11 +893,34 @@ def test_separable_function_matches_termwise_loop():
     for k in range(1, 7):
         want = _separable_loop(terms, 3, None, k)
         assert abs(fn.deriv_sup(k) - want) <= 1e-13 * want
-    xs = np.linspace(-3.0, 3.0, 257)
-    diagonal = max(abs(_separable_loop(terms, 3, np.full(3, s))[0]) for s in xs)
-    assert abs(fn.deriv_sup(0) - diagonal) <= 1e-14
+    assert abs(fn.deriv_sup(0) - _box_sup(terms, 3)) <= 1e-14
     with pytest.raises(ValueError):
         tw.SeparableFunction(1, [("cos", 0, 1.0, 1.0, 0.0)])
+    with pytest.raises(ValueError):
+        tw.SeparableFunction(1, [("linear", 0, 1.0, 1.0, 0.0)])
+
+
+def test_deriv_sup_zero_is_the_box_sup_off_the_diagonal():
+    """tanh(x_0) - tanh(x_1) vanishes on the diagonal x_0 = x_1, but its sup
+    over [-3, 3]^2 is 2 tanh 3, at opposite corners."""
+    fn = tw.SeparableFunction(2, [("tanh", 0, 1.0, 1.0, 0.0), ("tanh", 1, -1.0, 1.0, 0.0)])
+    assert abs(fn.deriv_sup(0) - 2.0 * math.tanh(3.0)) <= 1e-15
+
+
+_TERM = st.tuples(st.sampled_from(["sin", "tanh"]), st.integers(0, 1),
+                  st.floats(-1.0, 1.0), st.floats(-3.9, 3.9), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=st.lists(_TERM, max_size=4), x=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
+def test_separable_function_property_on_two_slots(terms, x):
+    """Random 2-slot sin/tanh sums: deriv_sup(0) is the max of |f| on the
+    257 x 257 product grid, and value and grad are the per-term math loop."""
+    fn = tw.SeparableFunction(2, terms)
+    assert abs(fn.deriv_sup(0) - _box_sup(terms, 2)) <= 1e-12
+    value, grad = _separable_loop(terms, 2, np.array(x))
+    assert abs(fn.value(np.array(x)) - value) <= 1e-14
+    assert np.max(np.abs(fn.grad(np.array(x)) - grad)) <= 1e-14
 
 
 @pytest.mark.parametrize("amplitude", [5.0, 20.0])

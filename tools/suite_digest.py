@@ -1,10 +1,11 @@
 """Print a sha256 for every output file and for the stdout of the six
-default suites and of decay at perturbation = pointwise and rank-one, each
-run at seed 42 into a temporary directory, one for the sw-flow checkpoint
-as load_checkpoint reads it back, and one for the first items of each
-benchmark workload at a fixed seed.  Run it on two source trees and diff
-the two listings to check that a change leaves every suite output, the
-checkpoint load and every benchmark item bit-identical:
+default suites, of decay at perturbation = pointwise and rank-one and of
+carleman at perturbation = pointwise, each run at seed 42 into a temporary
+directory, one for the sw-flow checkpoint as load_checkpoint reads it back,
+and one for the first items of each benchmark workload at a fixed seed.
+Run it on two source trees and diff the two listings to check that a change
+leaves every suite output, the checkpoint load and every benchmark item
+bit-identical:
 
     python3 tools/suite_digest.py [SRC_DIR]
 """
@@ -22,7 +23,8 @@ BENCH_SEED, BENCH_ITEMS = 3, 4
 
 # runs beyond the defaults: (label, suite, config text)
 VARIANTS = [("decay[pointwise]", "decay", "perturbation = pointwise\n"),
-            ("decay[rank-one]", "decay", "perturbation = rank-one\n")]
+            ("decay[rank-one]", "decay", "perturbation = rank-one\n"),
+            ("carleman[pointwise]", "carleman", "perturbation = pointwise\n")]
 
 
 def suite_digests(cli, root: Path):

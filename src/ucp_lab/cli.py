@@ -3,9 +3,11 @@
 Six suites (carleman, decay, counterexample, sw-gradcheck, sw-flow,
 observables), each emitting report.json plus suite CSVs into the output
 directory.  A fixed seed makes outputs byte-identical across runs on the
-same build: randomness flows through named counter-based Philox streams
-keyed by (seed, task indices), and report serialization is key-sorted
-with repr-based float formatting.
+same build and BLAS thread count: the torus suites (sw-gradcheck, sw-flow,
+observables) at N >= 8 can write other bytes with 1 OpenBLAS thread than
+with 2.  Randomness flows through named counter-based Philox streams keyed by
+(seed, task indices), and report serialization is key-sorted with
+repr-based float formatting.
 
 Exit codes: 0 all assertions pass (or none apply), 1 assertion failure,
 2 configuration/parse error, 3 I/O error.
@@ -109,7 +111,7 @@ _RANGES = {**dict.fromkeys(("N", "samples", "r_points", "configs", "adjoint_pair
            "T": (lambda v: 1e-150 <= v <= 1e150, "in [1e-150, 1e150]"),
            # the smallest sizes whose gates pass: below them every run is a suite-error
            "peano_n": (lambda v: v >= 17, ">= 17"),
-           "rank_one_n": (lambda v: v >= 65537, ">= 65537"),
+           "rank_one_n": (lambda v: v >= 8333, ">= 8333"),
            "perturbation": (PERTURBATIONS.__contains__, "in {" + ", ".join(PERTURBATIONS) + "}"),
            # rank-one: P(u) != 0 at t = 0, where every sampler field u vanishes
            ("carleman", "perturbation"): (("none", "pointwise").__contains__, "in {none, pointwise}")}
@@ -428,7 +430,7 @@ SUITES: Dict[str, tuple] = {
                "perturbation": "none", "seed_amplitude": 1e-12},
               run_decay),
     "counterexample": ("branching ODE solutions and the rank-one continuation failure",
-                       {"peano_n": 4097, "rank_one_n": 131073},
+                       {"peano_n": 4097, "rank_one_n": 16385},
                        run_counterexample),
     "sw-gradcheck": ("functional/gradient consistency, adjoint identity, admissibility",
                      {"N": 4, "configs": 10, "amplitude": 0.3, "adjoint_pairs": 20},

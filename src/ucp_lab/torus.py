@@ -540,9 +540,8 @@ def grad_csd(config: SWConfiguration, params: Optional[PerturbationParams] = Non
     return evaluate(config, params, case).gradient
 
 
-def flow_step(config: SWConfiguration, params: Optional[PerturbationParams] = None,
-              case: str = "unperturbed", dt: float = 1e-2,
-              scheme: str = "explicit") -> SWConfiguration:
+def flow_step(config: SWConfiguration, params: Optional[PerturbationParams],
+              case: str, dt: float, scheme: str) -> SWConfiguration:
     """One step of the downward flow d/dt (A, psi) = -grad csd.
 
     'explicit' checks that the functional did not increase by more than
@@ -612,10 +611,9 @@ class FlowResult:
     converged: bool
 
 
-def run_flow(config: SWConfiguration, params: Optional[PerturbationParams] = None,
-             case: str = "unperturbed", dt: float = 3.0, steps: int = 200,
-             scheme: str = "semi-implicit", residual_target: Optional[float] = None
-             ) -> FlowResult:
+def run_flow(config: SWConfiguration, params: Optional[PerturbationParams],
+             case: str, dt: float, steps: int, scheme: str,
+             residual_target: Optional[float] = None) -> FlowResult:
     """Finite-horizon flow integration with one trajectory record per step; a
     non-finite recorded value raises FlowInstabilityError.  Each configuration is
     evaluated once: its record and the next step share the evaluation."""

@@ -135,7 +135,7 @@ def test_criterion_5_counterexamples():
         sol = cx.peano_branches(case, c=1.0, grid=Grid1D.uniform(4.0, 4097))
         checks[f"peano-{case} residual < 1e-6"] = max(sol.residual0,
                                                       sol.residual1) < 1e-6
-    sol, a = cx.rank_one_counterexample()
+    sol, a = cx.rank_one_counterexample(Grid1D.uniform(2.0, 16385))
     grid = sol.grid
     w = grid.quad_weights()
     pairing = float(np.sum(w * sol.u1 * a))

@@ -230,7 +230,8 @@ def test_trajectory_csv(tmp_path, lat):
     assert main(["run", "--suite", "sw-flow", "--config", str(cfg),
                  "--out", str(tmp_path), "--seed", "5"]) == 0
     start = tw.random_config(lat, _rng(5, 21, 0), amplitude=1e-4)
-    flow = tw.run_flow(start, dt=3.0, steps=150, residual_target=1e-6)
+    flow = tw.run_flow(start, None, "unperturbed", dt=3.0, steps=150,
+                       scheme="semi-implicit", residual_target=1e-6)
     lines = (tmp_path / "plotdata" / "flow_0.csv").read_text().strip().splitlines()
     assert lines[0] == "step,time,csd,residual_curvature,residual_dirac,sup_psi"
     assert len(lines) == len(flow.trajectory) + 1

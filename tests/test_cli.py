@@ -288,7 +288,7 @@ def test_decay_suite_passes_for_each_perturbation(tmp_path, perturbation):
 
 
 @pytest.mark.parametrize("line, key", [("peano_n = 16", "peano_n"),
-                                       ("rank_one_n = 32769", "rank_one_n")])
+                                       ("rank_one_n = 8332", "rank_one_n")])
 def test_counterexample_size_that_cannot_pass_exits_2(tmp_path, capsys, line, key):
     """Below these sizes every run ends in a suite-error, so the key is rejected."""
     cfg = tmp_path / "c.cfg"
@@ -298,7 +298,7 @@ def test_counterexample_size_that_cannot_pass_exits_2(tmp_path, capsys, line, ke
     assert code == 2
     assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    build_options("counterexample", {"peano_n": 17, "rank_one_n": 65537}, None)
+    build_options("counterexample", {"peano_n": 17, "rank_one_n": 8333}, None)
 
 
 def test_counterexample_suite_passes(tmp_path):

@@ -53,7 +53,7 @@ def test_peano_unknown_case_and_exterior_branch_point():
 
 
 def test_rank_one_reproduces_stated_values():
-    sol, a = rank_one_counterexample()
+    sol, a = rank_one_counterexample(Grid1D.uniform(2.0, 16385))
     grid = sol.grid
     w = grid.quad_weights()
     assert abs(float(np.sum(w * a)) - math.sqrt(2.0)) < 1e-12
@@ -64,7 +64,7 @@ def test_rank_one_reproduces_stated_values():
 
 
 def test_rank_one_perturbation_fails_continuation_conditions():
-    sol, a = rank_one_counterexample()
+    sol, a = rank_one_counterexample(Grid1D.uniform(2.0, 16385))
     grid = sol.grid
     a_field = SpinorField(grid, a[:, None].astype(complex))
     trivial = SpinorField(grid, sol.u0[:, None].astype(complex))
@@ -86,42 +86,84 @@ def test_branch_csv_round_trip(tmp_path):
     assert abs(float(last[2]) - sol.u1[-1]) < 1e-15
 
 
-def test_peano_cross_check_runs_on_floats(monkeypatch):
-    """peano_branches hands _rk4_track Python floats, and the deviation is
-    the one numpy-scalar inputs give, bit for bit."""
-    track, calls = counterexamples._rk4_track, []
-    monkeypatch.setattr(counterexamples, "_rk4_track",
-                        lambda *args: calls.append(args) or track(*args))
-    for case in ("sqrt", "two-thirds"):
-        peano_branches(case, c=1.0, grid=Grid1D.uniform(4.0, 4097))
-    assert len(calls) == 2
-    for f, x0, y0, x1, h, reference in calls:
-        assert all(type(v) is float for v in (x0, y0, x1, h))
-        deviation = track(f, x0, y0, x1, h, reference)
-        assert type(deviation) is float
-        assert deviation == track(f, *map(np.float64, (x0, y0, x1, h)), reference)
+# the Peano right-hand sides as autonomous scalar functions, and the power p
+# of each branch (x - c)^p
+PEANO_ODES = {"sqrt": (lambda y: 2.0 * abs(y) ** 0.5, 2),
+              "two-thirds": (lambda y: 3.0 * abs(y) ** (2.0 / 3.0), 3)}
 
 
-def old_rank_one_branch(grid):
-    """Oracle: a, u1 and residual1 with smoothstep on the whole grid and the
-    cumulative trapezoid by concatenation, as before the collar slice."""
-    x, w, h = grid.t, grid.quad_weights(), grid.spacing
-    a = math.sqrt(2.0) * smoothstep((x - 1.0) / (0.02 * (x[-1] - x[0]))) * (x >= 1.0)
-    total = float(np.sum(w * a))
-    if abs(total - math.sqrt(2.0)) > 1e-10:
-        a *= math.sqrt(2.0) / total
-    u1 = np.concatenate([[0.0], np.cumsum(0.5 * h * (a[1:] + a[:-1]))])
-    pairing = float(np.sum(w * u1 * a))
-    split = int(np.searchsorted(x, 1.0, side="right"))
-    res = counterexamples.derivative_piecewise(u1, h, split) - pairing * a
-    return a, u1, float(np.max(np.abs(res)))
+def rk4_deviation(f, x0, y0, x1, steps, exact):
+    """Integrate y' = f(y) from (x0, y0) to x1 by RK4 in equal steps and
+    return the largest deviation from exact(x) at the step points."""
+    h = (x1 - x0) / steps
+    y, worst = y0, 0.0
+    for i in range(1, steps + 1):
+        k1 = f(y)
+        k2 = f(y + 0.5 * h * k1)
+        k3 = f(y + 0.5 * h * k2)
+        k4 = f(y + h * k3)
+        y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        worst = max(worst, abs(y - exact(x0 + i * h)))
+    return worst
 
 
-@pytest.mark.parametrize("n", [65537, 100001, 131073])  # 100001 has a point at 1 + width
-def test_rank_one_collar_slice_keeps_the_old_bits(n):
+@pytest.mark.parametrize("case", ["sqrt", "two-thirds"])
+def test_peano_branch_matches_rk4_oracle(case):
+    """The returned branch is (x - c)^p past c, and RK4 shooting from
+    (c + eps, eps^p) in 4,096 steps stays within 1e-6 of it."""
+    f, p = PEANO_ODES[case]
+    c = 1.0
+    sol = peano_branches(case, c=c, grid=Grid1D.uniform(4.0, 4097))
+    x = sol.grid.t
+    assert np.array_equal(sol.u1, np.maximum(x - c, 0.0) ** p)
+    eps = max(0.1 * (x[-1] - c), 8.0 * sol.grid.spacing)
+    deviation = rk4_deviation(f, c + eps, eps ** p, float(x[-1]), 4096,
+                              lambda xi: (xi - c) ** p)
+    assert deviation <= 1e-6
+
+
+def closed_form_rank_one(grid):
+    """Oracle: the carrier a and its antiderivative u1 = int_1^x a, as the
+    piecewise closed form over the whole grid."""
+    x = grid.t
+    width = 0.02 * (x[-1] - x[0])
+    k = math.sqrt(2.0) / (1.0 - width / 2.0)
+    y = np.clip((x - 1.0) / width, 0.0, 1.0)
+    a = k * smoothstep(y)
+    S = y ** 4 * (5.0 / 2.0 - 3.0 * y + y ** 2)
+    u1 = np.where(x < 1.0 + width, k * width * S, k * (x - 1.0 - width / 2.0))
+    return a, u1
+
+
+def branch_residual(grid, a, u1):
+    """The stencil residual of u1' = <u1, a> a, the pairing by trapezoid."""
+    pairing = float(np.sum(grid.quad_weights() * u1 * a))
+    split = int(np.searchsorted(grid.t, 1.0, side="right"))
+    res = counterexamples.derivative_piecewise(u1, grid.spacing, split) - pairing * a
+    return float(np.max(np.abs(res)))
+
+
+@pytest.mark.parametrize("n", [8333, 16385, 100001, 131073])  # 100001 has a point at 1 + width
+def test_rank_one_branch_is_the_closed_form(n):
     grid = Grid1D.uniform(2.0, n)
     sol, a = rank_one_counterexample(grid)
-    want_a, want_u1, want_res = old_rank_one_branch(grid)
-    assert np.array_equal(a.view(np.uint64), want_a.view(np.uint64))
-    assert np.array_equal(sol.u1.view(np.uint64), want_u1.view(np.uint64))
-    assert np.float64(sol.residual1).view(np.uint64) == np.float64(want_res).view(np.uint64)
+    want_a, want_u1 = closed_form_rank_one(grid)
+    assert np.max(np.abs(a - want_a)) <= 1e-15
+    assert np.max(np.abs(sol.u1 - want_u1)) <= 1e-15
+    assert abs(branch_residual(grid, a, sol.u1) - sol.residual1) <= 1e-15
+
+
+def test_rank_one_residual_falls_at_the_stencil_order():
+    """The branch residual falls at least 7x per halving of h; at 8,193
+    points the pairing is refused, so the oracle's residual is read."""
+    residuals = [branch_residual(grid, *closed_form_rank_one(grid))
+                 for grid in (Grid1D.uniform(2.0, n) for n in (8193, 16385, 32769))]
+    for coarse, fine in zip(residuals, residuals[1:]):
+        assert coarse >= 7.0 * fine
+
+
+@pytest.mark.parametrize("t", [np.linspace(0.0, 0.5, 101), np.linspace(0.0, 1.0, 101),
+                               np.linspace(1.0, 2.0, 101)])
+def test_rank_one_refuses_a_grid_without_the_branch_point(t):
+    with pytest.raises(ValueError, match="branch point must lie inside the grid"):
+        rank_one_counterexample(Grid1D(t))

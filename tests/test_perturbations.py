@@ -45,7 +45,7 @@ def test_pointwise_with_vanishing_profile(grid):
 
 
 def test_rank_one_reproduces_branch_pairing():
-    sol, a = rank_one_counterexample()
+    sol, a = rank_one_counterexample(Grid1D.uniform(2.0, 16385))
     grid = sol.grid
     a_field = SpinorField(grid, a[:, None].astype(complex))
     u_field = SpinorField(grid, sol.u1[:, None].astype(complex))

@@ -90,7 +90,8 @@ def torus_kernels(tw, ck, N, scratch: Path):
         "observables": lambda: tw.observables(cfg, params),
         "linearize_apply": lambda: lin.apply(tangent),
         "linearize_adjoint": lambda: lin.adjoint(triple),
-        "flow_step_explicit": lambda: tw.flow_step(small, None, "unperturbed", dt=1e-3),
+        "flow_step_explicit": lambda: tw.flow_step(small, None, "unperturbed", dt=1e-3,
+                                                   scheme="explicit"),
         "flow_step_semi_implicit": lambda: tw.flow_step(
             small, None, "unperturbed", dt=3.0, scheme="semi-implicit"),
         "save_checkpoint": lambda: ck.save_checkpoint(cfg, ckpt),

@@ -1,8 +1,9 @@
 """Print a sha256 for every output file and for the stdout of the six
-default suites, of decay at perturbation = pointwise and rank-one and of
-carleman at perturbation = pointwise, each run at seed 42 into a temporary
-directory, one for the sw-flow checkpoint as load_checkpoint reads it back,
-and one for the first items of each benchmark workload at a fixed seed.
+default suites, of decay at perturbation = pointwise and rank-one, of
+carleman at perturbation = pointwise and of sw-gradcheck, sw-flow and
+observables at N = 8, each run at seed 42 into a temporary directory,
+one for the sw-flow checkpoint as load_checkpoint reads it back, and one
+for the first items of each benchmark workload at a fixed seed.
 Run it on two source trees and diff the two listings to check that a change
 leaves every suite output, the checkpoint load and every benchmark item
 bit-identical:
@@ -24,7 +25,11 @@ BENCH_SEED, BENCH_ITEMS = 3, 4
 # runs beyond the defaults: (label, suite, config text)
 VARIANTS = [("decay[pointwise]", "decay", "perturbation = pointwise\n"),
             ("decay[rank-one]", "decay", "perturbation = rank-one\n"),
-            ("carleman[pointwise]", "carleman", "perturbation = pointwise\n")]
+            ("carleman[pointwise]", "carleman", "perturbation = pointwise\n"),
+            # the torus suites at the benchmark's N, whose bytes depend on the BLAS thread count
+            ("sw-gradcheck[N=8]", "sw-gradcheck", "N = 8\n"),
+            ("sw-flow[N=8]", "sw-flow", "N = 8\n"),
+            ("observables[N=8]", "observables", "N = 8\n")]
 
 
 def suite_digests(cli, root: Path):

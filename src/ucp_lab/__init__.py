@@ -3,8 +3,7 @@ Dirac-type operators and monopole gradient flows on the flat 3-torus."""
 
 from .carleman import (CarlemanGeometry, CarlemanReport, appendix_decomposition,
                        bump_cutoff, carleman_ratio, constant_sweep,
-                       cutoff_bump_sampler, perturbed_carleman_ratio,
-                       ucp_decay_check)
+                       cutoff_bump_sampler, ucp_decay_check)
 from .clifford import frame
 from .counterexamples import (BranchedSolution, peano_branches,
                               rank_one_counterexample)

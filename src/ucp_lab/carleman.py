@@ -118,10 +118,9 @@ def _log_weighted_mass(mag2: np.ndarray, R: float, geom: CarlemanGeometry) -> fl
 class CarlemanReport:
     R: float
     log_lhs: float               # log of the weighted mass of v; -inf for v = 0
-    log_rhs: float               # log of the weighted mass of D v (+ P(v))
-    ratio: float                 # R exp(log_lhs - log_rhs); nan when both vanish
-    c0: Optional[float] = None   # admissibility constant when perturbed
-    violation: bool = False      # rhs = 0 with lhs > 0
+    log_rhs: float               # log of the weighted mass of D v + P(v)
+    ratio: float                 # R exp(log_lhs - log_rhs); inf: a violation; nan: both 0
+    c0: Optional[float]          # admissibility constant of P; None for the zero P
 
 
 def _support_check(v: SpinorField, geom: CarlemanGeometry) -> np.ndarray:
@@ -135,33 +134,30 @@ def _support_check(v: SpinorField, geom: CarlemanGeometry) -> np.ndarray:
     return mag2
 
 
-def _ratio_report(mag2: np.ndarray, dv: SpinorField, R: float, geom: CarlemanGeometry,
-                  c0: Optional[float] = None) -> CarlemanReport:
-    log_lhs = _log_weighted_mass(mag2, R, geom)
-    log_rhs = log_weighted_l2(dv, R, geom)
-    if log_rhs == -math.inf:
-        if log_lhs == -math.inf:
-            return CarlemanReport(R, log_lhs, log_rhs, math.nan, c0)
-        return CarlemanReport(R, log_lhs, log_rhs, math.inf, c0, violation=True)
-    return CarlemanReport(R, log_lhs, log_rhs, R * math.exp(log_lhs - log_rhs), c0)
-
-
-def carleman_ratio(op: DiracOperator, v: SpinorField, R: float,
-                   geom: CarlemanGeometry) -> CarlemanReport:
-    same_grid(geom.grid, v.grid)
-    mag2 = _support_check(v, geom)
-    return _ratio_report(mag2, dirac_apply(op, v), R, geom)
-
-
-def perturbed_carleman_ratio(op: DiracOperator, P: Perturbation, v: SpinorField,
-                             R: float, geom: CarlemanGeometry) -> CarlemanReport:
-    same_grid(geom.grid, v.grid)
-    mag2 = _support_check(v, geom)
+def _perturbed_apply(op: DiracOperator, P: Perturbation, v: SpinorField) -> tuple:
+    """D v + P(v) and the sampled C0 of an admissible P on v; D v and None for P = 0."""
+    dv = dirac_apply(op, v)
+    if P.is_zero:
+        return dv, None
     adm = admissibility_bound(P, v)
     if not adm:
         raise NonAdmissibleError(f"perturbation not admissible on the region: {adm.reason}")
-    dv = dirac_apply(op, v) + eval_perturbation(P, v)
-    return _ratio_report(mag2, dv, R, geom, c0=adm.c0)
+    return dv + eval_perturbation(P, v), adm.c0
+
+
+def carleman_ratio(op: DiracOperator, P: Perturbation, v: SpinorField, R: float,
+                   geom: CarlemanGeometry) -> CarlemanReport:
+    """R ||v||_w^2 / ||D v + P(v)||_w^2, both weighted masses in log space."""
+    same_grid(geom.grid, v.grid)
+    mag2 = _support_check(v, geom)
+    dv, c0 = _perturbed_apply(op, P, v)
+    log_lhs = _log_weighted_mass(mag2, R, geom)
+    log_rhs = log_weighted_l2(dv, R, geom)
+    if log_rhs == -math.inf:
+        ratio = math.nan if log_lhs == -math.inf else math.inf
+    else:
+        ratio = R * math.exp(log_lhs - log_rhs)
+    return CarlemanReport(R, log_lhs, log_rhs, ratio, c0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +232,8 @@ class SweepResult:
 
 
 def constant_sweep(op: DiracOperator, sampler: Callable, R_grid: Sequence[float],
-                   geom: CarlemanGeometry, n_samples: int = 20,
-                   perturbation: Optional[Perturbation] = None,
-                   seed: int = 0) -> SweepResult:
+                   geom: CarlemanGeometry, n_samples: int, seed: int,
+                   perturbation: Perturbation = Perturbation.zero()) -> SweepResult:
     """Per-R constant estimate: max ratio over sampled fields.  Sample
     (i_r, i_s) draws from the Philox stream keyed (seed, i_r, i_s)."""
     R_grid = np.asarray(list(R_grid), dtype=float)
@@ -247,10 +242,7 @@ def constant_sweep(op: DiracOperator, sampler: Callable, R_grid: Sequence[float]
 
     def one(i_r: int, i_s: int) -> CarlemanReport:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, i_r, i_s])))
-        v = sampler(rng)
-        if perturbation is None:
-            return carleman_ratio(op, v, float(R_grid[i_r]), geom)
-        return perturbed_carleman_ratio(op, perturbation, v, float(R_grid[i_r]), geom)
+        return carleman_ratio(op, perturbation, sampler(rng), float(R_grid[i_r]), geom)
 
     reports, estimates = [], []
     for i_r in range(R_grid.size):
@@ -297,7 +289,7 @@ class DecayReport:
 
 def ucp_decay_check(op: DiracOperator, P: Perturbation, u: SpinorField,
                     R_grid: Sequence[float], geom: CarlemanGeometry,
-                    seed: int = 0) -> DecayReport:
+                    seed: int) -> DecayReport:
     """Decay bound from the cutoff contradiction argument.
 
     Absorbing |P v| <= C0 |v| through (a + b)^2 <= 2a^2 + 2b^2 gives
@@ -309,7 +301,7 @@ def ucp_decay_check(op: DiracOperator, P: Perturbation, u: SpinorField,
     the solver noise floor counts as zero.
     """
     same_grid(geom.grid, u.grid)
-    residual = dirac_apply(op, u) + eval_perturbation(P, u)
+    residual, c0 = _perturbed_apply(op, P, u)
     res_sup = residual.sup_norm()
     if not res_sup < 1e-8:  # a NaN residual fails too
         raise PreconditionError(f"solution residual {res_sup:.3e} exceeds 1e-8")
@@ -322,10 +314,7 @@ def ucp_decay_check(op: DiracOperator, P: Perturbation, u: SpinorField,
                            n_samples=8, seed=seed)
     finite = sweep.estimates[np.isfinite(sweep.estimates)]
     constant = float(np.max(finite)) if finite.size else 1.0
-    adm = admissibility_bound(P, u)
-    if not adm:
-        raise NonAdmissibleError(f"perturbation not admissible: {adm.reason}")
-    c0 = adm.c0 or 0.0
+    c0 = c0 or 0.0  # the zero P absorbs nothing
     crossover = 2.0 * constant * c0 ** 2
 
     T = geom.T
@@ -336,10 +325,7 @@ def ucp_decay_check(op: DiracOperator, P: Perturbation, u: SpinorField,
     w = geom.grid.quad_weights()
     cutoff_integral = float(np.sum(w * fiber_norm2(collar_term)))
 
-    half = t <= 0.5 * T
-    sub_w = np.copy(w)
-    sub_w[~half] = 0.0
-    measured = float(np.sum(sub_w * fiber_norm2(u.values)))
+    measured = float(np.sum(np.where(t <= 0.5 * T, w, 0.0) * fiber_norm2(u.values)))
 
     log_measured = math.log(measured) if measured > 0 else -math.inf
     log_cut = math.log(cutoff_integral) if cutoff_integral > 0 else -math.inf
@@ -430,7 +416,7 @@ def appendix_decomposition(op: DiracOperator, P: Perturbation, v: SpinorField,
     del j3_vec  # one full-size array fewer at the peak below
     symB += R * prof * v0
     sym, j_skew_pert, j_sym_pert, quot2 = symB, 0.0, 0.0, 0.0
-    if P.fiber_pairing or P.matrix is not None or P.l2_pairing:  # zero adds no term
+    if not P.is_zero:  # zero adds no term
         pv = eval_perturbation(P, v).values
         pert = -E * op.apply_cl_dt(pv)   # cl(dt)^-1 P v, reduced for d/dt + Bcal
         sym = symB + pert

@@ -35,6 +35,10 @@ class Perturbation:
     def zero(cls) -> "Perturbation":
         return cls()
 
+    @property
+    def is_zero(self) -> bool:  # the zero kind is the only kind without a carrier
+        return self.a is None
+
     @classmethod
     def pointwise(cls, a: SpinorField) -> "Perturbation":
         return cls(a, fiber_pairing=True)

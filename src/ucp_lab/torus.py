@@ -473,8 +473,8 @@ class Evaluation:
     residuals: Optional[Tuple[float, float]]    # L2 norms of the curvature, Dirac rows
 
 
-def evaluate(config: SWConfiguration, params: Optional[PerturbationParams] = None,
-             case: str = "unperturbed") -> Evaluation:
+def evaluate(config: SWConfiguration, params: Optional[PerturbationParams],
+             case: str) -> Evaluation:
     """csd, its exact L2 gradient and the unperturbed residual norms, all in
     physical space.  Curvature row curl alpha - sigma(psi, psi), Dirac row
     D psi, unperturbed gradient (curvature row, 2 D psi), value 1/2 <alpha,
@@ -527,15 +527,14 @@ def _evaluate(config: SWConfiguration, params, case: str, with_gradient: bool) -
     return Evaluation(value, Tangent(ga, gp), residuals)
 
 
-def csd(config: SWConfiguration, params: Optional[PerturbationParams] = None,
-        case: str = "unperturbed") -> float:
+def csd(config: SWConfiguration, params: Optional[PerturbationParams], case: str) -> float:
     """Chern-Simons-Dirac value: -1/2 int a ^ (F_A + F_{A_0}) + int <psi, d_A psi>
     plus the selected perturbation functions of the observables (no gradient)."""
     return _evaluate(config, params, case, False).value
 
 
-def grad_csd(config: SWConfiguration, params: Optional[PerturbationParams] = None,
-             case: str = "unperturbed") -> Tangent:
+def grad_csd(config: SWConfiguration, params: Optional[PerturbationParams],
+             case: str) -> Tangent:
     """Exact discrete L2 gradient of csd."""
     return evaluate(config, params, case).gradient
 

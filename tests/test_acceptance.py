@@ -69,7 +69,7 @@ def test_criterion_2_perturbed_carleman():
     for i in range(5):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([42, i])))
         v = sampler(rng)
-        rep = cl.perturbed_carleman_ratio(op, pert, v, 10.0, geom)
+        rep = cl.carleman_ratio(op, pert, v, 10.0, geom)
         # independent sampled bound: for the pointwise kind the quotient field
         # is |<v(x), a(x)>| wherever v does not vanish
         omega = np.abs(np.sum(v.values * np.conj(pert.a.values), axis=-1))

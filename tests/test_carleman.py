@@ -10,12 +10,13 @@ import pytest
 import ucp_lab
 from ucp_lab.carleman import (CarlemanGeometry, appendix_decomposition, bump_cutoff,
                               carleman_ratio, constant_sweep, cutoff_bump_sampler,
-                              log_weighted_l2, perturbed_carleman_ratio, smoothstep,
-                              ucp_decay_check, _log_weighted_mass, _ratio_report)
+                              log_weighted_l2, smoothstep, ucp_decay_check,
+                              _log_weighted_mass)
 from ucp_lab.errors import (NonAdmissibleError, PreconditionError,
                             SupportConditionError)
 from ucp_lab.fields import AnnulusGrid, SpinorField, fiber_norm2
-from ucp_lab.operators import constant_operator_1d, model_operator_1d
+from ucp_lab.operators import (DiracOperator, annulus_operator, constant_operator_1d,
+                               dirac_apply, model_operator_1d)
 from ucp_lab.perturbations import Perturbation, integrate_zero_data
 
 
@@ -88,7 +89,7 @@ def test_large_parameter_stays_finite_in_log_space():
 def test_ratio_zero_field_contract():
     geom = interval_geom()
     op = model_operator_1d(geom.grid)
-    rep = carleman_ratio(op, geom.grid.zeros(), 10.0, geom)
+    rep = carleman_ratio(op, Perturbation.zero(), geom.grid.zeros(), 10.0, geom)
     assert rep.log_lhs == rep.log_rhs == -math.inf
     assert math.isnan(rep.ratio)
 
@@ -241,7 +242,7 @@ def test_ratio_support_violation():
     op = model_operator_1d(geom.grid)
     vals = np.ones((geom.grid.n, 2), dtype=complex)
     with pytest.raises(SupportConditionError):
-        carleman_ratio(op, SpinorField(geom.grid, vals), 10.0, geom)
+        carleman_ratio(op, Perturbation.zero(), SpinorField(geom.grid, vals), 10.0, geom)
 
 
 def test_ratio_bounded_for_cutoff_gaussian_across_R():
@@ -256,7 +257,8 @@ def test_ratio_bounded_for_cutoff_gaussian_across_R():
     vals = np.zeros((grid.n, 2), dtype=complex)
     vals[:, 0] = prof
     v = SpinorField(grid, vals)
-    ratios = [carleman_ratio(op, v, R, geom).ratio for R in (10.0, 100.0, 1000.0)]
+    ratios = [carleman_ratio(op, Perturbation.zero(), v, R, geom).ratio
+              for R in (10.0, 100.0, 1000.0)]
     assert all(np.isfinite(r) for r in ratios)
     assert max(ratios) < 1.0  # bounded above by an R-independent constant
 
@@ -265,26 +267,49 @@ def test_ratio_invariant_under_unit_modulus_scaling():
     geom = interval_geom()
     op = model_operator_1d(geom.grid)
     v = cutoff_bump_sampler(geom)(np.random.default_rng(3))
-    r1 = carleman_ratio(op, v, 50.0, geom).ratio
-    r2 = carleman_ratio(op, v * np.exp(0.7j), 50.0, geom).ratio
+    r1 = carleman_ratio(op, Perturbation.zero(), v, 50.0, geom).ratio
+    r2 = carleman_ratio(op, Perturbation.zero(), v * np.exp(0.7j), 50.0, geom).ratio
     assert abs(r1 - r2) <= 1e-14 * abs(r1)
 
 
 def test_violation_flagged_never_silently_passed():
+    """An operator with cl(dt) = 0 has D v = 0: the ratio of a nonzero field
+    is inf, with a finite weighted mass of v."""
     geom = interval_geom()
+    op = model_operator_1d(geom.grid)
+    flat = DiracOperator(geom.grid, np.zeros_like(op.cl_dt), op.B, op.C)
     v = cutoff_bump_sampler(geom)(np.random.default_rng(4))
-    rep = _ratio_report(fiber_norm2(v.values), geom.grid.zeros(), 10.0, geom)
-    assert rep.violation and rep.ratio == math.inf
+    rep = carleman_ratio(flat, Perturbation.zero(), v, 10.0, geom)
+    assert rep.ratio == math.inf and math.isfinite(rep.log_lhs)
+    assert rep.log_rhs == -math.inf
 
 
 def test_perturbed_ratio_zero_kind_matches_unperturbed():
     geom = interval_geom()
     op = model_operator_1d(geom.grid)
     v = cutoff_bump_sampler(geom)(np.random.default_rng(5))
-    plain = carleman_ratio(op, v, 100.0, geom)
-    pert = perturbed_carleman_ratio(op, Perturbation.zero(), v, 100.0, geom)
-    assert abs(plain.ratio - pert.ratio) < 1e-14 * abs(plain.ratio)
-    assert pert.c0 == 0.0
+    rep = carleman_ratio(op, Perturbation.zero(), v, 100.0, geom)
+    assert rep.log_rhs == log_weighted_l2(dirac_apply(op, v), 100.0, geom)
+    assert rep.c0 is None  # no admissibility call for the zero kind
+
+
+@pytest.mark.parametrize("R", [10.0, 1e3])
+@pytest.mark.parametrize("shape", ["interval", "annulus"])
+def test_zero_perturbation_ratio_is_the_unperturbed_quotient(shape, R):
+    """With P = 0 the ratio is R exp(log||v||_w^2 - log||D v||_w^2) bit for
+    bit, on the interval and on the 129 x 64 annulus."""
+    if shape == "interval":
+        geom = interval_geom(n=2049)
+        op = model_operator_1d(geom.grid)
+    else:
+        geom = CarlemanGeometry.annulus(0.5, 129, 64)
+        op = annulus_operator(geom.grid)
+    v = cutoff_bump_sampler(geom)(np.random.default_rng(12))
+    rep = carleman_ratio(op, Perturbation.zero(), v, R, geom)
+    expected = R * math.exp(log_weighted_l2(v, R, geom)
+                            - log_weighted_l2(dirac_apply(op, v), R, geom))
+    assert math.isfinite(expected)
+    assert rep.ratio == expected and rep.c0 is None
 
 
 def test_perturbed_ratio_pointwise_bounded_over_sweep():
@@ -292,7 +317,7 @@ def test_perturbed_ratio_pointwise_bounded_over_sweep():
     op = model_operator_1d(geom.grid)
     P = unit_pointwise(geom)
     v = cutoff_bump_sampler(geom)(np.random.default_rng(6))
-    ratios = [perturbed_carleman_ratio(op, P, v, R, geom).ratio
+    ratios = [carleman_ratio(op, P, v, R, geom).ratio
               for R in (10.0, 100.0, 1000.0)]
     assert all(np.isfinite(r) for r in ratios) and max(ratios) < 1.0
 
@@ -306,7 +331,7 @@ def test_perturbed_ratio_rank_one_without_conditions_raises():
     P = Perturbation.rank_one(SpinorField(grid, a))
     v = cutoff_bump_sampler(geom)(np.random.default_rng(7))
     with pytest.raises(NonAdmissibleError):
-        perturbed_carleman_ratio(op, P, v, 100.0, geom)
+        carleman_ratio(op, P, v, 100.0, geom)
 
 
 def test_constant_sweep_determinism():
@@ -327,25 +352,25 @@ def test_constant_sweep_empty_samples():
     op = model_operator_1d(geom.grid)
     sampler = cutoff_bump_sampler(geom)
     with pytest.raises(ValueError):
-        constant_sweep(op, sampler, [10.0, 100.0, 1000.0], geom, n_samples=0)
+        constant_sweep(op, sampler, [10.0, 100.0, 1000.0], geom, n_samples=0, seed=0)
 
 
 def test_constant_sweep_degenerate_flag():
     geom = interval_geom(n=257)
     op = model_operator_1d(geom.grid)
     zero_sampler = lambda rng: geom.grid.zeros()
-    sweep = constant_sweep(op, zero_sampler, np.logspace(1, 3, 3), geom, n_samples=3)
+    sweep = constant_sweep(op, zero_sampler, np.logspace(1, 3, 3), geom, n_samples=3,
+                           seed=0)
     assert sweep.degenerate
     assert math.isnan(sweep.spread)
 
 
 def test_annulus_ratio_and_sweep():
     geom = CarlemanGeometry.annulus(0.1, 65, 16)
-    from ucp_lab.operators import annulus_operator
     op = annulus_operator(geom.grid)
     sampler = cutoff_bump_sampler(geom)
     v = sampler(np.random.default_rng(8))
-    rep = carleman_ratio(op, v, 100.0, geom)
+    rep = carleman_ratio(op, Perturbation.zero(), v, 100.0, geom)
     assert np.isfinite(rep.ratio) and rep.ratio > 0.0
     sweep = constant_sweep(op, sampler, np.logspace(1, 3, 3), geom, n_samples=4,
                            seed=2)
@@ -354,7 +379,6 @@ def test_annulus_ratio_and_sweep():
 
 def test_annulus_operator_memory_and_large_sweep():
     """Structured storage is O(n_t n_theta); a 513 x 256 sweep completes."""
-    from ucp_lab.operators import annulus_operator
     n_t, n_theta = 257, 128
     op = annulus_operator(CarlemanGeometry.annulus(0.5, n_t, n_theta).grid)
     assert op.B.nbytes + op.C.nbytes <= 2 * n_t * n_theta * 4 * 16
@@ -362,7 +386,7 @@ def test_annulus_operator_memory_and_large_sweep():
     geom = CarlemanGeometry.annulus(0.5, 513, 256)
     op = annulus_operator(geom.grid)
     sweep = constant_sweep(op, cutoff_bump_sampler(geom), np.logspace(1, 3, 3), geom,
-                           n_samples=1)
+                           n_samples=1, seed=0)
     assert np.all(np.isfinite(sweep.estimates)) and np.all(sweep.estimates > 0.0)
 
 
@@ -382,7 +406,7 @@ def test_decay_zero_solution_trivially_passes():
     geom = interval_geom(n=2049)
     op = model_operator_1d(geom.grid)
     u = geom.grid.zeros()
-    rep = ucp_decay_check(op, Perturbation.zero(), u, np.logspace(5, 7, 5), geom)
+    rep = ucp_decay_check(op, Perturbation.zero(), u, np.logspace(5, 7, 5), geom, seed=0)
     assert rep.passed and rep.measured == 0.0
 
 
@@ -391,7 +415,7 @@ def test_decay_seeded_solution_slope_and_bound():
     op = model_operator_1d(geom.grid)
     u = integrate_zero_data(op, Perturbation.zero(),
                             u0=np.array([1e-12, 0.0], dtype=complex))
-    rep = ucp_decay_check(op, Perturbation.zero(), u, np.logspace(5, 7, 7), geom)
+    rep = ucp_decay_check(op, Perturbation.zero(), u, np.logspace(5, 7, 7), geom, seed=0)
     assert rep.cutoff_integral > 0.0
     assert rep.measured < 1e-20
     assert rep.passed
@@ -404,24 +428,25 @@ def test_decay_precondition_errors():
     op = model_operator_1d(geom.grid)
     bad = SpinorField(geom.grid, np.ones((geom.grid.n, 2), dtype=complex))
     with pytest.raises(PreconditionError):
-        ucp_decay_check(op, Perturbation.zero(), bad, [1e5, 1e6], geom)
+        ucp_decay_check(op, Perturbation.zero(), bad, [1e5, 1e6], geom, seed=0)
     # a NaN residual is not below 1e-8 either: no report of NaN constants
     nan = np.zeros((geom.grid.n, 2), dtype=complex)
     nan[5:, 0] = np.nan
     with pytest.raises(PreconditionError, match="residual nan"):
-        ucp_decay_check(op, Perturbation.zero(), SpinorField(geom.grid, nan), [1e5, 1e6], geom)
+        ucp_decay_check(op, Perturbation.zero(), SpinorField(geom.grid, nan), [1e5, 1e6], geom,
+                        seed=0)
 
 
 def test_decay_inconclusive_below_crossover():
     geom = interval_geom(n=513)
     op = model_operator_1d(geom.grid)
     u = geom.grid.zeros()
-    rep = ucp_decay_check(op, unit_pointwise(geom), u, [10.0, 20.0, 40.0], geom)
+    rep = ucp_decay_check(op, unit_pointwise(geom), u, [10.0, 20.0, 40.0], geom, seed=0)
     # crossover = 2 C C0^2 with C0 = 0 for the zero field keeps rows conclusive;
     # an empty grid leaves no conclusive row
     assert rep.crossover == 0.0
     assert all(r.conclusive for r in rep.rows)
-    rep2 = ucp_decay_check(op, Perturbation.zero(), u, [], geom)
+    rep2 = ucp_decay_check(op, Perturbation.zero(), u, [], geom, seed=0)
     assert rep2.inconclusive
 
 

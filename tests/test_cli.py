@@ -426,6 +426,26 @@ def test_admissibility_gate_catches_a_wrong_c0(tmp_path, monkeypatch):
     assert not gates[1]["passed"] and gates[1]["value"] > 1e-3
 
 
+def test_carleman_row_without_a_finite_ratio_is_inconclusive(tmp_path):
+    """At T = 1e150 the weighted masses overflow from R = 3.16e8 on: those
+    rows have a nan estimate, so carleman.csv marks them inconclusive, as
+    SweepResult.conclusive does, and report.json names each one."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("T = 1e150\nr_max = 1e10\n")
+    code = run_cli("run", "--suite", "carleman", "--config", str(cfg), "--seed", "42",
+                   "--out", str(out))
+    assert code == 1
+    with open(out / "carleman.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    nan_rows = [row for row in rows if math.isnan(float(row["constant_estimate"]))]
+    assert [float(row["R"]) for row in nan_rows] == pytest.approx([10 ** 8.5, 1e10])
+    assert {row["status"] for row in nan_rows} == {"inconclusive"}
+    notes = json.loads((out / "report.json").read_text())["inconclusive"]
+    for row in nan_rows:
+        assert f"R={float(row['R']):g} no finite sampled ratio" in notes
+
+
 def test_carleman_suite_large_R_writes_finite_log_masses(tmp_path):
     # R T^2 > 709 at R = 1e5: the weighted masses overflow a float, their logs do not
     out = tmp_path / "out"

@@ -93,7 +93,8 @@ def _dense_derivative(lat, axis):
 
 
 def test_sw_residual_zero_and_dense_oracle(lat2):
-    assert tw.evaluate(tw.SWConfiguration.zero(lat2)).residuals == (0.0, 0.0)
+    zero = tw.SWConfiguration.zero(lat2)
+    assert tw.evaluate(zero, None, "unperturbed").residuals == (0.0, 0.0)
 
     rng = rng_for(2)
     cfg = tw.random_config(lat2, rng, amplitude=0.4)
@@ -115,7 +116,7 @@ def test_sw_residual_zero_and_dense_oracle(lat2):
         dpsi += tw._GEN[j] @ v
     r2_oracle = math.sqrt(np.sum(np.abs(dpsi) ** 2) * lat2.volume_element)
 
-    r1, r2 = tw.evaluate(cfg).residuals
+    r1, r2 = tw.evaluate(cfg, None, "unperturbed").residuals
     assert abs(r1 - r1_oracle) < 1e-10 * max(1.0, r1_oracle)
     assert abs(r2 - r2_oracle) < 1e-10 * max(1.0, r2_oracle)
 
@@ -225,8 +226,8 @@ def test_csd_gauge_invariant_without_winding():
 
     cfg = tw.SWConfiguration(lat, bandlimit(cfg.alpha), bandlimit(cfg.psi))
     f = 0.3 * np.cos(lat.x[0]) + 0.15 * np.sin(lat.x[1])
-    base = tw.csd(cfg)
-    gauged = tw.csd(tw.gauge_apply(cfg, f=f))
+    base = tw.csd(cfg, None, "unperturbed")
+    gauged = tw.csd(tw.gauge_apply(cfg, f=f), None, "unperturbed")
     assert abs(base - gauged) < 1e-10 * max(1.0, abs(base))
 
 
@@ -235,10 +236,10 @@ def test_csd_gauge_invariant_without_winding():
 
 
 def test_csd_zero_and_harmonic(lat2):
-    assert tw.csd(tw.SWConfiguration.zero(lat2)) == 0.0
+    assert tw.csd(tw.SWConfiguration.zero(lat2), None, "unperturbed") == 0.0
     cfg = tw.SWConfiguration.zero(lat2)
     cfg.alpha[1] += 0.9  # harmonic: curl-free, psi = 0
-    assert abs(tw.csd(cfg)) < 1e-13
+    assert abs(tw.csd(cfg, None, "unperturbed")) < 1e-13
 
 
 def test_csd_real_and_matches_dense_quadrature(lat2, params2):
@@ -258,7 +259,7 @@ def test_csd_real_and_matches_dense_quadrature(lat2, params2):
         dpsi += tw._GEN[j] @ v
     dirac_term = np.sum(flat_psi * np.conj(dpsi)).real * lat2.volume_element
     oracle = cs + dirac_term
-    assert abs(tw.csd(cfg) - oracle) < 1e-10 * max(1.0, abs(oracle))
+    assert abs(tw.csd(cfg, None, "unperturbed") - oracle) < 1e-10 * max(1.0, abs(oracle))
 
 
 def _physical_rows_value(cfg, params, case):
@@ -283,7 +284,7 @@ def test_parseval_value_matches_the_physical_rows(N, case):
     against the value summed from the rows dirac3 and curl."""
     lat = tw.TorusLattice(N)
     params = tw.default_params(lat)
-    assert tw.csd(tw.SWConfiguration.zero(lat)) == 0.0
+    assert tw.csd(tw.SWConfiguration.zero(lat), None, "unperturbed") == 0.0
     for amplitude in (0.05, 0.3, 1.0):
         cfg = tw.random_config(lat, rng_for(41, N, int(100 * amplitude)), amplitude)
         want = _physical_rows_value(cfg, params, case)
@@ -587,10 +588,10 @@ def test_flow_fixed_point_at_flat_configuration(lat2):
 
 def test_flow_monotone_decrease_explicit(lat2):
     cfg = tw.random_config(lat2, rng_for(18), amplitude=1e-3)
-    prev = tw.csd(cfg)
+    prev = tw.csd(cfg, None, "unperturbed")
     for _ in range(100):
         cfg = tw.flow_step(cfg, None, "unperturbed", dt=5e-3, scheme="explicit")
-        val = tw.csd(cfg)
+        val = tw.csd(cfg, None, "unperturbed")
         assert val <= prev + 1e-12 * (1 + abs(prev))
         prev = val
 
@@ -832,7 +833,7 @@ def test_flow_records_match_fresh_evaluations(lat2, params2, scheme, dt):
     for rec in result.trajectory:
         if rec.step:
             current = tw.flow_step(current, params2, "case2", dt=dt, scheme=scheme)
-        r1, r2 = tw.evaluate(current).residuals
+        r1, r2 = tw.evaluate(current, None, "unperturbed").residuals
         for got, want in ((rec.csd, tw.csd(current, params2, "case2")),
                           (rec.residual_curvature, r1), (rec.residual_dirac, r2)):
             assert abs(got - want) <= 1e-12 * abs(want)

@@ -8,17 +8,19 @@ and the minor page faults (the ru_minflt delta of getrusage(RUSAGE_SELF)):
   save_checkpoint and load_checkpoint through a file in a temporary
   directory;
 - annulus, at 129 x 64 and 257 x 128 (T = 0.5): the annulus_operator build,
-  dirac_apply, carleman_ratio at R = 20, and appendix_decomposition with the
-  zero perturbation at R = 20;
+  dirac_apply, and carleman_ratio and appendix_decomposition with the zero
+  perturbation at R = 20;
 - interval: integrate_zero_data at T = 0.1 for each perturbation of the
   decay suite (none, pointwise, rank-one) at n_t = 257 and 4097;
   peano_branches("sqrt") at 4097 points and rank_one_counterexample at
   131073, as the counterexample suite runs them; at n_t = 2049 and 257,
   one cutoff_bump_sampler draw, and log_weighted_l2, dirac_apply and
-  carleman_ratio at R = 100 on one sampler field; at 2049, constant_sweep
-  with 7 R values and 4 samples, as an interval benchmark item; and at 257,
-  ucp_decay_check on the pointwise zero-data solution at the benchmark's
-  7 R values.
+  carleman_ratio with the zero perturbation at R = 100 on one sampler
+  field; at 2049, constant_sweep with 7 R values and 4 samples, as an
+  interval benchmark item; and at 257, ucp_decay_check on the pointwise
+  zero-data solution at the benchmark's 7 R values.
+carleman_ratio is called as the tree defines it, with or without the
+perturbation argument.
 Each kernel's time and faults are the medians of REPS calls after one
 warm-up call, in each of FRESH fresh child processes, and are reported as
 the medians over those processes, so one slow process cannot decide a
@@ -99,26 +101,36 @@ def torus_kernels(tw, ck, N, scratch: Path):
     }
 
 
+def zero_ratio(cl, pt):
+    """carleman_ratio(op, v, R, geom) with the zero perturbation, on a tree
+    whose carleman_ratio takes the perturbation and on an older one whose
+    carleman_ratio does not (it also has perturbed_carleman_ratio)."""
+    if hasattr(cl, "perturbed_carleman_ratio"):
+        return cl.carleman_ratio
+    zero = pt.Perturbation.zero()
+    return lambda op, v, R, geom: cl.carleman_ratio(op, zero, v, R, geom)
+
+
 def annulus_kernels(cl, ops, pt, n_t, n_theta):
     geom = cl.CarlemanGeometry.annulus(0.5, n_t, n_theta)
     op = ops.annulus_operator(geom.grid)
     v = cl.cutoff_bump_sampler(geom)(np.random.Generator(np.random.Philox(n_t)))
-    zero = pt.Perturbation.zero()
+    zero, ratio = pt.Perturbation.zero(), zero_ratio(cl, pt)
     return {
         "annulus_operator": lambda: ops.annulus_operator(geom.grid),
         "dirac_apply": lambda: ops.dirac_apply(op, v),
-        "carleman_ratio": lambda: cl.carleman_ratio(op, v, 20.0, geom),
+        "carleman_ratio": lambda: ratio(op, v, 20.0, geom),
         "appendix_decomposition_zero": lambda: cl.appendix_decomposition(op, zero, v, 20.0, geom),
     }
 
 
 def interval_kernels(cl, ops, pt, cx, cli):
-    out = {}
+    out, ratio = {}, zero_ratio(cl, pt)
     for n_t in MARCH_SIZES:
         geom = cl.CarlemanGeometry.interval(0.1, n_t)
         op = ops.model_operator_1d(geom.grid)
         for kind, make in cli.PERTURBATIONS.items():
-            P = make(geom) or pt.Perturbation.zero()
+            P = make(geom) or pt.Perturbation.zero()  # an older tree's "none" is None
             out[f"integrate_zero_data_{kind}_{n_t}"] = (
                 lambda op=op, P=P: pt.integrate_zero_data(op, P, u0=np.array([1e-12, 0.0j])))
     peano_grid = cl.CarlemanGeometry.interval(4.0, 4097).grid
@@ -133,7 +145,7 @@ def interval_kernels(cl, ops, pt, cx, cli):
             f"log_weighted_l2_{n_t}": lambda v=v, g=geom: cl.log_weighted_l2(v, 100.0, g),
             f"dirac_apply_{n_t}": lambda op=op, v=v: ops.dirac_apply(op, v),
             f"carleman_ratio_{n_t}": (
-                lambda op=op, v=v, g=geom: cl.carleman_ratio(op, v, 100.0, g))})
+                lambda op=op, v=v, g=geom: ratio(op, v, 100.0, g))})
         if n_t == 2049:
             out["constant_sweep_2049"] = lambda op=op, s=sampler, g=geom: cl.constant_sweep(
                 op, s, np.logspace(1, 3, 7), g, n_samples=4, seed=1)
@@ -141,7 +153,7 @@ def interval_kernels(cl, ops, pt, cx, cli):
     u = pt.integrate_zero_data(op, P, u0=np.array([1e-12, 0.0j]))
     return {**out,
             "ucp_decay_check_pointwise_257": lambda: cl.ucp_decay_check(
-                op, P, u, np.logspace(5, 7, 7), geom),
+                op, P, u, np.logspace(5, 7, 7), geom, seed=0),
             "peano_branches_sqrt_4097": lambda: cx.peano_branches("sqrt", 1.0, peano_grid),
             "rank_one_counterexample_131073": lambda: cx.rank_one_counterexample(rank_one_grid)}
 

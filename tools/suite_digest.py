@@ -6,16 +6,22 @@ one for the sw-flow checkpoint as load_checkpoint reads it back, and one
 for the first items of each benchmark workload at a fixed seed.
 Run it on two source trees and diff the two listings to check that a change
 leaves every suite output, the checkpoint load and every benchmark item
-bit-identical:
+bit-identical.  The torus suites write other bytes with another BLAS thread
+count, so it runs with OPENBLAS_NUM_THREADS=1 unless the caller set the
+variable, and prints the value it ran under as its first line:
 
     python3 tools/suite_digest.py [SRC_DIR]
 """
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
+
+# before numpy loads: OpenBLAS reads the variable once, at load time
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 SEED = "42"
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -89,6 +95,7 @@ if __name__ == "__main__":
     src = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src"
     sys.path.insert(0, str(src.resolve()))
     from ucp_lab import cli
+    print(f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}")
     with tempfile.TemporaryDirectory() as tmp:
         for name, digest in suite_digests(cli, Path(tmp)):
             print(f"{digest}  {name}")

@@ -13,9 +13,8 @@ from .operators import (DiracOperator, absorb_homomorphism, annulus_operator,
 from .perturbations import (AdmissibilityResult, Perturbation, admissibility_bound,
                             eval_perturbation, ucp_condition_check)
 from .torus import (PerturbationParams, SWConfiguration, Tangent, TorusLattice,
-                    csd, default_params, dirac3, floer_norm, flow_step, gauge_apply,
-                    grad_csd, linearization_ucp_setup, linearize, observables,
-                    run_flow)
+                    csd, default_params, dirac3, floer_norm, gauge_apply, grad_csd,
+                    linearize, observables, run_flow)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

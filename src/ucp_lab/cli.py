@@ -319,16 +319,15 @@ def run_sw_gradcheck(opts: dict, seed: int, out: Path) -> SuiteOutput:
     res.check("adjoint-identity", defects, 1e-10,
               note="relative defect of <Lx, y> = <x, L*y> over random pairs")
 
-    record = tw.linearization_ucp_setup(config, params)
     rng = _rng(seed, 14)
     phi = (rng.standard_normal(config.psi.shape)
            + 1j * rng.standard_normal(config.psi.shape))
-    adm = admissibility_bound(record.case1, record.case1_field(phi))
-    ok = adm.admissible and (adm.c0 or 0.0) <= record.case1_witness_c0 * (1 + 1e-10)
+    adm = admissibility_bound(lin.case1, lin.case1_field(phi))
+    ok = adm.admissible and (adm.c0 or 0.0) <= lin.case1_witness_c0 * (1 + 1e-10)
     res.check("case1-pure-spinor-admissible", 0.0 if ok else 1.0, 0.5,
-              note=f"sampled C0 {adm.c0} vs witness {record.case1_witness_c0}")
-    res.summary["case1_witness_c0"] = record.case1_witness_c0
-    res.summary["mixed_coefficient"] = record.mixed_coefficient
+              note=f"sampled C0 {adm.c0} vs witness {lin.case1_witness_c0}")
+    res.summary["case1_witness_c0"] = lin.case1_witness_c0
+    res.summary["mixed_coefficient"] = lin.mixed_coefficient
 
     floer = tw.floer_norm(params)
     rel = floer.remainder_bound / floer.value if 0.0 < floer.value < math.inf else math.nan
@@ -370,7 +369,7 @@ def run_sw_flow(opts: dict, seed: int, out: Path) -> SuiteOutput:
     beltrami.alpha[1] = 1e-3 * np.cos(lat.x[0])
     beltrami.alpha[2] = -1e-3 * np.sin(lat.x[0])
     try:
-        tw.flow_step(beltrami, None, "unperturbed", dt=1e3, scheme="explicit")
+        tw.run_flow(beltrami, None, "unperturbed", dt=1e3, steps=1, scheme="explicit")
         caught = False
     except FlowInstabilityError:
         caught = True
@@ -521,6 +520,10 @@ def build_options(suite: str, config: dict, seed: Optional[int]) -> dict:
     if "r_max" in opts and opts["r_max"] < opts["r_min"]:
         raise ValueError(f"config key 'r_max' takes a value >= r_min = {opts['r_min']!r}, "
                          f"got {opts['r_max']!r}")
+    # the weight's exponent R (T - t)^2 reaches r_max T^2, which must be a float
+    if "r_max" in opts and math.isinf(opts["r_max"] * opts["T"] ** 2):
+        raise ValueError(f"config key 'r_max' takes a value with r_max * T^2 finite at "
+                         f"T = {opts['T']!r}, got {opts['r_max']!r}")
     return opts
 
 

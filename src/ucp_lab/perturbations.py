@@ -31,6 +31,13 @@ class Perturbation:
     matrix: Optional[np.ndarray] = None  # matrix kind: P(u)(x) = M(x) u(x)
     l2_pairing: bool = False           # rank-one: P(u)(x) = <u, a>_{L2} a(x)
 
+    def __post_init__(self):
+        kinds = self.fiber_pairing + (self.matrix is not None) + self.l2_pairing
+        if kinds != (self.a is not None):
+            raise ValueError(f"a Perturbation needs no carrier a and no kind, or a carrier and "
+                             f"one of fiber_pairing, matrix and l2_pairing; got a = "
+                             f"{'None' if self.a is None else 'a field'} and {kinds} kinds")
+
     @classmethod
     def zero(cls) -> "Perturbation":
         return cls()

@@ -539,60 +539,6 @@ def grad_csd(config: SWConfiguration, params: Optional[PerturbationParams],
     return evaluate(config, params, case).gradient
 
 
-def flow_step(config: SWConfiguration, params: Optional[PerturbationParams],
-              case: str, dt: float, scheme: str) -> SWConfiguration:
-    """One step of the downward flow d/dt (A, psi) = -grad csd.
-
-    'explicit' checks that the functional did not increase by more than
-    1e-10 (1 + |csd|) and raises FlowInstabilityError otherwise.
-    'semi-implicit' treats the linear part L = (curl, 2 D_0) implicitly,
-    x_new = x - dt (I + dt L)^-1 grad csd(x), by the closed-form resolvents
-        (I + 2 dt D_0)^-1 = (I - 2 dt D_0) / (1 - 4 dt^2 |k|^2),
-        (I + dt curl)^-1 = (I - dt curl + dt^2 grad div) / (1 - dt^2 |k|^2),
-    numerators by partials, each denominator by one multiply.  Its fixed
-    points are exactly the critical points; a dt within RESONANCE_MARGIN of
-    a pole, or one whose 4 dt^2 |k|^2 overflows, raises FlowInstabilityError.
-    """
-    return _descend(config, evaluate(config, params, case), params, case, dt, scheme)[0]
-
-
-def _descend(config: SWConfiguration, ev: Evaluation,
-             params: Optional[PerturbationParams], case: str, dt: float,
-             scheme: str) -> Tuple[SWConfiguration, Optional[Evaluation]]:
-    """flow_step from the evaluation ev of config: the new configuration and,
-    for the explicit scheme, the evaluation its energy check made of it."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    lat, g = config.lattice, ev.gradient
-    if scheme == "explicit":
-        new = SWConfiguration(lat, config.alpha - dt * g.alpha, config.psi - dt * g.phi)
-        after = evaluate(new, params, case)
-        if after.value > ev.value + 1e-10 * (1.0 + abs(ev.value)):
-            raise FlowInstabilityError(
-                f"functional increased by {after.value - ev.value:.3e} in an explicit step")
-        return new, after
-    if scheme != "semi-implicit":
-        raise ValueError("scheme must be 'explicit' or 'semi-implicit'")
-
-    if math.isinf(4.0 * dt * dt * 3 * lat.N ** 2):  # at the largest |k|^2 = 3 N^2
-        raise FlowInstabilityError(f"semi-implicit step dt={dt!r} overflows the "
-                                   f"denominator 1 - 4 dt^2 |k|^2")
-    den_a, den_p = 1.0 - dt ** 2 * lat.k2, 1.0 - 4.0 * dt ** 2 * lat.k2
-    for den in (den_a, den_p):
-        i = int(np.argmin(np.abs(den)))
-        if abs(den.flat[i]) < RESONANCE_MARGIN:
-            raise FlowInstabilityError(
-                f"semi-implicit step dt={dt!r} is resonant at |k| = "
-                f"{math.sqrt(lat.k2.flat[i]):.6g}: denominator {den.flat[i]:.3e} "
-                f"is below the margin {RESONANCE_MARGIN:g}")
-
-    d = lat.partials(g.alpha)
-    curl_step = g.alpha - dt * _curl_of(d) + dt ** 2 * lat.partials(d.trace())
-    dirac_step = g.phi - 2.0 * dt * _dirac0(lat, g.phi)
-    return SWConfiguration(lat, config.alpha - dt * lat.multiply(curl_step, 1.0 / den_a),
-                           config.psi - dt * lat.multiply(dirac_step, 1.0 / den_p)), None
-
-
 @dataclass
 class FlowRecord:
     step: int
@@ -613,33 +559,63 @@ class FlowResult:
 def run_flow(config: SWConfiguration, params: Optional[PerturbationParams],
              case: str, dt: float, steps: int, scheme: str,
              residual_target: Optional[float] = None) -> FlowResult:
-    """Finite-horizon flow integration with one trajectory record per step; a
-    non-finite recorded value raises FlowInstabilityError.  Each configuration is
-    evaluated once: its record and the next step share the evaluation."""
-    current = config
-    ev = evaluate(current, params, case)
-    records = []
+    """At most steps steps of the downward flow d/dt (A, psi) = -grad csd, one
+    record per configuration; a non-finite record raises FlowInstabilityError.
+    Each configuration is evaluated once, for its record and the next step.
 
-    def record(i):
+    'explicit' raises FlowInstabilityError if a step raises csd by more than
+    1e-10 (1 + |csd|).  'semi-implicit' treats L = (curl, 2 D_0) implicitly,
+    x_new = x - dt (I + dt L)^-1 grad csd(x), by the closed-form resolvents
+        (I + 2 dt D_0)^-1 = (I - 2 dt D_0) / (1 - 4 dt^2 |k|^2),
+        (I + dt curl)^-1 = (I - dt curl + dt^2 grad div) / (1 - dt^2 |k|^2),
+    numerators by partials, each denominator by one multiply with its
+    reciprocal, formed once per run.  Its fixed points are exactly the
+    critical points.  A dt within RESONANCE_MARGIN of a pole, or whose
+    4 dt^2 |k|^2 overflows (FlowInstabilityError), a non-positive dt and an
+    unknown scheme (ValueError) are refused before the first record."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if scheme not in ("explicit", "semi-implicit"):
+        raise ValueError("scheme must be 'explicit' or 'semi-implicit'")
+    lat = config.lattice
+    if scheme == "semi-implicit":
+        if math.isinf(4.0 * dt * dt * 3 * lat.N ** 2):  # at the largest |k|^2 = 3 N^2
+            raise FlowInstabilityError(f"semi-implicit step dt={dt!r} overflows the "
+                                       f"denominator 1 - 4 dt^2 |k|^2")
+        den_a, den_p = 1.0 - dt ** 2 * lat.k2, 1.0 - 4.0 * dt ** 2 * lat.k2
+        for den in (den_a, den_p):
+            i = int(np.argmin(np.abs(den)))
+            if abs(den.flat[i]) < RESONANCE_MARGIN:
+                raise FlowInstabilityError(
+                    f"semi-implicit step dt={dt!r} is resonant at |k| = "
+                    f"{math.sqrt(lat.k2.flat[i]):.6g}: denominator {den.flat[i]:.3e} "
+                    f"is below the margin {RESONANCE_MARGIN:g}")
+        inv_a, inv_p = 1.0 / den_a, 1.0 / den_p
+
+    current, ev, records, i = config, evaluate(config, params, case), [], 0
+    while True:
         value, (r1, r2) = ev.value, ev.residuals
         if not all(map(math.isfinite, (value, r1, r2))):
             raise FlowInstabilityError(
                 f"flow diverged by step {i}: csd {value}, residuals {r1}, {r2}")
-        records.append(FlowRecord(i, i * dt, value, r1, r2,
-                                  math.sqrt(current.sup_psi_sq())))
-        return max(r1, r2)
-
-    res = record(0)
-    converged = residual_target is not None and res < residual_target
-    i = 0
-    while i < steps and not converged:
-        current, ev = _descend(current, ev, params, case, dt, scheme)
-        if ev is None:
+        records.append(FlowRecord(i, i * dt, value, r1, r2, math.sqrt(current.sup_psi_sq())))
+        converged = residual_target is not None and max(r1, r2) < residual_target
+        if converged or i >= steps:
+            return FlowResult(current, records, converged)
+        g, i = ev.gradient, i + 1
+        if scheme == "explicit":
+            current = SWConfiguration(lat, current.alpha - dt * g.alpha, current.psi - dt * g.phi)
             ev = evaluate(current, params, case)
-        i += 1
-        res = record(i)
-        converged = residual_target is not None and res < residual_target
-    return FlowResult(current, records, converged)
+            if ev.value > value + 1e-10 * (1.0 + abs(value)):
+                raise FlowInstabilityError(
+                    f"functional increased by {ev.value - value:.3e} in an explicit step")
+        else:
+            d = lat.partials(g.alpha)
+            curl_step = g.alpha - dt * _curl_of(d) + dt ** 2 * lat.partials(d.trace())
+            dirac_step = g.phi - 2.0 * dt * _dirac0(lat, g.phi)
+            current = SWConfiguration(lat, current.alpha - dt * lat.multiply(curl_step, inv_a),
+                                      current.psi - dt * lat.multiply(dirac_step, inv_p))
+            ev = evaluate(current, params, case)
 
 
 # ---------------------------------------------------------------------------
@@ -657,11 +633,13 @@ class SystemTriple:
 
 class SWLinearization:
     """Gauge-fixing row, linearized curvature row and linearized Dirac row,
-    with the exact discrete adjoint."""
+    with the exact discrete adjoint, and the pure-spinor-block perturbations
+    of the linearized system: the mixed term phi -> cl(alpha) psi / 2, whose
+    only witness is the inhomogeneous mixed_coefficient, and case1, the
+    zeroth-order bundle map of the p2 family, built from params on first use."""
 
-    def __init__(self, config: SWConfiguration):
-        self.config = config
-        self.lattice = config.lattice
+    def __init__(self, config: SWConfiguration, params: Optional[PerturbationParams]):
+        self.config, self.params, self.lattice = config, params, config.lattice
 
     def apply(self, t: Tangent) -> SystemTriple:
         lat, psi = self.lattice, self.config.psi
@@ -686,12 +664,43 @@ class SWLinearization:
              + np.sum(a.spinor * np.conj(b.spinor)).real)
         return float(v) * self.lattice.volume_element
 
+    @property
+    def mixed_coefficient(self) -> float:
+        """sup|cl(alpha) psi|/2 per unit sup|alpha|, sup|psi|/2 (not admissible in phi alone)."""
+        return 0.5 * math.sqrt(self.config.sup_psi_sq())
+
+    @functools.cached_property
+    def _case1(self) -> Tuple[Perturbation, float]:
+        """The matrix field of -cl(i sum_k c_k nu_k), c_k = dp2/dzeta_k at config,
+        on a zero lattice carrier, and its witness sum_k |c_k| sup|nu_k|."""
+        if self.params is None:
+            raise ValueError("case1 needs params, and this linearization has params=None")
+        lat, psi, nus = self.lattice, self.config.psi, self.params.nus
+        coeffs = self.params.p2.grad(_zetas(sigma_polarized(psi, psi), nus, lat))
+        M = -1j * np.einsum("jab,jxyz->xyzab", _GEN, np.tensordot(coeffs, nus, axes=1))
+        witness = sum((abs(c) * float(np.max(np.sqrt(np.sum(nu ** 2, axis=0))))
+                       for c, nu in zip(coeffs, nus)), 0.0)
+        carrier = SpinorField(lat, np.zeros(lat.shape + (2,), dtype=complex))
+        return Perturbation.matrix_field(carrier, M), witness
+
+    @property
+    def case1(self) -> Perturbation:
+        return self._case1[0]
+
+    @property
+    def case1_witness_c0(self) -> float:
+        return self._case1[1]
+
+    def case1_field(self, phi: np.ndarray) -> SpinorField:
+        """A (2, n, n, n) spinor as a fiber-last lattice field."""
+        return SpinorField(self.lattice, np.moveaxis(phi, 0, -1))
+
 
 def linearize(config: SWConfiguration,
-              params: Optional[PerturbationParams] = None) -> SWLinearization:
-    """Linearization at config; params is accepted but unused, since the
-    rows are those of the unperturbed equations."""
-    return SWLinearization(config)
+              params: Optional[PerturbationParams]) -> SWLinearization:
+    """Linearization at config.  Its rows are those of the unperturbed
+    equations; params, which may be None, gives case1 and its witness."""
+    return SWLinearization(config, params)
 
 
 # ---------------------------------------------------------------------------
@@ -716,46 +725,6 @@ def gauge_apply(config: SWConfiguration, f: np.ndarray,
     phase = np.tensordot(w, lat.x, axes=(0, 0)) + f
     shift = 2.0 * (lat.partials(f) + w[:, None, None, None])
     return SWConfiguration(lat, config.alpha - shift, np.exp(1j * phase)[None] * config.psi)
-
-
-# ---------------------------------------------------------------------------
-# linearization bookkeeping
-
-
-@dataclass(eq=False)
-class LinearizationUcpRecord:
-    mixed_coefficient: float            # sup|cl(alpha) psi|/2 per unit sup|alpha|
-    case1: Perturbation                 # matrix field carried by the lattice
-    case1_witness_c0: float
-
-    def case1_field(self, phi: np.ndarray) -> SpinorField:
-        """A (2, n, n, n) spinor as a fiber-last lattice field."""
-        return SpinorField(self.case1.a.grid, np.moveaxis(phi, 0, -1))
-
-
-def linearization_ucp_setup(config: SWConfiguration,
-                            params: PerturbationParams) -> LinearizationUcpRecord:
-    """Extract the pure-spinor-block perturbations of the linearized system.
-
-    The mixed term phi -> cl(alpha) psi / 2 admits only the inhomogeneous
-    witness sup|psi|/2 per unit sup|alpha| (not admissible in phi alone).
-    The zeroth-order term coming from the first perturbation family is a
-    pointwise bundle map on the lattice, packaged for the admissibility
-    machinery with its recorded witness constant.
-    """
-    lat = config.lattice
-    mixed_coefficient = 0.5 * math.sqrt(config.sup_psi_sq())
-    sigma = sigma_polarized(config.psi, config.psi)
-    coeffs = params.p2.grad(_zetas(sigma, params.nus, lat))
-    # fiber matrices of -cl(i sum_k c_k nu_k)
-    M = -1j * np.einsum("jab,jxyz->xyzab", _GEN, np.tensordot(coeffs, params.nus, axes=1))
-    witness = 0.0
-    for c, nu in zip(coeffs, params.nus):
-        witness += abs(c) * float(np.max(np.sqrt(np.sum(nu ** 2, axis=0))))
-
-    carrier = SpinorField(lat, np.zeros(lat.shape + (2,), dtype=complex))
-    pert = Perturbation.matrix_field(carrier, M)
-    return LinearizationUcpRecord(mixed_coefficient, pert, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -247,11 +247,10 @@ def test_criterion_9_adjoint_and_structure():
         rhs = tw.tangent_inner(x, lin.adjoint(y), lat)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
 
-    record = tw.linearization_ucp_setup(cfg, params)
     phi = (rng.standard_normal(cfg.psi.shape)
            + 1j * rng.standard_normal(cfg.psi.shape))
-    adm = admissibility_bound(record.case1, record.case1_field(phi))
-    pure_ok = adm.admissible and (adm.c0 or 0.0) <= record.case1_witness_c0 * (1 + 1e-10)
+    adm = admissibility_bound(lin.case1, lin.case1_field(phi))
+    pure_ok = adm.admissible and (adm.c0 or 0.0) <= lin.case1_witness_c0 * (1 + 1e-10)
     _verdict("9 (adjoint and structure)", {
         f"adjoint defect {worst:.1e} <= 1e-10": worst <= 1e-10,
         "case-1 pure-spinor block admissible with recorded C0": pure_ok,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -6,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ucp_lab import carleman
 from ucp_lab.cli import SUITES, _write_csv, build_options, main, parse_config_text
 
 
@@ -119,7 +121,9 @@ def test_unknown_perturbation_exits_2_naming_key(tmp_path, capsys, suite):
     ("carleman", "T = 0", "T"), ("carleman", "T = -1", "T"),
     ("decay", "T = 0", "T"), ("decay", "T = -1", "T"),
     ("carleman", "T = 1e300", "T"), ("carleman", "T = 1e-300", "T"),
-    ("decay", "T = 1e300", "T"), ("decay", "T = 1e-300", "T")])
+    ("decay", "T = 1e300", "T"), ("decay", "T = 1e-300", "T"),
+    ("carleman", "T = 1e150\nr_max = 1e10", "r_max"),
+    ("decay", "T = 1e150\nr_max = 1e10", "r_max")])
 def test_out_of_range_config_value_exits_2_naming_key(tmp_path, capsys, suite, line, key):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(line + "\n")
@@ -426,13 +430,20 @@ def test_admissibility_gate_catches_a_wrong_c0(tmp_path, monkeypatch):
     assert not gates[1]["passed"] and gates[1]["value"] > 1e-3
 
 
-def test_carleman_row_without_a_finite_ratio_is_inconclusive(tmp_path):
-    """At T = 1e150 the weighted masses overflow from R = 3.16e8 on: those
-    rows have a nan estimate, so carleman.csv marks them inconclusive, as
+def test_carleman_row_without_a_finite_ratio_is_inconclusive(tmp_path, monkeypatch):
+    """Where no sampled ratio is finite, here every ratio from R = 3.16e8 on,
+    the row has a nan estimate, so carleman.csv marks it inconclusive, as
     SweepResult.conclusive does, and report.json names each one."""
+    ratio = carleman.carleman_ratio
+
+    def nan_above_1e8(op, P, v, R, geom):
+        rep = ratio(op, P, v, R, geom)
+        return dataclasses.replace(rep, ratio=math.nan) if R > 1e8 else rep
+
+    monkeypatch.setattr(carleman, "carleman_ratio", nan_above_1e8)
     out = tmp_path / "out"
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("T = 1e150\nr_max = 1e10\n")
+    cfg.write_text("r_max = 1e10\n")
     code = run_cli("run", "--suite", "carleman", "--config", str(cfg), "--seed", "42",
                    "--out", str(out))
     assert code == 1

@@ -38,6 +38,20 @@ def test_zero_input_maps_to_zero_for_every_kind(grid):
         assert eval_perturbation(P, u).sup_norm() == 0.0
 
 
+@pytest.mark.parametrize("fields", [
+    {"matrix": np.zeros((513, 2, 2))}, {"fiber_pairing": True}, {"l2_pairing": True},
+    {"carrier": True}, {"carrier": True, "fiber_pairing": True, "l2_pairing": True},
+    {"carrier": True, "fiber_pairing": True, "matrix": np.zeros((513, 2, 2))}])
+def test_perturbation_with_contradicting_fields_is_refused(grid, fields):
+    """A kind without a carrier, a carrier without a kind, or two kinds on one
+    carrier would read as one kind in carleman_ratio or the march and act as
+    another in eval_perturbation, so the constructor refuses them."""
+    fields = dict(fields)
+    a = bump_field(grid, 1.0, 0.3) if fields.pop("carrier", False) else None
+    with pytest.raises(ValueError, match="carrier"):
+        Perturbation(a, **fields)
+
+
 def test_pointwise_with_vanishing_profile(grid):
     P = Perturbation.pointwise(grid.zeros())
     u = bump_field(grid, 0.7, 0.2)

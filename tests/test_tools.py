@@ -1,8 +1,13 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+from ucp_lab import (carleman, checkpoint, cli, counterexamples, operators, perturbations,
+                     torus)
+
 CODE_SIZE = Path(__file__).resolve().parents[1] / "tools" / "code_size.py"
+KERNELS = CODE_SIZE.with_name("kernels.py")
 
 
 def run_code_size(*args):
@@ -23,3 +28,18 @@ def test_code_size_reads_the_source_dir():
     assert res.returncode == 0, res.stderr
     names = [line.split(":")[0] for line in res.stdout.splitlines()]
     assert names == ["src lines", "defaulted parameters", "config keys"]
+
+
+def test_every_kernel_runs_against_the_source_tree(tmp_path):
+    """tools/kernels.py builds each layer's kernels at a small size and every
+    kernel runs once, so the tool follows the package's API."""
+    spec = importlib.util.spec_from_file_location("kernels", KERNELS)
+    kernels = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernels)
+    built = {**kernels.torus_kernels(torus, checkpoint, 2, tmp_path),
+             **kernels.annulus_kernels(carleman, operators, perturbations, 33, 16),
+             **kernels.interval_kernels(carleman, operators, perturbations, counterexamples,
+                                        cli)}
+    assert "run_flow_1_semi_implicit" in built
+    for fn in built.values():
+        fn()

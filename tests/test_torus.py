@@ -506,7 +506,7 @@ def test_floer_norm_tanh_against_finite_differences(lat2):
 def test_linearize_decouples_at_zero_spinor(lat2):
     cfg = tw.random_config(lat2, rng_for(11), amplitude=0.5)
     cfg = tw.SWConfiguration(lat2, cfg.alpha, np.zeros_like(cfg.psi))
-    lin = tw.linearize(cfg)
+    lin = tw.linearize(cfg, None)
     t = tw.random_tangent(lat2, rng_for(12))
     out = lin.apply(t)
     assert np.max(np.abs(out.scalar + lat2.divergence(t.alpha))) < 1e-12
@@ -518,7 +518,7 @@ def test_linearize_decouples_at_zero_spinor(lat2):
 def test_linearize_matches_finite_difference_of_equation_map(lat2):
     cfg = tw.random_config(lat2, rng_for(13), amplitude=0.4)
     t = tw.random_tangent(lat2, rng_for(14))
-    lin = tw.linearize(cfg).apply(t)
+    lin = tw.linearize(cfg, None).apply(t)
 
     def sw_map(c):
         return (lat2.curl(c.alpha) - tw.sigma_polarized(c.psi, c.psi),
@@ -558,7 +558,7 @@ def test_adjoint_spinor_block_is_dirac_type(lat2):
     zeroth-order term: on plane waves the leftover carries no derivative
     growth (here it vanishes identically for pure spinor input)."""
     cfg = tw.random_config(lat2, rng_for(17), amplitude=0.5)
-    lin = tw.linearize(cfg)
+    lin = tw.linearize(cfg, None)
     defects = []
     for kvec in ((1, 0, 0), (2, -1, 0)):
         k = np.array(kvec, dtype=float)
@@ -581,7 +581,7 @@ def test_flow_fixed_point_at_flat_configuration(lat2):
     params = flat_params(lat2)
     zero = tw.SWConfiguration.zero(lat2)
     for scheme in ("explicit", "semi-implicit"):
-        new = tw.flow_step(zero, params, "case1", dt=0.1, scheme=scheme)
+        new = tw.run_flow(zero, params, "case1", dt=0.1, steps=1, scheme=scheme).config
         assert np.max(np.abs(new.alpha)) < 1e-14
         assert np.max(np.abs(new.psi)) < 1e-14
 
@@ -590,7 +590,7 @@ def test_flow_monotone_decrease_explicit(lat2):
     cfg = tw.random_config(lat2, rng_for(18), amplitude=1e-3)
     prev = tw.csd(cfg, None, "unperturbed")
     for _ in range(100):
-        cfg = tw.flow_step(cfg, None, "unperturbed", dt=5e-3, scheme="explicit")
+        cfg = tw.run_flow(cfg, None, "unperturbed", dt=5e-3, steps=1, scheme="explicit").config
         val = tw.csd(cfg, None, "unperturbed")
         assert val <= prev + 1e-12 * (1 + abs(prev))
         prev = val
@@ -608,7 +608,7 @@ def beltrami_config(lat, amplitude):
 def test_flow_oversized_step_raises(lat2):
     cfg = beltrami_config(lat2, 1e-3)
     with pytest.raises(FlowInstabilityError):
-        tw.flow_step(cfg, None, "unperturbed", dt=1e3, scheme="explicit")
+        tw.run_flow(cfg, None, "unperturbed", dt=1e3, steps=1, scheme="explicit")
 
 
 def test_flow_semi_implicit_converges_to_critical_point(lat2):
@@ -628,44 +628,62 @@ def test_flow_semi_implicit_converges_to_critical_point(lat2):
 
 
 def test_linearization_setup_zero_spinor(lat2, params2):
-    record = tw.linearization_ucp_setup(tw.SWConfiguration.zero(lat2), params2)
-    assert record.mixed_coefficient == 0.0
+    lin = tw.linearize(tw.SWConfiguration.zero(lat2), params2)
+    assert lin.mixed_coefficient == 0.0
 
 
 def test_linearization_setup_case1_admissibility(lat2, params2):
     cfg = tw.random_config(lat2, rng_for(22), amplitude=0.5)
-    record = tw.linearization_ucp_setup(cfg, params2)
-    assert abs(record.mixed_coefficient
+    lin = tw.linearize(cfg, params2)
+    assert abs(lin.mixed_coefficient
                - 0.5 * math.sqrt(cfg.sup_psi_sq())) < 1e-14
     rng = rng_for(23)
     phi = (rng.standard_normal(cfg.psi.shape)
            + 1j * rng.standard_normal(cfg.psi.shape))
-    adm = admissibility_bound(record.case1, record.case1_field(phi))
+    adm = admissibility_bound(lin.case1, lin.case1_field(phi))
     assert adm.admissible
-    assert adm.c0 <= record.case1_witness_c0 * (1 + 1e-10)
+    assert adm.c0 <= lin.case1_witness_c0 * (1 + 1e-10)
 
 
 def test_case1_matrix_field_lives_on_the_lattice(lat2, params2):
     cfg = tw.random_config(lat2, rng_for(22), amplitude=0.5)
-    record = tw.linearization_ucp_setup(cfg, params2)
-    assert record.case1.a.grid == lat2
+    lin = tw.linearize(cfg, params2)
+    assert lin.case1.a.grid == lat2
     rng = rng_for(29)
     x, y = (rng.standard_normal(cfg.psi.shape) + 1j * rng.standard_normal(cfg.psi.shape)
             for _ in range(2))
-    u, v = record.case1_field(x), record.case1_field(y)
+    u, v = lin.case1_field(x), lin.case1_field(y)
     assert u.values.shape == (lat2.n,) * 3 + (2,)
     oracle = np.sum(x * np.conj(y)) * lat2.volume_element
     assert abs(l2_inner(u, v) - oracle) <= 1e-13 * abs(oracle)
+
+
+def test_linearization_without_params_has_no_case1(lat2):
+    lin = tw.linearize(tw.random_config(lat2, rng_for(22), amplitude=0.5), None)
+    assert lin.mixed_coefficient > 0.0
+    with pytest.raises(ValueError, match="params"):
+        lin.case1
+
+
+def test_case1_is_built_on_first_use_and_kept(lat2, params2):
+    """linearize, apply and adjoint build no bundle map; the first read of
+    case1 builds it and a second read returns the same object."""
+    cfg = tw.random_config(lat2, rng_for(22), amplitude=0.5)
+    lin, t = tw.linearize(cfg, params2), tw.random_tangent(lat2, rng_for(23))
+    lin.adjoint(lin.apply(t))
+    assert "_case1" not in vars(lin)
+    assert lin.case1 is lin.case1
 
 
 @pytest.mark.parametrize("dt, k_norm", [(1.0, 1.0), (0.5, 2.0), (0.25, 4.0),
                                         (1.0 / math.sqrt(2.0), math.sqrt(2.0))])
 def test_semi_implicit_resonant_dt_raises(dt, k_norm):
     """dt |k| = 1 or 2 dt |k| = 1 on some lattice mode makes the per-mode
-    resolvent singular; the step refuses it and names the mode."""
+    resolvent singular; the run refuses it before its first record, so even
+    at steps = 0, and names the mode."""
     cfg = tw.random_config(tw.TorusLattice(4), rng_for(24), amplitude=1e-4)
     with pytest.raises(FlowInstabilityError) as err:
-        tw.flow_step(cfg, None, "unperturbed", dt=dt, scheme="semi-implicit")
+        tw.run_flow(cfg, None, "unperturbed", dt=dt, steps=0, scheme="semi-implicit")
     assert f"|k| = {k_norm:.6g}" in str(err.value)
 
 
@@ -683,7 +701,7 @@ def test_semi_implicit_step_solves_its_linear_system(N, dt):
     lat = tw.TorusLattice(N)
     params = tw.default_params(lat)
     cfg = tw.random_config(lat, rng_for(26, N), amplitude=0.5)
-    new = tw.flow_step(cfg, params, "case2", dt=dt, scheme="semi-implicit")
+    new = tw.run_flow(cfg, params, "case2", dt=dt, steps=1, scheme="semi-implicit").config
     g = tw.grad_csd(cfg, params, "case2")
     da, dp = cfg.alpha - new.alpha, cfg.psi - new.psi
     free_dirac = tw.dirac3(tw.SWConfiguration(lat, np.zeros_like(da), dp))
@@ -707,7 +725,7 @@ def test_spectral_transform_counts(lat2, params2, monkeypatch, tmp_path):
 
     monkeypatch.setattr(tw.TorusLattice, "multiply", counted)
     cfg = tw.random_config(lat2, rng_for(27), amplitude=0.3)
-    lin, rng = tw.linearize(cfg), rng_for(28)
+    lin, rng = tw.linearize(cfg, None), rng_for(28)
     t = tw.random_tangent(lat2, rng)
     triple = tw.SystemTriple(rng.standard_normal(lat2.shape), t.alpha, t.phi)
     free = [lambda: lin.apply(t), lambda: lin.adjoint(triple),
@@ -726,7 +744,7 @@ def test_spectral_transform_counts(lat2, params2, monkeypatch, tmp_path):
         fn(cfg, params2, "case2")
         assert 0 < len(calls) <= limit, fn.__name__
     calls.clear()
-    tw.flow_step(cfg, None, "unperturbed", dt=3.0, scheme="semi-implicit")
+    tw.run_flow(cfg, None, "unperturbed", dt=3.0, steps=1, scheme="semi-implicit")
     assert 0 < len(calls) <= 2
     calls.clear()
     tw.run_flow(cfg, None, "unperturbed", dt=3.0, steps=2, scheme="semi-implicit")
@@ -825,14 +843,13 @@ def test_value_only_csd_equals_evaluation_value(lat2, params2, case):
 @pytest.mark.parametrize("scheme, dt", [("explicit", 5e-3), ("semi-implicit", 3.0)])
 def test_flow_records_match_fresh_evaluations(lat2, params2, scheme, dt):
     """Records reuse the evaluation the next step consumes; each must equal a
-    fresh csd and residual norms at the configuration a flow_step loop reaches."""
+    fresh csd and residual norms at the configuration run_flow reaches in
+    that many steps."""
     cfg = tw.random_config(lat2, rng_for(28), amplitude=0.1)
     result = tw.run_flow(cfg, params2, "case2", dt=dt, steps=3, scheme=scheme)
     assert [r.step for r in result.trajectory] == [0, 1, 2, 3]
-    current = cfg
     for rec in result.trajectory:
-        if rec.step:
-            current = tw.flow_step(current, params2, "case2", dt=dt, scheme=scheme)
+        current = tw.run_flow(cfg, params2, "case2", dt=dt, steps=rec.step, scheme=scheme).config
         r1, r2 = tw.evaluate(current, None, "unperturbed").residuals
         for got, want in ((rec.csd, tw.csd(current, params2, "case2")),
                           (rec.residual_curvature, r1), (rec.residual_dirac, r2)):

@@ -4,9 +4,9 @@ and the minor page faults (the ru_minflt delta of getrusage(RUSAGE_SELF)):
   multiplier on a real 3-form and on a complex spinor, and its partials on
   the same two fields (each skipped on a tree without it), curl and
   divergence, dirac3, csd and grad_csd for each case, observables,
-  linearize().apply and .adjoint, one unperturbed flow_step per scheme, and
-  save_checkpoint and load_checkpoint through a file in a temporary
-  directory;
+  linearize(cfg, params).apply and .adjoint, one unperturbed run_flow step
+  per scheme, and save_checkpoint and load_checkpoint through a file in a
+  temporary directory;
 - annulus, at 129 x 64 and 257 x 128 (T = 0.5): the annulus_operator build,
   dirac_apply, and carleman_ratio and appendix_decomposition with the zero
   perturbation at R = 20;
@@ -70,7 +70,7 @@ def torus_kernels(tw, ck, N, scratch: Path):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([N])))
     cfg = tw.random_config(lat, rng, amplitude=0.3)
     small = tw.random_config(lat, rng, amplitude=1e-4)
-    lin, tangent = tw.linearize(cfg), tw.random_tangent(lat, rng)
+    lin, tangent = tw.linearize(cfg, params), tw.random_tangent(lat, rng)
     triple = lin.apply(tangent)
     ckpt = scratch / f"torus_{N}.ckpt"
     ck.save_checkpoint(cfg, ckpt)
@@ -92,10 +92,10 @@ def torus_kernels(tw, ck, N, scratch: Path):
         "observables": lambda: tw.observables(cfg, params),
         "linearize_apply": lambda: lin.apply(tangent),
         "linearize_adjoint": lambda: lin.adjoint(triple),
-        "flow_step_explicit": lambda: tw.flow_step(small, None, "unperturbed", dt=1e-3,
-                                                   scheme="explicit"),
-        "flow_step_semi_implicit": lambda: tw.flow_step(
-            small, None, "unperturbed", dt=3.0, scheme="semi-implicit"),
+        "run_flow_1_explicit": lambda: tw.run_flow(small, None, "unperturbed", dt=1e-3,
+                                                   steps=1, scheme="explicit"),
+        "run_flow_1_semi_implicit": lambda: tw.run_flow(
+            small, None, "unperturbed", dt=3.0, steps=1, scheme="semi-implicit"),
         "save_checkpoint": lambda: ck.save_checkpoint(cfg, ckpt),
         "load_checkpoint": lambda: ck.load_checkpoint(ckpt),
     }

@@ -345,8 +345,8 @@ def ucp_decay_check(op: DiracOperator, P: Perturbation, u: SpinorField,
     if len({r.R for r in concl}) >= 2:  # one repeated R carries no slope
         Rs = np.array([r.R for r in concl])
         f = (math.log(2.0 * constant) - np.log(Rs - crossover) - 0.21 * T * T * Rs)
-        A = np.vstack([Rs, np.ones_like(Rs)]).T
-        slope = float(np.linalg.lstsq(A, f, rcond=None)[0][0])
+        dR = Rs - Rs.mean()  # the least-squares line in closed form
+        slope = float(dR @ (f - f.mean()) / (dR @ dR))
     else:
         slope = math.nan
 

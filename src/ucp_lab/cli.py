@@ -253,8 +253,7 @@ def run_counterexample(opts: dict, seed: int, out: Path) -> SuiteOutput:
     sol, a = cx.rank_one_counterexample(grid=Grid1D.uniform(2.0, opts["rank_one_n"]))
     _write_csv(plot / "rank_one.csv", ["x", "u0", "u1"], [sol.grid.t, sol.u0, sol.u1])
     grid = sol.grid
-    w = grid.quad_weights()
-    pairing = float(np.sum(w * sol.u1 * a))
+    pairing = cx._pairing(grid.quad_weights(), sol.u1, a)
     res.check("rank-one-pairing", abs(pairing - 1.0), 1e-8, note="<u, a> = 1")
     res.check("rank-one-endpoint", abs(sol.u1[-1] - math.sqrt(2.0)), 1e-8,
               note="u(2) = sqrt(2)")

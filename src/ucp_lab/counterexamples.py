@@ -3,7 +3,8 @@
 Both constructions return a trivial branch u0 = 0 and a nontrivial branch
 u1 that agree on an interval and separate beyond it, each with small ODE
 residual.  Residuals are evaluated with stencils that never straddle the
-branch point, so piecewise-polynomial branches differentiate exactly.
+branch point, so piecewise-polynomial branches differentiate exactly, and
+block by block, so a call holds its outputs plus a few blocks of scratch.
 """
 from __future__ import annotations
 
@@ -16,40 +17,56 @@ from .carleman import smoothstep
 from .errors import NormalizationError
 from .fields import Grid1D
 
-# 5-point stencil coefficients for d/dx at offsets 0..4 from the left end
-_ONESIDED5 = {
-    0: np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0,
-    1: np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0,
-    2: np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0,
-    3: np.array([-1.0, 6.0, -18.0, 10.0, 3.0]) / 12.0,
-    4: np.array([3.0, -16.0, 36.0, -48.0, 25.0]) / 12.0,
-}
+# one-sided 5-point d/dx rows at offsets 0, 1, 3 and 4 from the left end of
+# five samples: the first two and the last two points of a side
+_END_ROWS = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0],
+                      [-1.0, 6.0, -18.0, 10.0, 3.0], [3.0, -16.0, 36.0, -48.0, 25.0]]) / 12.0
+_BLOCK = 8192  # points per block: 64 KiB of float64
 
 
-def derivative_5pt(u: np.ndarray, h: float) -> np.ndarray:
-    """4th-order d/dx on a uniform grid (exact for polynomials up to degree 4)."""
-    n = u.size
-    if n < 5:
-        raise ValueError("need at least 5 samples")
-    du = np.empty_like(u, dtype=float)
-    du[2:-2] = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * h)
-    for i, c in ((0, 0), (1, 1), (n - 2, 3), (n - 1, 4)):
-        lo = min(max(i - c, 0), n - 5)
-        du[i] = _ONESIDED5[i - lo] @ u[lo:lo + 5] / h
-    return du
-
-
-def derivative_piecewise(u: np.ndarray, h: float, split: int) -> np.ndarray:
-    """d/dx with stencils confined to [0, split) and [split, n) separately."""
-    n = u.size
-    du = np.empty_like(u, dtype=float)
-    for lo, hi in ((0, split), (split, n)):
-        if hi - lo == 0:
-            continue
+def _sup_residual(u: np.ndarray, h: float, split: int, rhs) -> float:
+    """sup |u' - rhs(idx)|, with u' the 4th-order 5-point stencil confined to
+    [0, split) and [split, n) separately (exact for polynomials up to degree
+    4 on each side), taken block by block through two blocks of scratch.
+    rhs(idx) gives the right-hand side at a slice or index array idx."""
+    buf, tmp = np.empty(_BLOCK), np.empty(_BLOCK)
+    sups = []
+    for lo, hi in ((0, split), (split, u.size)):
         if hi - lo < 5:
             raise ValueError("each side of the branch point needs >= 5 samples")
-        du[lo:hi] = derivative_5pt(u[lo:hi], h)
-    return du
+        du = np.array([row @ u[at:at + 5]
+                       for row, at in zip(_END_ROWS, (lo, lo, hi - 5, hi - 5))]) / h
+        sups.append(np.max(np.abs(du - rhs([lo, lo + 1, hi - 2, hi - 1]))))
+        for b in range(lo + 2, hi - 2, _BLOCK):
+            e = min(b + _BLOCK, hi - 2)
+            d, t = buf[:e - b], tmp[:e - b]  # (u_-2 - 8 u_-1 + 8 u_1 - u_2) / 12h, in order
+            np.subtract(u[b - 2:e - 2], np.multiply(u[b - 1:e - 1], 8.0, out=t), out=d)
+            np.add(d, np.multiply(u[b + 1:e + 1], 8.0, out=t), out=d)
+            np.subtract(d, u[b + 2:e + 2], out=d)
+            np.divide(d, 12.0 * h, out=d)
+            np.subtract(d, rhs(slice(b, e)), out=d)
+            sups.append(np.abs(d, out=d).max())
+    return float(np.max(sups))
+
+
+def _pairing(w: np.ndarray, u: np.ndarray, a: np.ndarray) -> float:
+    """sum(w u a), equal to np.sum(w * u * a) bit for bit without forming
+    the product."""
+    return _pairwise(w, u, a, np.empty(min(u.size, _BLOCK)), 0, u.size)
+
+
+def _pairwise(w: np.ndarray, u: np.ndarray, a: np.ndarray, buf: np.ndarray,
+              lo: int, hi: int) -> float:
+    """sum(w u a) over [lo, hi), its halves split as numpy's pairwise sum
+    splits them (rounded down to a multiple of 8) until a part fits the
+    block buffer buf, whose sum numpy takes."""
+    if hi - lo > _BLOCK:
+        half = (hi - lo) // 2
+        half -= half % 8
+        return (_pairwise(w, u, a, buf, lo, lo + half)
+                + _pairwise(w, u, a, buf, lo + half, hi))
+    p = np.multiply(w[lo:hi], u[lo:hi], out=buf[:hi - lo])
+    return float(np.multiply(p, a[lo:hi], out=p).sum())
 
 
 @dataclass(eq=False)
@@ -87,15 +104,11 @@ def peano_branches(case: str, c: float, grid: Grid1D) -> BranchedSolution:
     if not x[0] < c < x[-1]:
         raise ValueError("branch point must lie inside the grid")
 
-    s = np.maximum(x - c, 0.0)
-    u1 = branch(s)
-    u0 = np.zeros_like(u1)
-
+    u1 = branch(np.maximum(x - c, 0.0))
     split = int(np.searchsorted(x, c, side="right"))
-    res1 = derivative_piecewise(u1, grid.spacing, split) - rhs(x, u1)
-    residual1 = float(np.max(np.abs(res1)))
-    residual0 = 0.0  # u0 = 0 solves exactly
-    return BranchedSolution(grid, u0, u1, c, residual0, residual1)
+    residual1 = _sup_residual(u1, grid.spacing, split, lambda i: rhs(x[i], u1[i]))
+    # u0 = 0 solves exactly; np.zeros leaves its pages untouched
+    return BranchedSolution(grid, np.zeros(x.size), u1, c, 0.0, residual1)
 
 
 def rank_one_counterexample(grid: Grid1D) -> tuple:
@@ -114,25 +127,20 @@ def rank_one_counterexample(grid: Grid1D) -> tuple:
     width = 0.02 * (x[-1] - x[0])
     k = math.sqrt(2.0) / (1.0 - 0.5 * width)
     lo, hi = np.searchsorted(x, (1.0, 1.0 + width))
-    a = np.zeros_like(x)
-    u1 = np.zeros_like(x)
+    a, u1 = np.zeros(x.size), np.zeros(x.size)
     a[lo:] = k
-    u1[lo:] = k * (x[lo:] - (1.0 + 0.5 * width))
+    np.multiply(np.subtract(x[lo:], 1.0 + 0.5 * width, out=u1[lo:]), k, out=u1[lo:])
     y = (x[lo:hi] - 1.0) / width  # the collar, 0 <= y < 1
     a[lo:hi] = k * smoothstep(y)
     u1[lo:hi] = k * width * y ** 4 * (2.5 + y * (y - 3.0))
-    u0 = np.zeros_like(u1)
 
-    w = grid.quad_weights()
-    pairing = float(np.sum(w * u1 * a))
+    pairing = _pairing(grid.quad_weights(), u1, a)
     if abs(pairing - 1.0) > 1e-8:
         raise NormalizationError(f"<u, a> = {pairing:.12f} not within 1e-8 of 1")
 
     split = int(np.searchsorted(x, 1.0, side="right"))
-    res = derivative_piecewise(u1, grid.spacing, split) - pairing * a
-    residual1 = float(np.max(np.abs(res)))
+    residual1 = _sup_residual(u1, grid.spacing, split, lambda i: pairing * a[i])
     if residual1 > 1e-6:
         raise NormalizationError(f"branch residual {residual1:.3e} exceeds 1e-6")
-
-    sol = BranchedSolution(grid, u0, u1, 1.0, 0.0, residual1)
-    return sol, a
+    # u0 = 0 solves exactly; np.zeros leaves its pages untouched
+    return BranchedSolution(grid, np.zeros(x.size), u1, 1.0, 0.0, residual1), a

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ucp_lab
+from ucp_lab import cli
 from ucp_lab.carleman import (CarlemanGeometry, appendix_decomposition, bump_cutoff,
                               carleman_ratio, constant_sweep, cutoff_bump_sampler,
                               log_weighted_l2, smoothstep, ucp_decay_check,
@@ -464,6 +465,31 @@ def test_decay_crossover_absorbs_c0_squared():
     assert [r.conclusive for r in rep.rows] == [
         r.R > 2.0 * rep.constant * rep.c0 ** 2 for r in rep.rows]
     assert not rep.rows[0].conclusive and rep.rows[-1].conclusive
+
+
+@pytest.mark.parametrize("kind", list(cli.PERTURBATIONS))
+def test_decay_slope_is_the_least_squares_line(kind, monkeypatch):
+    """At the decay suite's defaults the closed-form line through the
+    conclusive rows is lstsq's to 1e-13 relative, and is fitted without it."""
+    opts = cli.SUITES["decay"][1]
+    geom = interval_geom(opts["T"], opts["n_t"])
+    op = model_operator_1d(geom.grid)
+    P = cli.PERTURBATIONS[kind](geom)
+    u = integrate_zero_data(op, P, u0=np.array([opts["seed_amplitude"], 0.0], dtype=complex))
+    R_grid = np.logspace(math.log10(opts["r_min"]), math.log10(opts["r_max"]),
+                         opts["r_points"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "lstsq", refuse)
+        rep = ucp_decay_check(op, P, u, R_grid, geom, seed=42)
+    Rs = np.array([r.R for r in rep.rows if r.conclusive])
+    assert Rs.size >= 2
+    f = math.log(2.0 * rep.constant) - np.log(Rs - rep.crossover) - 0.21 * geom.T ** 2 * Rs
+    want = np.linalg.lstsq(np.vstack([Rs, np.ones_like(Rs)]).T, f, rcond=None)[0][0]
+    assert abs(rep.slope - want) <= 1e-13 * abs(want)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ucp_lab import (carleman, checkpoint, cli, counterexamples, operators, perturbations,
                      torus)
 
@@ -30,12 +32,17 @@ def test_code_size_reads_the_source_dir():
     assert names == ["src lines", "defaulted parameters", "config keys"]
 
 
-def test_every_kernel_runs_against_the_source_tree(tmp_path):
-    """tools/kernels.py builds each layer's kernels at a small size and every
-    kernel runs once, so the tool follows the package's API."""
+def load_kernels():
     spec = importlib.util.spec_from_file_location("kernels", KERNELS)
     kernels = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(kernels)
+    return kernels
+
+
+def test_every_kernel_runs_against_the_source_tree(tmp_path):
+    """tools/kernels.py builds each layer's kernels at a small size and every
+    kernel runs once, so the tool follows the package's API."""
+    kernels = load_kernels()
     built = {**kernels.torus_kernels(torus, checkpoint, 2, tmp_path),
              **kernels.annulus_kernels(carleman, operators, perturbations, 33, 16),
              **kernels.interval_kernels(carleman, operators, perturbations, counterexamples,
@@ -43,3 +50,12 @@ def test_every_kernel_runs_against_the_source_tree(tmp_path):
     assert "run_flow_1_semi_implicit" in built
     for fn in built.values():
         fn()
+
+
+def test_kernel_cost_has_every_unit_and_the_traced_peak():
+    """A kernel's cost carries each key the tool states a unit for; peak_mb
+    is the traced peak of a call, here one 2 MB array."""
+    kernels = load_kernels()
+    cost = kernels.median_cost(lambda: np.ones(250_000))
+    assert set(cost) == set(kernels.UNITS) == {"ms", "minflt", "peak_mb"}
+    assert 2.0 <= cost["peak_mb"] < 2.1

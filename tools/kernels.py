@@ -1,5 +1,6 @@
-"""Print one JSON line of kernel costs per call, the time in milliseconds
-and the minor page faults (the ru_minflt delta of getrusage(RUSAGE_SELF)):
+"""Print one JSON line of kernel costs per call, the time in milliseconds,
+the minor page faults (the ru_minflt delta of getrusage(RUSAGE_SELF)) and
+the peak of memory the call allocates, as tracemalloc traces it:
 - torus, at N = 4, 8, 16 and 24: the lattice's multiply by the Green
   multiplier on a real 3-form and on a complex spinor, and its partials on
   the same two fields (each skipped on a tree without it), curl and
@@ -19,12 +20,11 @@ and the minor page faults (the ru_minflt delta of getrusage(RUSAGE_SELF)):
   field; at 2049, constant_sweep with 7 R values and 4 samples, as an
   interval benchmark item; and at 257, ucp_decay_check on the pointwise
   zero-data solution at the benchmark's 7 R values.
-carleman_ratio is called as the tree defines it, with or without the
-perturbation argument.
 Each kernel's time and faults are the medians of REPS calls after one
-warm-up call, in each of FRESH fresh child processes, and are reported as
-the medians over those processes, so one slow process cannot decide a
-kernel.  A fixed count, not a time budget, keeps the slow kernels at
+warm-up call, and its peak is read on one more call after those, traced
+and untimed, in each of FRESH fresh child processes; all three are
+reported as the medians over those processes, so one slow process cannot
+decide a kernel.  A fixed count, not a time budget, keeps the slow kernels at
 N >= 16 from being timed on a handful of calls.  The line also records the
 BLAS thread variables the children ran under.  Point it at another source
 tree to compare two versions:
@@ -39,6 +39,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +50,13 @@ MARCH_SIZES = (257, 4097)
 REPS = 30   # timed calls per kernel and process
 FRESH = 3   # child processes per tree
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+UNITS = {"ms": "milliseconds per call", "minflt": "minor page faults per call",
+         "peak_mb": "MB (1e6 bytes) of tracemalloc peak over one call"}
 
 
 def median_cost(fn):
-    """{"ms": median time, "minflt": median minor page faults} per call."""
+    """{"ms": median time, "minflt": median minor page faults} per call, and
+    "peak_mb", the traced peak of one more call."""
     fn()  # warm caches and lazily built tables
     times, faults = [], []
     for _ in range(REPS):
@@ -61,7 +65,14 @@ def median_cost(fn):
         fn()
         times.append(time.perf_counter() - start)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    return {"ms": 1e3 * statistics.median(times), "minflt": statistics.median(faults)}
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"ms": 1e3 * statistics.median(times), "minflt": statistics.median(faults),
+            "peak_mb": peak / 1e6}
 
 
 def torus_kernels(tw, ck, N, scratch: Path):
@@ -101,38 +112,28 @@ def torus_kernels(tw, ck, N, scratch: Path):
     }
 
 
-def zero_ratio(cl, pt):
-    """carleman_ratio(op, v, R, geom) with the zero perturbation, on a tree
-    whose carleman_ratio takes the perturbation and on an older one whose
-    carleman_ratio does not (it also has perturbed_carleman_ratio)."""
-    if hasattr(cl, "perturbed_carleman_ratio"):
-        return cl.carleman_ratio
-    zero = pt.Perturbation.zero()
-    return lambda op, v, R, geom: cl.carleman_ratio(op, zero, v, R, geom)
-
-
 def annulus_kernels(cl, ops, pt, n_t, n_theta):
     geom = cl.CarlemanGeometry.annulus(0.5, n_t, n_theta)
     op = ops.annulus_operator(geom.grid)
     v = cl.cutoff_bump_sampler(geom)(np.random.Generator(np.random.Philox(n_t)))
-    zero, ratio = pt.Perturbation.zero(), zero_ratio(cl, pt)
+    zero = pt.Perturbation.zero()
     return {
         "annulus_operator": lambda: ops.annulus_operator(geom.grid),
         "dirac_apply": lambda: ops.dirac_apply(op, v),
-        "carleman_ratio": lambda: ratio(op, v, 20.0, geom),
+        "carleman_ratio": lambda: cl.carleman_ratio(op, zero, v, 20.0, geom),
         "appendix_decomposition_zero": lambda: cl.appendix_decomposition(op, zero, v, 20.0, geom),
     }
 
 
 def interval_kernels(cl, ops, pt, cx, cli):
-    out, ratio = {}, zero_ratio(cl, pt)
+    out, zero = {}, pt.Perturbation.zero()
     for n_t in MARCH_SIZES:
         geom = cl.CarlemanGeometry.interval(0.1, n_t)
         op = ops.model_operator_1d(geom.grid)
         for kind, make in cli.PERTURBATIONS.items():
-            P = make(geom) or pt.Perturbation.zero()  # an older tree's "none" is None
             out[f"integrate_zero_data_{kind}_{n_t}"] = (
-                lambda op=op, P=P: pt.integrate_zero_data(op, P, u0=np.array([1e-12, 0.0j])))
+                lambda op=op, P=make(geom): pt.integrate_zero_data(
+                    op, P, u0=np.array([1e-12, 0.0j])))
     peano_grid = cl.CarlemanGeometry.interval(4.0, 4097).grid
     rank_one_grid = cl.CarlemanGeometry.interval(2.0, 131073).grid
     for n_t in (2049, 257):  # the sweep and the decay check of an interval benchmark item
@@ -145,7 +146,7 @@ def interval_kernels(cl, ops, pt, cx, cli):
             f"log_weighted_l2_{n_t}": lambda v=v, g=geom: cl.log_weighted_l2(v, 100.0, g),
             f"dirac_apply_{n_t}": lambda op=op, v=v: ops.dirac_apply(op, v),
             f"carleman_ratio_{n_t}": (
-                lambda op=op, v=v, g=geom: ratio(op, v, 100.0, g))})
+                lambda op=op, v=v, g=geom: cl.carleman_ratio(op, zero, v, 100.0, g))})
         if n_t == 2049:
             out["constant_sweep_2049"] = lambda op=op, s=sampler, g=geom: cl.constant_sweep(
                 op, s, np.logspace(1, 3, 7), g, n_samples=4, seed=1)
@@ -186,12 +187,11 @@ if __name__ == "__main__":
             for _ in range(FRESH)]
     median = {layer: {size: {name: {key: round(statistics.median(r[layer][size][name][key]
                                                                  for r in runs), 4)
-                                    for key in ("ms", "minflt")}
+                                    for key in UNITS}
                              for name in kernels}
                       for size, kernels in sizes.items()}
               for layer, sizes in runs[0].items()}
     print(json.dumps({"src": str(src), "numpy": np.__version__,
                       "threads": {name: os.environ.get(name) for name in THREAD_VARS},
-                      "units": {"ms": "milliseconds per call",
-                                "minflt": "minor page faults per call"},
+                      "units": UNITS,
                       "processes": FRESH, "median": median}))
